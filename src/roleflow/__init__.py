@@ -42,6 +42,8 @@ from .cpn import (
     enabled_bindings,
     eval_expr,
     fire,
+    first_binding,
+    iter_bindings,
     run_to_quiescence,
     step,
     type_check_net,

@@ -10,10 +10,11 @@ runs over equal inputs produce equal traces.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     InvalidModel,
@@ -118,7 +119,20 @@ class Value:
                         f"component of product {self.colorset.name} has wrong color"
                     )
 
+    # Values are frozen, so the sort key and hash computed on first use never
+    # go stale. They live in the instance dict, next to the fields.
+
     def canonical(self) -> str:
+        return self.sort_key()[0]
+
+    def sort_key(self):
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            key = (self._render(), self.colorset.name)
+            object.__setattr__(self, "_sort_key", key)
+        return key
+
+    def _render(self) -> str:
         kind = self.colorset.kind
         if kind == "unit":
             return "()"
@@ -130,8 +144,16 @@ class Value:
             return self.payload
         return "(" + ",".join(v.canonical() for v in self.payload) + ")"
 
-    def sort_key(self):
-        return (self.canonical(), self.colorset.name)
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.colorset, self.payload))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # string hashes differ between processes: never pickle the cached hash
+        return {"colorset": self.colorset, "payload": self.payload}
 
     def __repr__(self):
         return f"Value({self.colorset.name}:{self.canonical()})"
@@ -149,9 +171,13 @@ def value_of(colorset: ColorSet, raw) -> Value:
 
 
 class Multiset:
-    """An immutable bag of same-colored values."""
+    """An immutable bag of same-colored values.
 
-    __slots__ = ("_counts",)
+    The distinct values in canonical order are sorted once and then handed
+    from each multiset to the ones `plus` and `minus` derive from it.
+    """
+
+    __slots__ = ("_counts", "_distinct")
 
     def __init__(self, values: Iterable[Value] = ()):
         counts: dict[Value, int] = {}
@@ -163,10 +189,10 @@ class Multiset:
                 raise TypeMismatch("multiset mixes color sets")
             counts[v] = counts.get(v, 0) + 1
         self._counts = counts
+        self._distinct: Optional[list[Value]] = None
 
     @classmethod
     def from_counts(cls, counts: Mapping[Value, int]) -> "Multiset":
-        ms = cls()
         for v, n in counts.items():
             if n <= 0:
                 raise TypeMismatch("multiset counts must be positive")
@@ -176,11 +202,18 @@ class Multiset:
                 color = v.colorset
             elif v.colorset != color:
                 raise TypeMismatch("multiset mixes color sets")
-        ms._counts = dict(counts)
+        return cls._of(dict(counts), None)
+
+    @classmethod
+    def _of(cls, counts: dict[Value, int], distinct: Optional[list[Value]]) -> "Multiset":
+        ms = cls.__new__(cls)
+        ms._counts = counts
+        ms._distinct = distinct
         return ms
 
     def items(self) -> list[tuple[Value, int]]:
-        return sorted(self._counts.items(), key=lambda e: e[0].sort_key())
+        counts = self._counts
+        return [(v, counts[v]) for v in self.distinct()]
 
     def values(self) -> list[Value]:
         out = []
@@ -189,7 +222,10 @@ class Multiset:
         return out
 
     def distinct(self) -> list[Value]:
-        return [v for v, _ in self.items()]
+        """The distinct values in canonical order. Shared: callers must not mutate it."""
+        if self._distinct is None:
+            self._distinct = sorted(self._counts, key=Value.sort_key)
+        return self._distinct
 
     def count(self, v: Value) -> int:
         return self._counts.get(v, 0)
@@ -203,23 +239,43 @@ class Multiset:
 
     def plus(self, values: Iterable[Value]) -> "Multiset":
         counts = dict(self._counts)
+        color = next(iter(counts)).colorset if counts else None
+        fresh = []
         for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return Multiset.from_counts(counts)
+            if color is None:
+                color = v.colorset
+            elif v.colorset is not color and v.colorset != color:
+                raise TypeMismatch("multiset mixes color sets")
+            n = counts.get(v, 0)
+            if n == 0:
+                fresh.append(v)
+            counts[v] = n + 1
+        distinct = self._distinct
+        if distinct is not None and fresh:
+            distinct = list(distinct)
+            for v in fresh:
+                bisect.insort(distinct, v, key=Value.sort_key)
+        return Multiset._of(counts, distinct)
 
     def minus(self, values: Iterable[Value]) -> "Multiset":
         counts = dict(self._counts)
+        gone = []
         for v in values:
             n = counts.get(v, 0)
             if n <= 0:
                 raise ValueError(f"token {v.canonical()} not present")
             if n == 1:
                 del counts[v]
+                gone.append(v)
             else:
                 counts[v] = n - 1
-        out = Multiset()
-        out._counts = counts
-        return out
+        distinct = self._distinct
+        if distinct is not None and gone:
+            distinct = list(distinct)
+            for v in gone:
+                start = bisect.bisect_left(distinct, v.sort_key(), key=Value.sort_key)
+                del distinct[distinct.index(v, start)]
+        return Multiset._of(counts, distinct)
 
     def contains(self, values: Iterable[Value]) -> bool:
         need: dict[Value, int] = {}
@@ -812,14 +868,21 @@ def _receive_value(transition: Transition, mailbox: Mailbox) -> Optional[Value]:
     return None
 
 
-def enabled_bindings(
+def iter_bindings(
     net: Net, marking: Marking, transition_id: str, mailbox: Mailbox = ()
-) -> list[dict[str, Value]]:
-    """All bindings under which the transition may fire, in canonical order.
+) -> Iterator[dict[str, Value]]:
+    """The bindings under which the transition may fire, lazily, in canonical order.
 
     A binding assigns one token per input arc (jointly available in the
     marking), plus the earliest mailbox message on the receive channel when
     the transition carries a receive event.
+
+    Canonical order compares bindings by their values' sort keys, taken in
+    parameter-name order. Input arcs are sorted by label and each pool lists
+    its place's distinct values in sort-key order, so the product of the
+    pools already runs in canonical order and nothing is sorted. This holds
+    for nets whose input arc labels are distinct, which `type_check_net`
+    requires.
     """
     t = net.transitions.get(transition_id)
     if t is None:
@@ -832,7 +895,7 @@ def enabled_bindings(
     if isinstance(t.event, ReceiveEvent):
         msg = _receive_value(t, mailbox)
         if msg is None:
-            return []
+            return
         fixed[t.event.var] = msg
 
     arcs = net.input_arcs(transition_id)
@@ -840,10 +903,9 @@ def enabled_bindings(
     for arc in arcs:
         pool = marking.get(arc.place).distinct()
         if not pool:
-            return []
+            return
         pools.append(pool)
 
-    found: list[dict[str, Value]] = []
     for combo in itertools.product(*pools):
         binding = dict(fixed)
         by_place: dict[str, list[Value]] = {}
@@ -854,10 +916,21 @@ def enabled_bindings(
             continue
         if t.guard is not None and not _guard_passes(t.guard, binding):
             continue
-        found.append(binding)
+        yield binding
 
-    found.sort(key=lambda b: tuple(b[p].sort_key() for p in sorted(b)))
-    return found
+
+def first_binding(
+    net: Net, marking: Marking, transition_id: str, mailbox: Mailbox = ()
+) -> Optional[dict[str, Value]]:
+    """The canonically first binding under which the transition may fire, or None."""
+    return next(iter_bindings(net, marking, transition_id, mailbox), None)
+
+
+def enabled_bindings(
+    net: Net, marking: Marking, transition_id: str, mailbox: Mailbox = ()
+) -> list[dict[str, Value]]:
+    """All bindings under which the transition may fire, in canonical order."""
+    return list(iter_bindings(net, marking, transition_id, mailbox))
 
 
 def _guard_passes(guard: Expr, binding: Binding) -> bool:
@@ -935,10 +1008,10 @@ def step(net: Net, marking: Marking, mailbox: Mailbox = (), policy: str = "deter
     if policy != "deterministic":
         raise ValueError(f"unsupported policy '{policy}'")
     for tid in sorted(net.transitions):
-        bindings = enabled_bindings(net, marking, tid, mailbox)
-        if bindings:
-            new_marking, events = fire(net, marking, tid, bindings[0])
-            return StepFired(tid, bindings[0], new_marking, tuple(events))
+        binding = first_binding(net, marking, tid, mailbox)
+        if binding is not None:
+            new_marking, events = fire(net, marking, tid, binding)
+            return StepFired(tid, binding, new_marking, tuple(events))
     return StepQuiescent()
 
 

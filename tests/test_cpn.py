@@ -23,8 +23,11 @@ from roleflow import (
     UnknownTransition,
     Value,
     decompose,
+    TypeMismatch,
     enabled_bindings,
     fire,
+    first_binding,
+    iter_bindings,
     run_to_quiescence,
     step,
     type_check_net,
@@ -214,15 +217,36 @@ class TestRunToQuiescence:
         assert [f.render() for f in a.firings] == [f.render() for f in b.firings]
 
 
+def assert_lazy_paths_match_oracle(net, marking, tid, mailbox=()):
+    expected = brute_force_bindings(net, marking, tid, mailbox)
+    assert enabled_bindings(net, marking, tid, mailbox) == expected
+    assert list(iter_bindings(net, marking, tid, mailbox)) == expected
+    assert first_binding(net, marking, tid, mailbox) == (expected[0] if expected else None)
+
+
 class TestOracleEquivalence:
     def test_bounded_family(self):
         rng = random.Random(801)
         for _ in range(150):
             net, marking, mailbox = gen_bounded_net(rng)
             for tid in sorted(net.transitions):
-                assert enabled_bindings(net, marking, tid, mailbox) == brute_force_bindings(
-                    net, marking, tid, mailbox
-                )
+                assert_lazy_paths_match_oracle(net, marking, tid, mailbox)
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    @pytest.mark.parametrize("receive", [False, True])
+    def test_join_on_one_place(self, guarded, receive):
+        net = build_join_net(guarded, receive)
+        rng = random.Random(803)
+        pool = [flagged(n, f) for n in (1, 2, 3, 10) for f in ("false", "true")]
+        mailboxes = [(), [("ch", tok(7)), ("ch", tok(5))], [("other", tok(1))]]
+        distinct_counts = set()
+        for _ in range(80):
+            tokens = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+            distinct_counts.add(len(set(tokens)))
+            marking = Marking({"p": Multiset(tokens)})
+            for mailbox in mailboxes:
+                assert_lazy_paths_match_oracle(net, marking, "t", mailbox)
+        assert max(distinct_counts) >= 3
 
     def test_token_conservation(self):
         rng = random.Random(802)
@@ -252,6 +276,36 @@ def build_guarded_net():
         ],
         arcs=[InputArc("p", "t", "b"), OutputArc("t", "q", "o")],
     )
+    return net
+
+
+PAIR = ColorSet("Pair", "product", components=(TOK, FLAG))
+
+
+def flagged(n, flag):
+    return Value(PAIR, (tok(n), Value(FLAG, flag)))
+
+
+def build_join_net(guarded, receive):
+    """Two input arcs on one place; the guard reads the flag of the first token."""
+    inputs = (("a", PAIR), ("b", PAIR)) + ((("m", TOK),) if receive else ())
+    net = Net(
+        "join",
+        colorsets=[TOK, FLAG, PAIR],
+        places=[Place("p", PAIR), Place("q", PAIR)],
+        transitions=[
+            Transition(
+                "t",
+                "R",
+                "f",
+                guard=Expr.call("second", Expr.var("a")) if guarded else None,
+                event=ReceiveEvent("ch", "m") if receive else None,
+            )
+        ],
+        procedures=[ProcedureDef("f", inputs, (("o", PAIR),), (("o", Expr.var("b")),))],
+        arcs=[InputArc("p", "t", "b"), InputArc("p", "t", "a"), OutputArc("t", "q", "o")],
+    )
+    assert type_check_net(net).empty
     return net
 
 
@@ -311,3 +365,46 @@ def test_receive_disabled_without_message_regardless_of_marking(values):
     marking = Marking({"q": Multiset([tok(v) for v in values])})
     assert enabled_bindings(net, marking, "t", ()) == []
     assert enabled_bindings(net, marking, "t", [("other", tok(1))]) == []
+
+
+class TestMultisetCaches:
+    def test_distinct_follows_plus_minus_chains(self):
+        rng = random.Random(804)
+        for _ in range(60):
+            expected = {}
+            ms = Multiset()
+            for _ in range(rng.randint(1, 25)):
+                present = [v for v, n in expected.items() if n]
+                if present and rng.random() < 0.45:
+                    gone = rng.sample(present, rng.randint(1, min(2, len(present))))
+                    ms = ms.minus(gone)
+                    for v in gone:
+                        expected[v] -= 1
+                else:
+                    added = [tok(rng.randint(-5, 12)) for _ in range(rng.randint(1, 3))]
+                    ms = ms.plus(added)
+                    for v in added:
+                        expected[v] = expected.get(v, 0) + 1
+                if rng.random() < 0.5:  # sort now, so later steps hand the order on
+                    ms.distinct()
+                live = sorted((v for v, n in expected.items() if n), key=Value.sort_key)
+                assert ms.distinct() == live
+                assert ms.items() == [(v, expected[v]) for v in live]
+
+    def test_plus_rejects_mixed_colors(self):
+        with pytest.raises(TypeMismatch):
+            Multiset([tok(1)]).plus([Value(FLAG, "true")])
+        with pytest.raises(TypeMismatch):
+            Multiset().plus([tok(1), Value(FLAG, "true")])
+        ms = Multiset([tok(1), tok(2)])
+        ms.distinct()
+        with pytest.raises(TypeMismatch):
+            ms.plus([tok(3), flagged(1, "true")])
+
+    def test_cached_value_hash_matches_a_fresh_equal_value(self):
+        v = flagged(4, "true")
+        first = hash(v)
+        assert hash(v) == first
+        fresh = flagged(4, "true")
+        assert fresh == v and hash(fresh) == first
+        assert v.sort_key() == fresh.sort_key() == ("(4,true)", "Pair")

@@ -109,6 +109,66 @@ class TestSystemEnded:
         assert report.end_reason == "stalled"
 
 
+def rebuilt(system):
+    """A system built afresh in the state `system` is in now, so nothing is cached."""
+    states = {
+        aid: runtime_mod.AgentState(st.marking, list(st.mailbox)) for aid, st in system.states.items()
+    }
+    return runtime_mod.RunnableSystem(
+        system.model, states, list(system.bus), system.cursor, system.step_count
+    )
+
+
+def edited_after_quiescence(mam, edit):
+    """Run to quiescence through go(), then change state from outside the scheduler."""
+    system = synthesize(mam)
+    while not isinstance(go(system, Scenario()), QuiescentPass):
+        pass
+    assert system.quiescent()
+    if edit in ("marking", "both"):
+        system.states["agent1"].marking = marking_of(in_=[5, 3])
+    if edit in ("mailbox", "both"):
+        system.states["agent2"].mailbox.append(("mid", tok(9)))
+    return system
+
+
+EDITS = ["marking", "mailbox", "both"]
+
+
+class TestFirstFiringCache:
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_go_and_quiescent_see_outside_edits(self, mam1, edit):
+        system = edited_after_quiescence(mam1, edit)
+        fresh = rebuilt(system)
+        assert not system.quiescent() and not fresh.quiescent()
+        while True:
+            outcome = go(system, Scenario())
+            assert outcome == go(fresh, Scenario())
+            assert system.quiescent() == fresh.quiescent()
+            if isinstance(outcome, QuiescentPass):
+                break
+        assert system.states == fresh.states
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_adaptive_loop_after_outside_edits(self, mam1, edit):
+        system = edited_after_quiescence(mam1, edit)
+        expected = adaptive_loop(rebuilt(system), Scenario())
+        got = adaptive_loop(system, Scenario())
+        assert len(expected.trace) > 1
+        assert render_trace(got.trace) == render_trace(expected.trace)
+        assert got.final_markings == expected.final_markings
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_run_concurrent_after_outside_edits(self, mam1, edit):
+        for seed in range(4):
+            system = edited_after_quiescence(mam1, edit)
+            expected = run_concurrent(rebuilt(system), Scenario(), seed)
+            got = run_concurrent(system, Scenario(), seed)
+            assert len(expected.trace) > 1
+            assert render_trace(got.trace) == render_trace(expected.trace)
+            assert got.final_markings == expected.final_markings
+
+
 class TestSaveContext:
     def test_fresh_snapshot(self, mam1):
         system = synthesize(mam1)
