@@ -2,9 +2,13 @@
 
 Sixteen operation kinds: agent add/remove/modify, channel add/remove/replace,
 and per-agent sensor, effector, procedure, and task surgery. validate_op
-speculatively applies the operation and runs the full model validator, so an
-accepted operation can never yield an incoherent model. Requests are atomic:
-the first invalid operation rejects the whole request.
+speculatively applies the operation and validates the whole candidate model,
+so an accepted operation can never yield an incoherent model. apply_op keeps
+that candidate rather than applying the operation a second time. The check
+costs what the operation changed: agents, tasks and channels it left alone
+are the same objects in the candidate, and `validate_model` reuses their
+checks (see `decomposition._AgentChecks`). Requests are atomic: the first
+invalid operation rejects the whole request.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from .decomposition import (
     marking_compatible,
     validate_model,
 )
-from .errors import CoherenceError, ValidationReport, Violation, report_of
+from .errors import (
+    CoherenceError,
+    InvalidModel,
+    TypeMismatch,
+    ValidationReport,
+    Violation,
+    report_of,
+)
 
 AGENT_OP_KINDS = ("addAgent", "removeAgent", "modifyAgent")
 FINE_OP_KINDS = (
@@ -260,8 +271,10 @@ def _apply(mam: MultiAgentModel, op: AdaptationOp) -> MultiAgentModel:
         agents = mam.agents
         if op.channel.id != op.channel_id:
             # re-point capability lists at the new id; tasks are validated later
-            agents = {}
+            agents = dict(mam.agents)
             for aid, a in mam.agents.items():
+                if op.channel_id not in a.sensors and op.channel_id not in a.effectors:
+                    continue
                 sensors = frozenset(
                     op.channel.id if s == op.channel_id else s for s in a.sensors
                 )
@@ -357,25 +370,33 @@ def _apply(mam: MultiAgentModel, op: AdaptationOp) -> MultiAgentModel:
     raise _Rejection([Violation("op", kind, f"unknown operation kind '{kind}'")])
 
 
-def validate_op(mam: MultiAgentModel, op: AdaptationOp) -> ValidationReport:
-    """Empty iff applying the op yields a model satisfying every invariant."""
-    from .errors import InvalidModel, TypeMismatch
+def _speculate(
+    mam: MultiAgentModel, op: AdaptationOp
+) -> tuple[Optional[MultiAgentModel], ValidationReport]:
+    """Apply the op to a new model and validate it: (candidate, report).
 
+    The candidate is None when the op is rejected before a model exists.
+    """
     try:
         candidate = _apply(mam, op)
     except _Rejection as rej:
-        return report_of(rej.violations)
+        return None, report_of(rej.violations)
     except (InvalidModel, TypeMismatch) as exc:
         subject = op.agent_id or op.channel_id or "-"
-        return report_of([Violation(op.kind, subject, str(exc))])
-    return validate_model(candidate)
+        return None, report_of([Violation(op.kind, subject, str(exc))])
+    return candidate, validate_model(candidate)
+
+
+def validate_op(mam: MultiAgentModel, op: AdaptationOp) -> ValidationReport:
+    """Empty iff applying the op yields a model satisfying every invariant."""
+    return _speculate(mam, op)[1]
 
 
 def apply_op(mam: MultiAgentModel, op: AdaptationOp) -> MultiAgentModel:
-    report = validate_op(mam, op)
+    candidate, report = _speculate(mam, op)
     if not report.empty:
         raise CoherenceError(f"operation {op.describe()} rejected", report)
-    return _apply(mam, op)
+    return candidate
 
 
 def evolve(mam: MultiAgentModel, request: AdaptationRequest) -> tuple[MultiAgentModel, PlanImpact]:
@@ -425,11 +446,13 @@ def diff_models(old: MultiAgentModel, new: MultiAgentModel) -> tuple[str, ...]:
             out.append(f"channel {cid} added")
         elif b is None:
             out.append(f"channel {cid} removed")
-        elif a != b:
+        elif a is not b and a != b:
             out.append(f"channel {cid} replaced")
 
     for aid in sorted(set(old.agents) | set(new.agents)):
         a, b = old.agents.get(aid), new.agents.get(aid)
+        if a is b:
+            continue  # an agent object the evolution left alone
         if a is None:
             out.append(f"agent {aid} added")
             continue

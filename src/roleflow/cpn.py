@@ -735,7 +735,22 @@ Mailbox = Sequence[tuple[str, Value]]
 
 
 def type_check_net(net: Net) -> ValidationReport:
-    """Structural validation; every violated rule becomes one report entry."""
+    """Structural validation; every violated rule becomes one report entry.
+
+    A Net is immutable, so its report is computed on first use and kept on
+    the instance, the way `Value` keeps its hash. A Net built anew (for
+    example by `Net(**net.parts())`) starts without one.
+    """
+    # getattr, not `net.__dict__`: reading an instance's __dict__ makes CPython
+    # keep its attributes in a real dict, which slows every later attribute load
+    report = getattr(net, "_type_report", None)
+    if report is None:
+        report = _type_check(net)
+        net._type_report = report
+    return report
+
+
+def _type_check(net: Net) -> ValidationReport:
     out: list[Violation] = []
 
     for place in net.places.values():

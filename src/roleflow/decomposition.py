@@ -308,6 +308,8 @@ def project_marking(
 
 def marking_compatible(old_task: Net, new_task: Net) -> bool:
     """Whether any marking of the old task can be restored into the new task."""
+    if old_task is new_task:
+        return True
     for pid, place in old_task.places.items():
         other = new_task.places.get(pid)
         if other is None or other.colorset.descriptor() != place.colorset.descriptor():
@@ -315,10 +317,8 @@ def marking_compatible(old_task: Net, new_task: Net) -> bool:
     return True
 
 
-def validate_model(mam: MultiAgentModel) -> ValidationReport:
-    """Full coherence check of a multi-agent model."""
+def _channel_checks(mam: MultiAgentModel) -> list[Violation]:
     out: list[Violation] = []
-
     for cid in sorted(mam.channels):
         ch = mam.channels[cid]
         if ch.id != cid:
@@ -332,83 +332,153 @@ def validate_model(mam: MultiAgentModel) -> ValidationReport:
             if v.colorset != ch.colorset:
                 out.append(Violation("channel", cid, "initial message does not conform"))
                 break
+    return out
 
+
+class _AgentChecks:
+    """What `validate_model` needs of one agent that no other agent affects.
+
+    `head` is the task's type check; `tail` holds the sensor, effector, role
+    and event checks. `places` to `variables` are the sorted keys the
+    cross-agent tables are built from. It all depends only on the agent
+    object, the key it is filed under, and the Channel object (or absence)
+    behind each channel name the agent uses, listed in `channels`.
+    """
+
+    __slots__ = ("aid", "channels", "head", "tail", "places", "transitions",
+                 "procedures", "colorsets", "variables")
+
+    def __init__(self, aid: str, agent: AgentModel, channels: Mapping[str, Channel]):
+        task = agent.task
+        names = set(agent.sensors | agent.effectors)
+        names.update(t.event.channel for t in task.transitions.values() if t.event is not None)
+        self.aid = aid
+        self.channels = tuple((n, channels.get(n)) for n in sorted(names))
+        self.head = type_check_net(task).entries
+        self.tail = tuple(_local_checks(aid, agent, channels))
+        self.places = sorted(task.places)
+        self.transitions = sorted(task.transitions)
+        self.procedures = [(n, task.procedures[n]) for n in sorted(task.procedures)]
+        self.colorsets = [(n, task.colorsets[n]) for n in sorted(task.colorsets)]
+        self.variables = [(n, task.variables[n]) for n in sorted(task.variables)]
+
+    @staticmethod
+    def of(aid: str, agent: AgentModel, channels: Mapping[str, Channel]) -> "_AgentChecks":
+        """The agent's checks, reused from the agent object while they still hold."""
+        checks = getattr(agent, "_checks", None)
+        if (
+            checks is None
+            or checks.aid != aid
+            or any(channels.get(n) is not ch for n, ch in checks.channels)
+        ):
+            checks = _AgentChecks(aid, agent, channels)
+            object.__setattr__(agent, "_checks", checks)
+        return checks
+
+
+def _local_checks(aid: str, agent: AgentModel, channels: Mapping[str, Channel]):
+    task = agent.task
+    for ch in sorted(agent.sensors):
+        if ch not in channels:
+            yield Violation("sensor", aid, f"sensor on unknown channel '{ch}'")
+        elif channels[ch].consumer != aid:
+            yield Violation("sensor", aid, f"sensor on channel '{ch}' consumed elsewhere")
+    for ch in sorted(agent.effectors):
+        if ch not in channels:
+            yield Violation("effector", aid, f"effector on unknown channel '{ch}'")
+        elif channels[ch].producer != aid:
+            yield Violation("effector", aid, f"effector on channel '{ch}' produced elsewhere")
+
+    for tid in sorted(task.transitions):
+        t = task.transitions[tid]
+        if t.role not in agent.roles:
+            yield Violation("role", tid, f"role '{t.role}' not held by agent {aid}")
+        proc = task.procedures.get(t.procedure)
+        if isinstance(t.event, ReceiveEvent):
+            ch = channels.get(t.event.channel)
+            if t.event.channel not in agent.sensors:
+                yield Violation("event", tid, f"receive on '{t.event.channel}' without a sensor")
+            if ch and proc:
+                params = dict(proc.inputs)
+                got = params.get(t.event.var)
+                if got is not None and got != ch.colorset:
+                    yield Violation("event", tid, "received message color does not match parameter")
+        elif isinstance(t.event, SendEvent):
+            ch = channels.get(t.event.channel)
+            if t.event.channel not in agent.effectors:
+                yield Violation("event", tid, f"send on '{t.event.channel}' without an effector")
+            if ch and proc:
+                env = dict(proc.inputs)
+                env.update(dict(proc.outputs))
+                for p in analyze_expr(t.event.message, ch.colorset, env)[0]:
+                    yield Violation("event", tid, f"send message: {p}")
+
+
+def _same_objects(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(
+        ka == kb and va is vb for (ka, va), (kb, vb) in zip(a, b)
+    )
+
+
+def validate_model(mam: MultiAgentModel) -> ValidationReport:
+    """Full coherence check of a multi-agent model.
+
+    The entries come in a fixed order: the channel checks, then per agent in
+    id order its type check, its clashes with earlier agents (owners,
+    procedures, color sets, variables) and its own capability and event
+    checks. The cost follows what changed: each agent's own checks are kept
+    on the AgentModel (see `_AgentChecks`), and the model remembers the
+    agent and channel objects it was validated with, so validating it again
+    unchanged returns the same report at once. An edit in place replaces an
+    object and so is checked again.
+    """
+    agents, channels = tuple(mam.agents.items()), tuple(mam.channels.items())
+    memo = getattr(mam, "_validated", None)
+    if memo is not None and _same_objects(memo[0], agents) and _same_objects(memo[1], channels):
+        return memo[2]
+
+    out = _channel_checks(mam)
     place_owner: dict[str, str] = {}
     transition_owner: dict[str, str] = {}
     proc_table: dict[str, tuple[str, ProcedureDef]] = {}
     color_table: dict[str, tuple[str, object]] = {}
     var_table: dict[str, tuple[str, object]] = {}
 
+    def clash(table: dict, code: str, entries, aid: str):
+        for name, definition in entries:
+            seen = table.get(name)
+            if seen is None:
+                table[name] = (aid, definition)
+            elif seen[1] is not definition and seen[1] != definition:
+                out.append(Violation(code, name, f"conflicting definitions ({seen[0]}, {aid})"))
+
     for aid in mam.agent_ids():
         agent = mam.agents[aid]
         if agent.id != aid:
             out.append(Violation("agent", aid, "agent keyed under a different id"))
-        task = agent.task
-        out.extend(type_check_net(task).entries)
+        checks = _AgentChecks.of(aid, agent, mam.channels)
+        out.extend(checks.head)
 
-        for pid in sorted(task.places):
+        for pid in checks.places:
             if pid in place_owner:
                 out.append(Violation("place", pid, f"also owned by agent {place_owner[pid]}"))
             elif pid in mam.channels:
                 out.append(Violation("place", pid, "private place shadows a channel"))
             else:
                 place_owner[pid] = aid
-        for tid in sorted(task.transitions):
+        for tid in checks.transitions:
             if tid in transition_owner:
                 out.append(Violation("transition", tid, f"also owned by agent {transition_owner[tid]}"))
             else:
                 transition_owner[tid] = aid
-        for name in sorted(task.procedures):
-            seen = proc_table.get(name)
-            if seen and seen[1] != task.procedures[name]:
-                out.append(Violation("procedure", name, f"conflicting definitions ({seen[0]}, {aid})"))
-            proc_table.setdefault(name, (aid, task.procedures[name]))
-        for name in sorted(task.colorsets):
-            seen = color_table.get(name)
-            if seen and seen[1] != task.colorsets[name]:
-                out.append(Violation("colorset", name, f"conflicting definitions ({seen[0]}, {aid})"))
-            color_table.setdefault(name, (aid, task.colorsets[name]))
-        for name in sorted(task.variables):
-            seen = var_table.get(name)
-            if seen and seen[1] != task.variables[name]:
-                out.append(Violation("variable", name, f"conflicting definitions ({seen[0]}, {aid})"))
-            var_table.setdefault(name, (aid, task.variables[name]))
+        clash(proc_table, "procedure", checks.procedures, aid)
+        clash(color_table, "colorset", checks.colorsets, aid)
+        clash(var_table, "variable", checks.variables, aid)
 
-        for ch in sorted(agent.sensors):
-            if ch not in mam.channels:
-                out.append(Violation("sensor", aid, f"sensor on unknown channel '{ch}'"))
-            elif mam.channels[ch].consumer != aid:
-                out.append(Violation("sensor", aid, f"sensor on channel '{ch}' consumed elsewhere"))
-        for ch in sorted(agent.effectors):
-            if ch not in mam.channels:
-                out.append(Violation("effector", aid, f"effector on unknown channel '{ch}'"))
-            elif mam.channels[ch].producer != aid:
-                out.append(Violation("effector", aid, f"effector on channel '{ch}' produced elsewhere"))
-
-        for tid in sorted(task.transitions):
-            t = task.transitions[tid]
-            if t.role not in agent.roles:
-                out.append(Violation("role", tid, f"role '{t.role}' not held by agent {aid}"))
-            proc = task.procedures.get(t.procedure)
-            if isinstance(t.event, ReceiveEvent):
-                ch = mam.channels.get(t.event.channel)
-                if t.event.channel not in agent.sensors:
-                    out.append(Violation("event", tid, f"receive on '{t.event.channel}' without a sensor"))
-                if ch and proc:
-                    params = dict(proc.inputs)
-                    got = params.get(t.event.var)
-                    if got is not None and got != ch.colorset:
-                        out.append(Violation("event", tid, "received message color does not match parameter"))
-            elif isinstance(t.event, SendEvent):
-                ch = mam.channels.get(t.event.channel)
-                if t.event.channel not in agent.effectors:
-                    out.append(Violation("event", tid, f"send on '{t.event.channel}' without an effector"))
-                if ch and proc:
-                    env = dict(proc.inputs)
-                    env.update(dict(proc.outputs))
-                    for p in analyze_expr(t.event.message, ch.colorset, env)[0]:
-                        out.append(Violation("event", tid, f"send message: {p}"))
-    return report_of(out)
+        out.extend(checks.tail)
+    report = report_of(out)
+    mam._validated = (agents, channels, report)
+    return report
 
 
 def synthesize(mam: MultiAgentModel):

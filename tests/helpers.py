@@ -533,6 +533,116 @@ def gen_random_op(rng: random.Random, mam):
 
 
 # ---------------------------------------------------------------------------
+# oracle: model validation with nothing remembered
+
+
+def cold_model(mam):
+    """A copy of the model in which every Net, agent and the model itself are new objects."""
+    from dataclasses import replace
+
+    from roleflow import MultiAgentModel
+
+    agents = {aid: replace(a, task=Net(**a.task.parts())) for aid, a in mam.agents.items()}
+    return MultiAgentModel(mam.organization_ref, mam.assignment, agents, dict(mam.channels))
+
+
+def naive_validate_model(mam):
+    """The whole coherence check in one pass over a cold copy of the model.
+
+    Written out separately from `validate_model`, so a reused or stale
+    per-agent check there shows up as a different report here.
+    """
+    from roleflow import ReceiveEvent, SendEvent, type_check_net
+    from roleflow.cpn import analyze_expr
+    from roleflow.errors import Violation, report_of
+
+    mam = cold_model(mam)
+    out = []
+    for cid in sorted(mam.channels):
+        ch = mam.channels[cid]
+        if ch.id != cid:
+            out.append(Violation("channel", cid, "channel keyed under a different id"))
+        if ch.producer == ch.consumer:
+            out.append(Violation("channel", cid, "producer and consumer must differ"))
+        for end in (ch.producer, ch.consumer):
+            if end not in mam.agents:
+                out.append(Violation("channel", cid, f"endpoint '{end}' is not an agent"))
+        if any(v.colorset != ch.colorset for v in ch.initial):
+            out.append(Violation("channel", cid, "initial message does not conform"))
+
+    owners = {"place": {}, "transition": {}}
+    tables = {"procedure": {}, "colorset": {}, "variable": {}}
+    for aid in sorted(mam.agents):
+        agent = mam.agents[aid]
+        task = agent.task
+        if agent.id != aid:
+            out.append(Violation("agent", aid, "agent keyed under a different id"))
+        out.extend(type_check_net(task).entries)
+        for pid in sorted(task.places):
+            if pid in owners["place"]:
+                out.append(Violation("place", pid, f"also owned by agent {owners['place'][pid]}"))
+            elif pid in mam.channels:
+                out.append(Violation("place", pid, "private place shadows a channel"))
+            else:
+                owners["place"][pid] = aid
+        for tid in sorted(task.transitions):
+            if tid in owners["transition"]:
+                out.append(Violation("transition", tid, f"also owned by agent {owners['transition'][tid]}"))
+            else:
+                owners["transition"][tid] = aid
+        for code, defs in (
+            ("procedure", task.procedures),
+            ("colorset", task.colorsets),
+            ("variable", task.variables),
+        ):
+            for name in sorted(defs):
+                first = tables[code].setdefault(name, (aid, defs[name]))
+                if first[1] != defs[name]:
+                    out.append(Violation(code, name, f"conflicting definitions ({first[0]}, {aid})"))
+        for what, ends, end in (("sensor", agent.sensors, "consumer"), ("effector", agent.effectors, "producer")):
+            for ch in sorted(ends):
+                if ch not in mam.channels:
+                    out.append(Violation(what, aid, f"{what} on unknown channel '{ch}'"))
+                elif getattr(mam.channels[ch], end) != aid:
+                    verb = "consumed" if what == "sensor" else "produced"
+                    out.append(Violation(what, aid, f"{what} on channel '{ch}' {verb} elsewhere"))
+        for tid in sorted(task.transitions):
+            t = task.transitions[tid]
+            if t.role not in agent.roles:
+                out.append(Violation("role", tid, f"role '{t.role}' not held by agent {aid}"))
+            proc = task.procedures.get(t.procedure)
+            ch = mam.channels.get(t.event.channel) if t.event is not None else None
+            if isinstance(t.event, ReceiveEvent):
+                if t.event.channel not in agent.sensors:
+                    out.append(Violation("event", tid, f"receive on '{t.event.channel}' without a sensor"))
+                got = dict(proc.inputs).get(t.event.var) if proc else None
+                if ch and got is not None and got != ch.colorset:
+                    out.append(Violation("event", tid, "received message color does not match parameter"))
+            elif isinstance(t.event, SendEvent):
+                if t.event.channel not in agent.effectors:
+                    out.append(Violation("event", tid, f"send on '{t.event.channel}' without an effector"))
+                if ch and proc:
+                    env = dict(proc.inputs + proc.outputs)
+                    for problem in analyze_expr(t.event.message, ch.colorset, env)[0]:
+                        out.append(Violation("event", tid, f"send message: {problem}"))
+    return report_of(out)
+
+
+def naive_validate_op(mam, op):
+    """`validate_op` by the oracle: apply the op to a cold copy, then check it all."""
+    from roleflow import adaptation
+    from roleflow.errors import InvalidModel, TypeMismatch, Violation, report_of
+
+    try:
+        candidate = adaptation._apply(cold_model(mam), op)
+    except adaptation._Rejection as rej:
+        return report_of(rej.violations)
+    except (InvalidModel, TypeMismatch) as exc:
+        return report_of([Violation(op.kind, op.agent_id or op.channel_id or "-", str(exc))])
+    return naive_validate_model(candidate)
+
+
+# ---------------------------------------------------------------------------
 # random color sets and markings for the codec fuzz
 
 

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from roleflow import (
     Channel,
     CoherenceError,
+    ColorSet,
     Expr,
+    MultiAgentModel,
     Net,
     ProcedureDef,
     apply_op,
@@ -13,9 +16,11 @@ from roleflow import (
     evolve,
     recompose,
     serialize_model,
+    synthesize,
     validate_model,
     validate_op,
 )
+from roleflow import adaptation
 from roleflow.adaptation import (
     AdaptationRequest,
     a_com,
@@ -31,7 +36,15 @@ from roleflow.adaptation import (
 )
 
 from conftest import TOK, tok
-from helpers import gen_agent_payload, gen_org, gen_random_op, all_assignments
+from helpers import (
+    all_assignments,
+    cold_model,
+    gen_agent_payload,
+    gen_org,
+    gen_random_op,
+    naive_validate_model,
+    naive_validate_op,
+)
 from roleflow import decompose
 
 
@@ -208,3 +221,154 @@ class TestClosureSample:
                     mam = apply_op(mam, op)
                     assert validate_model(mam).empty
                     recompose(mam)
+
+
+def _edit_in_place(rng, mam):
+    """Replace one agent or channel inside the model's own dicts, as a caller might."""
+    if mam.channels and rng.random() < 0.5:
+        cid = rng.choice(sorted(mam.channels))
+        ends = sorted(mam.agents) + ["ghost"]
+        mam.channels[cid] = replace(mam.channels[cid], consumer=rng.choice(ends))
+    elif mam.agents:
+        aid = rng.choice(sorted(mam.agents))
+        agent = mam.agents[aid]
+        if rng.random() < 0.5:
+            mam.agents[aid] = replace(agent, roles=frozenset())
+        else:
+            mam.agents[aid] = replace(agent, sensors=agent.sensors | {"ghost_ch"})
+
+
+class TestIncrementalValidation:
+    def test_validate_op_matches_the_cold_oracle(self):
+        rng = random.Random(2024)
+        counts = {"accepted": 0, "op rejected": 0, "model rejected": 0, "edited": 0}
+        for i in range(12):
+            org = gen_org(rng, f"inc{i}")
+            assignments = list(all_assignments(org.roles))
+            for assignment in (assignments[0], assignments[-1]):
+                current = decompose(org, assignment)
+                for _ in range(25):
+                    op = gen_random_op(rng, current)
+                    report = validate_op(current, op)
+                    assert report == naive_validate_op(current, op), op.describe()
+                    if not report.empty:
+                        applied = adaptation._speculate(current, op)[0] is not None
+                        counts["model rejected" if applied else "op rejected"] += 1
+                        continue
+                    counts["accepted"] += 1
+                    got = apply_op(current, op)
+                    assert got == adaptation._apply(current, op)
+                    assert validate_model(got).empty and naive_validate_model(got).empty
+                    current = got
+                    if rng.random() < 0.25:
+                        # an edit in place must be seen by the next validation
+                        edited = MultiAgentModel(
+                            current.organization_ref, current.assignment, current.agents, current.channels
+                        )
+                        validate_model(edited)
+                        _edit_in_place(rng, edited)
+                        assert validate_model(edited) == naive_validate_model(edited)
+                        counts["edited"] += 1
+        assert min(counts.values()) >= 20, counts
+
+    def test_first_invalid_op_rejects_the_request_with_the_oracle_entries(self):
+        rng = random.Random(2025)
+        rejected = 0
+        for i in range(10):
+            org = gen_org(rng, f"req{i}")
+            mam = decompose(org, next(iter(all_assignments(org.roles))))
+            validate_model(mam)
+            for _ in range(8):
+                ops = []
+                current = mam
+                for _ in range(3):
+                    op = gen_random_op(rng, current)
+                    ops.append(op)
+                    if validate_op(current, op).empty:
+                        current = apply_op(current, op)
+                request = AdaptationRequest(tuple(ops))
+                expected, oracle_model = None, mam
+                for op in ops:
+                    expected = naive_validate_op(oracle_model, op)
+                    if not expected.empty:
+                        break
+                    oracle_model = adaptation._apply(oracle_model, op)
+                if expected.empty:
+                    got, _ = evolve(mam, request)
+                    assert got == oracle_model
+                    continue
+                with pytest.raises(CoherenceError) as exc:
+                    evolve(mam, request)
+                assert exc.value.report == expected
+                rejected += 1
+        assert rejected >= 20
+
+    def test_apply_op_applies_once(self, mam1, monkeypatch):
+        calls = []
+        original = adaptation._apply
+
+        def counting(mam, op):
+            calls.append(op.kind)
+            return original(mam, op)
+
+        monkeypatch.setattr(adaptation, "_apply", counting)
+        apply_op(mam1, rp_p("agent2", "inc1", inc2()))
+        assert calls == ["rpP"]
+
+    def test_unchanged_agents_are_shared_and_revalidation_is_free(self, mam1):
+        got = apply_op(mam1, rp_p("agent2", "inc1", inc2()))
+        assert got.agents["agent1"] is mam1.agents["agent1"]
+        assert got.agents["agent2"] is not mam1.agents["agent2"]
+        assert validate_model(got) is validate_model(got)
+
+    def test_diff_of_equal_but_distinct_agents_is_empty(self, mam1):
+        assert diff_models(mam1, cold_model(mam1)) == ()
+
+
+class TestValidationStaleness:
+    def _evolved(self, mam1):
+        got, _ = evolve(mam1, AdaptationRequest((rp_p("agent2", "inc1", inc2()),)))
+        assert validate_model(got).empty
+        return got
+
+    def test_synthesize_rejects_a_model_edited_after_evolve(self, mam1):
+        got = self._evolved(mam1)
+        got.channels["mid"] = replace(got.channels["mid"], consumer="ghost")
+        with pytest.raises(CoherenceError) as exc:
+            synthesize(got)
+        assert exc.value.report == naive_validate_model(got)
+        assert any("'ghost' is not an agent" in v.message for v in exc.value.report.entries)
+
+    def test_replaced_channel_rechecks_the_agents_naming_it(self, mam1):
+        got = self._evolved(mam1)
+        got.channels["mid"] = replace(got.channels["mid"], consumer="agent1")
+        report = validate_model(got)
+        assert report == naive_validate_model(got)
+        assert any("consumed elsewhere" in v.message for v in report.entries)
+
+    def test_replaced_agent_is_checked_again(self, mam1):
+        got = self._evolved(mam1)
+        got.agents["agent2"] = replace(got.agents["agent2"], roles=frozenset())
+        report = validate_model(got)
+        assert report == naive_validate_model(got)
+        assert [v.code for v in report.entries] == ["role"]
+
+    def test_agent_filed_under_another_key(self, mam1):
+        got = self._evolved(mam1)
+        got.agents["agent3"] = got.agents["agent2"]
+        report = validate_model(got)
+        assert report == naive_validate_model(got)
+        assert any(v.code == "agent" and v.subject == "agent3" for v in report.entries)
+
+    def test_channel_named_only_by_an_event_is_tracked(self, mam1):
+        # agent2 receives on 'mid' without holding the sensor; the channel's
+        # color still decides whether the received message fits
+        got = self._evolved(mam1)
+        got.agents["agent2"] = replace(got.agents["agent2"], sensors=frozenset())
+        before = validate_model(got)
+        assert [v.code for v in before.entries] == ["event"]
+        text = ColorSet("Txt", "text")
+        got.channels["mid"] = replace(got.channels["mid"], colorset=text)
+        report = validate_model(got)
+        assert report == naive_validate_model(got)
+        assert any("does not match parameter" in v.message for v in report.entries)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -79,6 +80,30 @@ class TestTypeCheck:
         )
         report = type_check_net(net)
         assert any(v.code == "arc-color" for v in report.entries)
+
+
+class TestTypeReportCache:
+    def test_report_belongs_to_its_own_net(self, net1):
+        clean = type_check_net(net1)
+        assert type_check_net(net1) is clean
+        parts = net1.parts()
+        parts["transitions"] = [Transition("t", "R", "nosuch")]
+        broken = Net(**parts)
+        assert any("unknown procedure" in v.message for v in type_check_net(broken).entries)
+        assert type_check_net(net1) is clean and clean.empty
+        twin = Net(**net1.parts())
+        assert twin == net1
+        assert type_check_net(twin) is not clean and type_check_net(twin) == clean
+
+    def test_pickled_net_round_trips_with_its_report(self, net1):
+        parts = net1.parts()
+        parts["arcs"] = [OutputArc("t", "q", "out")]
+        for net in (net1, Net(**parts)):
+            report = type_check_net(net)
+            back = pickle.loads(pickle.dumps(net))
+            assert back == net
+            assert type_check_net(back) == report
+            assert back.input_arcs("t") == net.input_arcs("t")
 
 
 class TestEnabledBindings:
