@@ -120,13 +120,15 @@ class Value:
                     )
 
     # Values are frozen, so the sort key and hash computed on first use never
-    # go stale. They live in the instance dict, next to the fields.
+    # go stale. They are read with getattr, not `self.__dict__`: reading an
+    # instance's __dict__ makes CPython keep its attributes in a real dict,
+    # which slows every later attribute load on it.
 
     def canonical(self) -> str:
         return self.sort_key()[0]
 
     def sort_key(self):
-        key = self.__dict__.get("_sort_key")
+        key = getattr(self, "_sort_key", None)
         if key is None:
             key = (self._render(), self.colorset.name)
             object.__setattr__(self, "_sort_key", key)
@@ -145,7 +147,7 @@ class Value:
         return "(" + ",".join(v.canonical() for v in self.payload) + ")"
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.colorset, self.payload))
             object.__setattr__(self, "_hash", h)

@@ -15,6 +15,7 @@ evolution.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -46,14 +47,99 @@ ADAPT_CHANNEL = "adapt!"
 CONTEXT_VERSION = "CTX1"
 
 
-@dataclass
 class AgentState:
-    marking: Marking
-    mailbox: list  # FIFO of (channel id, Value); receive takes the earliest per channel
+    """One agent's marking and its mailbox, a FIFO of (channel id, Value).
+
+    Receive takes the earliest message per channel. A state belongs to the
+    `RunnableSystem` built with it, which keeps the agent's first firing
+    until the state changes.
+
+    Write contract: edits through `states[aid].marking` and
+    `states[aid].mailbox` are seen. Assigning either attribute, or reading
+    `mailbox` (the caller may then edit the list), makes the system check
+    the agent again. A mailbox list held across scheduler calls and edited
+    later is not seen. Runtime code that only looks at a mailbox reads
+    `_mailbox`, so it marks nothing.
+    """
+
+    __slots__ = ("_marking", "_mailbox", "_ready_set", "_index")
+
+    def __init__(self, marking: Marking, mailbox: list):
+        self._marking = marking
+        self._mailbox = mailbox
+        self._ready_set: Optional[_ReadySet] = None  # set by the owning system
+        self._index = -1
+
+    @property
+    def marking(self) -> Marking:
+        return self._marking
+
+    @marking.setter
+    def marking(self, marking: Marking):
+        self._marking = marking
+        if self._ready_set is not None:
+            self._ready_set.touch(self._index)
+
+    @property
+    def mailbox(self) -> list:
+        if self._ready_set is not None:
+            self._ready_set.touch(self._index)
+        return self._mailbox
+
+    @mailbox.setter
+    def mailbox(self, mailbox: list):
+        self._mailbox = mailbox
+        if self._ready_set is not None:
+            self._ready_set.touch(self._index)
+
+    def __eq__(self, other):
+        if not isinstance(other, AgentState):
+            return NotImplemented
+        return self._marking == other._marking and self._mailbox == other._mailbox
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AgentState(marking={self._marking!r}, mailbox={self._mailbox!r})"
+
+
+# An agent whose state changed since its first firing was last computed.
+_DIRTY = object()
+
+
+class _ReadySet:
+    """Which agents of one system can fire, by index into its sorted agent ids.
+
+    Each `AgentState` points here, not to its system, so a system dropped
+    after an adaptation is freed at once instead of by the cycle collector.
+    """
+
+    __slots__ = ("firing", "ready", "dirty")
+
+    def __init__(self, n: int):
+        self.firing: list = [_DIRTY] * n  # index -> first firing, None, or _DIRTY
+        self.ready: list[int] = []  # sorted indices of clean agents that can fire
+        self.dirty: list[int] = list(range(n))  # sorted indices of dirty agents
+
+    def touch(self, index: int) -> None:
+        """Mark an agent dirty: its state changed, so its first firing may have."""
+        firing = self.firing[index]
+        if firing is _DIRTY:
+            return
+        if firing is not None:
+            del self.ready[bisect_left(self.ready, index)]
+        self.firing[index] = _DIRTY
+        insort(self.dirty, index)
 
 
 class RunnableSystem:
-    """Current state of a running multi-agent system, aware of its own model."""
+    """Current state of a running multi-agent system, aware of its own model.
+
+    It keeps a ready set: each agent's first firing, computed again only
+    after the agent's marking or mailbox changes. Delivery and firing change
+    one agent each, so a scheduler step rechecks only that agent. The model
+    is fixed for the system's life; adaptation builds a new system.
+    """
 
     def __init__(self, model: MultiAgentModel, states, bus, cursor=0, step_count=0):
         self.model = model
@@ -64,8 +150,11 @@ class RunnableSystem:
         self.step_count = step_count
         self.trigger_cursor = 0
         self.warnings: list[str] = []
-        # agent id -> (task, marking, mailbox snapshot, first firing) it was computed for
-        self._first_firings: dict[str, tuple] = {}
+        self._ready_set = _ReadySet(len(self.agent_ids))
+        for index, aid in enumerate(self.agent_ids):
+            state = states[aid]
+            state._ready_set = self._ready_set
+            state._index = index
 
     @classmethod
     def fresh(cls, model: MultiAgentModel) -> "RunnableSystem":
@@ -81,41 +170,67 @@ class RunnableSystem:
     def task(self, agent_id: str):
         return self.model.agents[agent_id].task
 
+    def _resolve(self, index: int) -> Optional[tuple[str, dict]]:
+        """Compute a dirty agent's first firing and file the agent as clean."""
+        ready_set = self._ready_set
+        del ready_set.dirty[bisect_left(ready_set.dirty, index)]
+        aid = self.agent_ids[index]
+        state = self.states[aid]
+        task = self.model.agents[aid].task
+        found = None
+        for tid in sorted(task.transitions):
+            binding = first_binding(task, state._marking, tid, state._mailbox)
+            if binding is not None:
+                found = (tid, binding)
+                break
+        ready_set.firing[index] = found
+        if found is not None:
+            insort(ready_set.ready, index)
+        return found
+
     def first_firing(self, agent_id: str) -> Optional[tuple[str, dict]]:
         """The agent's first enabled (transition, binding) in canonical order, or None.
 
         It depends only on the agent's task, marking and mailbox, so it is
-        kept until one of them changes. Tasks and markings are immutable and
-        replaced on every change, so identity tells a new one; the mailbox is
-        compared by value. Code that assigns `state.marking` or edits
-        `state.mailbox` directly therefore needs to invalidate nothing.
+        computed again only after the agent's state changed. Edits through
+        `states[aid].marking` and `states[aid].mailbox` are seen; a mailbox
+        list held across scheduler calls and edited later is not (see
+        `AgentState`).
         """
-        state = self.states[agent_id]
-        task = self.model.agents[agent_id].task
-        cached = self._first_firings.get(agent_id)
-        if (
-            cached is not None
-            and cached[0] is task
-            and cached[1] is state.marking
-            and cached[2] == state.mailbox
-        ):
-            return cached[3]
-        mailbox = list(state.mailbox)
-        found = None
-        for tid in sorted(task.transitions):
-            binding = first_binding(task, state.marking, tid, mailbox)
-            if binding is not None:
-                found = (tid, binding)
+        index = self.states[agent_id]._index
+        firing = self._ready_set.firing[index]
+        return self._resolve(index) if firing is _DIRTY else firing
+
+    def _next_ready(self, start: int) -> Optional[int]:
+        """The first agent index at or cyclically after `start` that can fire, or None.
+
+        Dirty agents are resolved in round-robin order, and only those
+        before the first clean ready agent.
+        """
+        ready, dirty = self._ready_set.ready, self._ready_set.dirty
+        if not ready and not dirty:
+            return None
+        n = len(self.agent_ids)
+        start %= n
+        pos = bisect_left(ready, start)
+        first = ready[pos] if pos < len(ready) else ready[0] if ready else None
+        limit = n if first is None else (first - start) % n
+        while dirty:
+            pos = bisect_left(dirty, start)
+            index = dirty[pos] if pos < len(dirty) else dirty[0]
+            if (index - start) % n > limit:
                 break
-        self._first_firings[agent_id] = (task, state.marking, mailbox, found)
-        return found
+            if self._resolve(index) is not None:
+                return index
+        return first
 
     def quiescent(self) -> bool:
         """No deliverable message and no enabled firing anywhere."""
-        if self.bus:
+        if self.bus or self._ready_set.ready:
             return False
-        for aid in self.agent_ids:
-            if self.first_firing(aid) is not None:
+        dirty = self._ready_set.dirty
+        while dirty:
+            if self._resolve(dirty[0]) is not None:
                 return False
         return True
 
@@ -199,20 +314,18 @@ def _fired_detail(transition: str, binding: dict, events) -> str:
     return text
 
 
-def _agent_fire(system: RunnableSystem, aid: str) -> Optional[Progressed]:
-    """Fire the agent's first enabled (transition, binding) in canonical order."""
-    choice = system.first_firing(aid)
-    if choice is None:
-        return None
-    tid, binding = choice
+def _agent_fire(system: RunnableSystem, aid: str) -> Progressed:
+    """Fire the first enabled (transition, binding) in canonical order of an agent that can fire."""
+    tid, binding = system.first_firing(aid)
     state = system.states[aid]
     new_marking, events = fire(system.task(aid), state.marking, tid, binding)
-    state.marking = new_marking
+    state.marking = new_marking  # marks the agent dirty
+    mailbox = state._mailbox
     for ev in events:
         if isinstance(ev, ReceivedMessage):
-            for i, (ch, _) in enumerate(state.mailbox):
+            for i, (ch, _) in enumerate(mailbox):
                 if ch == ev.channel:
-                    del state.mailbox[i]
+                    del mailbox[i]
                     break
         elif isinstance(ev, SentMessage):
             system.bus.append((ev.channel, ev.value))
@@ -248,15 +361,13 @@ def go(system: RunnableSystem, scenario: Scenario) -> StepOutcome:
         system.step_count += 1
         return Delivered(consumer, channel, value)
 
-    n = len(system.agent_ids)
-    for k in range(n):
-        idx = (system.cursor + k) % n
-        outcome = _agent_fire(system, system.agent_ids[idx])
-        if outcome is not None:
-            system.cursor = (idx + 1) % n
-            system.step_count += 1
-            return outcome
-    return QuiescentPass()
+    index = system._next_ready(system.cursor)
+    if index is None:
+        return QuiescentPass()
+    outcome = _agent_fire(system, system.agent_ids[index])
+    system.cursor = (index + 1) % len(system.agent_ids)
+    system.step_count += 1
+    return outcome
 
 
 def system_ended(system: RunnableSystem, scenario: Scenario) -> bool:
@@ -302,7 +413,7 @@ def save_context(system: RunnableSystem) -> Context:
     for aid in system.agent_ids:
         state = system.states[aid]
         markings.append((aid, save_marking(system.task(aid), state.marking)))
-        mailboxes.append((aid, tuple(state.mailbox)))
+        mailboxes.append((aid, tuple(state._mailbox)))
     return Context(
         version=CONTEXT_VERSION,
         agent_markings=tuple(markings),
@@ -369,7 +480,7 @@ def _finish(system, reason, trace, adaptations, final_entry=True):
         end_reason=reason,
         steps=system.step_count,
         final_markings={aid: system.states[aid].marking for aid in system.agent_ids},
-        final_mailboxes={aid: tuple(system.states[aid].mailbox) for aid in system.agent_ids},
+        final_mailboxes={aid: tuple(system.states[aid]._mailbox) for aid in system.agent_ids},
         trace=tuple(trace),
         adaptations=tuple(adaptations),
         warnings=tuple(system.warnings),
@@ -454,10 +565,13 @@ def _ready_actions(system: RunnableSystem) -> list[tuple]:
         if ch not in seen_channels:
             seen_channels.add(ch)
             actions.append(("deliver", ch, i))
-    for aid in system.agent_ids:
-        if system.first_firing(aid) is not None:
-            actions.append(("fire", aid, None))
-    return sorted(actions, key=lambda a: (a[0], a[1]))
+    actions.sort(key=lambda a: a[1])
+    ready_set = system._ready_set
+    while ready_set.dirty:
+        system._resolve(ready_set.dirty[0])
+    # "deliver" sorts before "fire", and agent indices sort as agent ids do
+    actions.extend(("fire", system.agent_ids[index], None) for index in ready_set.ready)
+    return actions
 
 
 def run_concurrent(system: RunnableSystem, scenario: Scenario, seed: int) -> FinalReport:

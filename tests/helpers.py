@@ -396,6 +396,52 @@ def freeze_report_state(report):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the scheduler's ready set, rescanned without any cache
+
+
+def naive_first_firing(task, marking, mailbox):
+    """The first (transition, binding) in canonical order, by brute force, or None."""
+    for tid in sorted(task.transitions):
+        bindings = brute_force_bindings(task, marking, tid, mailbox)
+        if bindings:
+            return tid, bindings[0]
+    return None
+
+
+def naive_first_firings(system):
+    """Every agent's first firing, rescanned from the system's current state.
+
+    Mailboxes are read through `save_context`, because reading
+    `state.mailbox` would mark the agent dirty and so change the very ready
+    set this oracle is compared with.
+    """
+    from roleflow import save_context
+
+    mailboxes = dict(save_context(system).agent_mailboxes)
+    return {
+        aid: naive_first_firing(
+            system.model.agents[aid].task, system.states[aid].marking, mailboxes[aid]
+        )
+        for aid in sorted(system.model.agents)
+    }
+
+
+def naive_ready_actions(system):
+    """What `run_concurrent` may choose from: the earliest message per channel
+    on the bus, and every agent that has a firing, in the scheduler's order."""
+    actions = []
+    seen_channels = set()
+    for i, (ch, _) in enumerate(system.bus):
+        if ch not in seen_channels:
+            seen_channels.add(ch)
+            actions.append(("deliver", ch, i))
+    for aid, firing in naive_first_firings(system).items():
+        if firing is not None:
+            actions.append(("fire", aid, None))
+    return sorted(actions, key=lambda a: (a[0], a[1]))
+
+
+# ---------------------------------------------------------------------------
 # random adaptation operations for the closure fuzz
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -7,14 +9,24 @@ from roleflow import (
     AdaptationNeeded,
     CoherenceError,
     Delivered,
+    Expr,
+    InputArc,
     Marking,
     Multiset,
+    Net,
+    Organization,
+    OutputArc,
+    Place,
+    ProcedureDef,
     Progressed,
     QuiescentPass,
+    Role,
     Scenario,
     SentMessage,
+    Transition,
     Trigger,
     adaptive_loop,
+    communication_structure,
     decompose,
     go,
     parse_model,
@@ -31,7 +43,14 @@ from roleflow.modelio import render_trace
 import roleflow.runtime as runtime_mod
 
 from conftest import MODELS, TOK, tok
-from helpers import enumerate_final_states, freeze_report_state, gen_org
+from helpers import (
+    all_assignments,
+    enumerate_final_states,
+    freeze_report_state,
+    gen_org,
+    naive_first_firings,
+    naive_ready_actions,
+)
 
 from test_adaptation import hold_task, inc2
 
@@ -110,9 +129,15 @@ class TestSystemEnded:
 
 
 def rebuilt(system):
-    """A system built afresh in the state `system` is in now, so nothing is cached."""
+    """A system built afresh in the state `system` is in now, so nothing is cached.
+
+    Mailboxes are read through save_context: reading `state.mailbox` would
+    make `system` check the agent again and so hide an edit it missed.
+    """
+    mailboxes = dict(save_context(system).agent_mailboxes)
     states = {
-        aid: runtime_mod.AgentState(st.marking, list(st.mailbox)) for aid, st in system.states.items()
+        aid: runtime_mod.AgentState(st.marking, list(mailboxes[aid]))
+        for aid, st in system.states.items()
     }
     return runtime_mod.RunnableSystem(
         system.model, states, list(system.bus), system.cursor, system.step_count
@@ -120,19 +145,44 @@ def rebuilt(system):
 
 
 def edited_after_quiescence(mam, edit):
-    """Run to quiescence through go(), then change state from outside the scheduler."""
+    """Run through go(), then change state from outside the scheduler.
+
+    The run stops at quiescence, or for "mid-run" at the first delivery.
+    quiescent() has checked every agent just before the edit, so only an
+    edit the system sees can make it check the edited agent again.
+    """
     system = synthesize(mam)
-    while not isinstance(go(system, Scenario()), QuiescentPass):
+    stop = Delivered if edit == "mid-run" else QuiescentPass
+    while not isinstance(go(system, Scenario()), stop):
         pass
-    assert system.quiescent()
-    if edit in ("marking", "both"):
-        system.states["agent1"].marking = marking_of(in_=[5, 3])
+    assert system.quiescent() == (stop is QuiescentPass)
+    agent1, agent2 = system.states["agent1"], system.states["agent2"]
+    if edit == "behind-cursor":
+        system.cursor = 1  # agent1 (index 0) is reached only after the cursor wraps
+    if edit in ("marking", "both", "behind-cursor"):
+        agent1.marking = marking_of(in_=[5, 3])
     if edit in ("mailbox", "both"):
-        system.states["agent2"].mailbox.append(("mid", tok(9)))
+        agent2.mailbox.append(("mid", tok(9)))
+    if edit == "mailbox-reassigned":
+        agent2.mailbox = [("mid", tok(9)), ("mid", tok(4))]
+    if edit == "mailbox-del":
+        agent2.mailbox.extend([("mid", tok(9)), ("mid", tok(4))])
+        assert not system.quiescent()  # agent2 is now known ready to receive 9
+        del agent2.mailbox[0]
+    if edit == "mid-run":  # agent2 is known ready to receive 1
+        agent2.mailbox.insert(0, ("mid", tok(7)))
     return system
 
 
-EDITS = ["marking", "mailbox", "both"]
+EDITS = [
+    "marking",
+    "mailbox",
+    "both",
+    "mailbox-reassigned",
+    "mailbox-del",
+    "mid-run",
+    "behind-cursor",
+]
 
 
 class TestFirstFiringCache:
@@ -167,6 +217,150 @@ class TestFirstFiringCache:
             assert len(expected.trace) > 1
             assert render_trace(got.trace) == render_trace(expected.trace)
             assert got.final_markings == expected.final_markings
+
+
+def relay_org(k: int, tokens: int) -> Organization:
+    """k roles in a chain; role i takes a token from x{i} to y{i} and hands it to x{i+1}."""
+    take = ProcedureDef("take", (("n", TOK),), (("o", TOK),), (("o", Expr.call("inc", Expr.var("n"))),))
+    hand = ProcedureDef("hand", (("n", TOK),), (("o", TOK),), (("o", Expr.var("n")),))
+    places = [Place("x0", TOK, Multiset([tok(v) for v in range(tokens)]))]
+    places += [Place(f"x{i}", TOK) for i in range(1, k + 1)] + [Place(f"y{i}", TOK) for i in range(k)]
+    transitions, arcs = [], []
+    for i in range(k):
+        transitions += [Transition(f"take{i}", f"r{i}", "take"), Transition(f"hand{i}", f"r{i}", "hand")]
+        arcs += [InputArc(f"x{i}", f"take{i}", "n"), OutputArc(f"take{i}", f"y{i}", "o")]
+        arcs += [InputArc(f"y{i}", f"hand{i}", "n"), OutputArc(f"hand{i}", f"x{i + 1}", "o")]
+    net = Net("relay", colorsets=[TOK], places=places, transitions=transitions, procedures=[take, hand], arcs=arcs)
+    org = Organization("relay", "relay", [Role(f"r{i}") for i in range(k)], [], net)
+    return Organization("relay", "relay", org.roles, communication_structure(org), net)
+
+
+def ready_set_cases():
+    """(model, scenario) pairs for the ready-set property test.
+
+    The demo scenarios; a 6-agent relay, once with a procedure swap at step
+    9; and gen_org models that take at least 3 steps, every other one with a
+    no-op adaptation at step 2.
+    """
+    org1 = parse_model((MODELS / "org1.org").read_text()).model
+    dev = parse_model((MODELS / "devsociety.org").read_text()).model
+    cases = []
+    for org, name in [(org1, "org1_adapt"), (org1, "org1_replace_task"), (dev, "devsociety")]:
+        sdoc = parse_scenario((MODELS / f"{name}.scn").read_text())
+        cases.append((decompose(org, sdoc.assignment), sdoc.scenario))
+    relay = decompose(relay_org(6, 4), {f"r{i}": f"a{i}" for i in range(6)})
+    swap = AdaptationRequest((rp_p("a3", "take", inc2()),))
+    cases += [(relay, Scenario()), (relay, Scenario((Trigger(9, swap),)))]
+    rng = random.Random(4711)
+    while len(cases) < 15:
+        org = gen_org(rng, f"rs{len(cases)}")
+        mam = decompose(org, rng.choice(list(all_assignments(org.roles))))
+        if adaptive_loop(synthesize(mam), Scenario()).steps < 3:
+            continue
+        noop = AdaptationRequest((modify_agent(sorted(mam.agents)[0], ()),))
+        cases.append((mam, Scenario((Trigger(2, noop),) if len(cases) % 2 else ())))
+    return cases
+
+
+def assert_clean_agents_match_oracle(system):
+    """Every agent the ready set does not hold dirty has the oracle's first firing."""
+    expected = naive_first_firings(system)
+    ready_set = system._ready_set
+    ready = []
+    for index, aid in enumerate(system.agent_ids):
+        firing = ready_set.firing[index]
+        if firing is not runtime_mod._DIRTY:
+            assert firing == expected[aid], aid
+            if firing is not None:
+                ready.append(index)
+    assert ready_set.ready == ready
+
+
+def check_against_oracle(monkeypatch):
+    """Compare go(), quiescent() and _ready_actions() with the oracle on every call."""
+    real_go, real_actions = runtime_mod.go, runtime_mod._ready_actions
+    real_quiescent = runtime_mod.RunnableSystem.quiescent
+
+    def go_checked(system, scenario):
+        can_fire = [a[1] for a in naive_ready_actions(system) if a[0] == "fire"]
+        start = system.cursor
+        outcome = real_go(system, scenario)
+        if isinstance(outcome, Progressed):
+            ids = system.agent_ids
+            round_robin = [ids[(start + k) % len(ids)] for k in range(len(ids))]
+            assert outcome.agent == next(aid for aid in round_robin if aid in can_fire)
+        elif isinstance(outcome, QuiescentPass):
+            assert can_fire == []
+        assert_clean_agents_match_oracle(system)
+        return outcome
+
+    def quiescent_checked(system):
+        got = real_quiescent(system)
+        assert got == (naive_ready_actions(system) == [])
+        assert_clean_agents_match_oracle(system)
+        return got
+
+    def actions_checked(system):
+        got = real_actions(system)
+        assert got == naive_ready_actions(system)
+        return got
+
+    monkeypatch.setattr(runtime_mod, "go", go_checked)
+    monkeypatch.setattr(runtime_mod.RunnableSystem, "quiescent", quiescent_checked)
+    monkeypatch.setattr(runtime_mod, "_ready_actions", actions_checked)
+
+
+def forget_before_every_call(monkeypatch):
+    """Mark every agent dirty before each scheduler call, so no cached firing is used."""
+
+    def forgetting(fn):
+        def call(system, *args):
+            for state in system.states.values():
+                state.mailbox  # reading the mailbox marks the agent dirty
+            return fn(system, *args)
+
+        return call
+
+    monkeypatch.setattr(runtime_mod, "go", forgetting(runtime_mod.go))
+    monkeypatch.setattr(
+        runtime_mod.RunnableSystem, "quiescent", forgetting(runtime_mod.RunnableSystem.quiescent)
+    )
+    monkeypatch.setattr(runtime_mod, "_ready_actions", forgetting(runtime_mod._ready_actions))
+
+
+class TestReadySet:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_every_step_matches_a_cache_free_rescan(self, monkeypatch, seed):
+        """seed None runs adaptive_loop; a seed runs run_concurrent with it."""
+
+        def run(mam, scenario):
+            system = synthesize(mam)
+            if seed is None:
+                return adaptive_loop(system, scenario)
+            return run_concurrent(system, scenario, seed)
+
+        for mam, scenario in ready_set_cases():
+            with monkeypatch.context() as m:
+                forget_before_every_call(m)
+                expected = run(mam, scenario)
+            with monkeypatch.context() as m:
+                check_against_oracle(m)
+                got = run(mam, scenario)
+            assert render_trace(got.trace) == render_trace(expected.trace)
+            assert got.final_markings == expected.final_markings
+            assert got.end_reason == expected.end_reason
+
+    def test_a_dropped_system_is_freed_without_the_cycle_collector(self, mam1):
+        """Adaptation drops the old system; it must not wait for gc (peak memory)."""
+        system = synthesize(mam1)
+        go(system, Scenario())
+        dropped = weakref.ref(system)
+        gc.disable()
+        try:
+            del system
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 class TestSaveContext:
