@@ -125,13 +125,14 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
         else:
             readers[arc.place].add(agent_of[arc.transition])
 
-    place_owner: dict[str, str] = {}
+    # each agent's places, transitions and roles, gathered in one pass each
+    places_of: dict[str, list[Place]] = {aid: [] for aid in agent_ids}
     channels: dict[str, Channel] = {}
     for pid in sorted(net.places):
         adjacent = writers[pid] | readers[pid]
         if len(adjacent) <= 1:
             # isolated places go to the first agent so nothing is dropped
-            place_owner[pid] = next(iter(adjacent)) if adjacent else agent_ids[0]
+            places_of[next(iter(adjacent)) if adjacent else agent_ids[0]].append(net.places[pid])
             continue
         if len(writers[pid]) != 1:
             raise IncoherentOrganization(
@@ -150,6 +151,7 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             initial=tuple(place.initial.values()),
         )
 
+    tids_of: dict[str, list[str]] = {aid: [] for aid in agent_ids}
     for tid in sorted(net.transitions):
         touched = [a.place for a in net.input_arcs(tid) if a.place in channels]
         touched += [a.place for a in net.output_arcs(tid) if a.place in channels]
@@ -157,17 +159,20 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             raise IncoherentOrganization(
                 f"transition {tid} would need {len(touched)} message events; only one is supported"
             )
+        tids_of[agent_of[tid]].append(tid)
+
+    roles_of: dict[str, set[str]] = {aid: set() for aid in agent_ids}
+    for role, aid in assignment.items():
+        roles_of[aid].add(role)
 
     agents: dict[str, AgentModel] = {}
     for aid in agent_ids:
-        own_tids = sorted(t for t in net.transitions if agent_of[t] == aid)
-        own_places = [net.places[p] for p in sorted(net.places) if place_owner.get(p) == aid]
         transitions = []
         arcs = []
         sensors: set[str] = set()
         effectors: set[str] = set()
         proc_names: set[str] = set()
-        for tid in own_tids:
+        for tid in tids_of[aid]:
             t = net.transitions[tid]
             proc_names.add(t.procedure)
             event = None
@@ -190,15 +195,14 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             aid,
             colorsets=list(net.colorsets.values()),
             variables=list(net.variables.values()),
-            places=own_places,
+            places=places_of[aid],
             transitions=transitions,
             procedures=[net.procedures[p] for p in sorted(proc_names)],
             arcs=arcs,
         )
-        roles = frozenset(r for r, a in assignment.items() if a == aid)
         agents[aid] = AgentModel(
             id=aid,
-            roles=roles,
+            roles=frozenset(roles_of[aid]),
             sensors=frozenset(sensors),
             effectors=frozenset(effectors),
             task=task,

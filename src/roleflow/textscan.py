@@ -7,136 +7,130 @@ with backslash escapes, and identifiers that may carry a trailing '!'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .cpn import ColorSet, Value, value_of
 from .errors import ModelSyntaxError
 
-_PUNCT = set("(){},;:=.")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789!")
-
+# One alternative per lexical class; a match is one token, one newline, or
+# one run of blanks or a comment. Blanks and comments are alternatives of
+# their own rather than a prefix of the token match: a prefix would let
+# backtracking hand a blank or a comment's last character to `bad`.
+# `\d` is the Unicode category Nd, exactly what `int()` accepts.
+_LEXEME = re.compile(
+    r"""
+    (?P<blank>[ \t\r]+|\#[^\n]*)
+    |(?P<newline>\n)
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_!]*)
+    |(?P<punct>[(){},;:=.])
+    |(?P<arrow>->)
+    |(?P<int>-?\d+)
+    |(?P<string>"[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*")
+    |(?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+# the valid start of a string body; the character that ends it names the error
+_STRING_PREFIX = re.compile(r'(?:[^"\\\n]|\\["\\nrt])*')
+_ESCAPE = re.compile(r"\\(.)")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "punct" | "arrow" | "eof"
     text: str
     line: int
     col: int
 
 
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _UNESCAPES[m.group(1)], body)
+
+
+def _lex_error(text: str, i: int, line: int, col: int) -> ModelSyntaxError:
+    """The error for a character at offset i that starts no token."""
+    ch = text[i]
+    if ch == "-":
+        return ModelSyntaxError(line, col, "a token")
+    if ch != '"':
+        return ModelSyntaxError(line, col, f"a token (found {ch!r})")
+    end = _STRING_PREFIX.match(text, i + 1).end()
+    if end == len(text):
+        return ModelSyntaxError(line, col, "closing quote")
+    if text[end] == "\n":
+        return ModelSyntaxError(line, col, "closing quote before end of line")
+    return ModelSyntaxError(line, col, "a valid escape")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    append = tokens.append
+    # `_make` builds the tuple directly; `Token(...)` goes through a Python-level __new__
+    make = Token._make
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
             continue
-        start_line, start_col = line, col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("arrow", "->", start_line, start_col))
-            advance(2)
-            continue
-        if ch == "-" or ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            lit = text[i:j]
-            if lit == "-":
-                raise ModelSyntaxError(start_line, start_col, "a token")
-            tokens.append(Token("int", lit, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == '"':
-            out = []
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise ModelSyntaxError(start_line, start_col, "closing quote")
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in _UNESCAPES:
-                        raise ModelSyntaxError(start_line, start_col, "a valid escape")
-                    out.append(_UNESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                if c == "\n":
-                    raise ModelSyntaxError(start_line, start_col, "closing quote before end of line")
-                out.append(c)
-                j += 1
-            tokens.append(Token("string", "".join(out), start_line, start_col))
-            advance(j - i)
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, start_line, start_col))
-            advance(1)
-            continue
-        raise ModelSyntaxError(start_line, start_col, f"a token (found {ch!r})")
-    tokens.append(Token("eof", "", line, col))
+        start = m.start()
+        if kind == "string":
+            append(make((kind, _unescape(text[start + 1 : m.end() - 1]), line, start - line_start + 1)))
+        elif kind == "bad":
+            raise _lex_error(text, start, line, start - line_start + 1)
+        else:
+            append(make((kind, m.group(), line, start - line_start + 1)))
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class TokenStream:
+    """A cursor over a token list that ends with the "eof" token, which it never passes."""
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        if ahead:
+            return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.kind != "eof":
             self._pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
-        return None
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        if kind != "eof":
+            self._pos += 1
+        return tok
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             wanted = what or (text if text is not None else kind)
             raise ModelSyntaxError(tok.line, tok.col, f"{wanted} (found {tok.text or tok.kind!r})")
-        return self.next()
+        if kind != "eof":
+            self._pos += 1
+        return tok
 
     def fail(self, expected: str):
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         raise ModelSyntaxError(tok.line, tok.col, expected)
 
 

@@ -734,3 +734,115 @@ def gen_net_and_marking(rng: random.Random):
         }
     )
     return net, marking
+
+
+# ---------------------------------------------------------------------------
+# oracle: character-by-character tokenizer
+
+_NAIVE_PUNCT = set("(){},;:=.")
+_NAIVE_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAIVE_IDENT_CONT = _NAIVE_IDENT_START | set("0123456789!")
+_NAIVE_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def naive_tokenize(text: str):
+    """Tokenize by moving one character at a time; ints are str.isdecimal runs."""
+    from roleflow.errors import ModelSyntaxError
+    from roleflow.textscan import Token
+
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def advance(k: int):
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        start_line, start_col = line, col
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(Token("arrow", "->", start_line, start_col))
+            advance(2)
+            continue
+        if ch == "-" or ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            lit = text[i:j]
+            if lit == "-":
+                raise ModelSyntaxError(start_line, start_col, "a token")
+            tokens.append(Token("int", lit, start_line, start_col))
+            advance(j - i)
+            continue
+        if ch == '"':
+            out = []
+            j = i + 1
+            while True:
+                if j >= n:
+                    raise ModelSyntaxError(start_line, start_col, "closing quote")
+                c = text[j]
+                if c == '"':
+                    j += 1
+                    break
+                if c == "\\":
+                    if j + 1 >= n or text[j + 1] not in _NAIVE_UNESCAPES:
+                        raise ModelSyntaxError(start_line, start_col, "a valid escape")
+                    out.append(_NAIVE_UNESCAPES[text[j + 1]])
+                    j += 2
+                    continue
+                if c == "\n":
+                    raise ModelSyntaxError(start_line, start_col, "closing quote before end of line")
+                out.append(c)
+                j += 1
+            tokens.append(Token("string", "".join(out), start_line, start_col))
+            advance(j - i)
+            continue
+        if ch in _NAIVE_IDENT_START:
+            j = i + 1
+            while j < n and text[j] in _NAIVE_IDENT_CONT:
+                j += 1
+            tokens.append(Token("ident", text[i:j], start_line, start_col))
+            advance(j - i)
+            continue
+        if ch in _NAIVE_PUNCT:
+            tokens.append(Token("punct", ch, start_line, start_col))
+            advance(1)
+            continue
+        raise ModelSyntaxError(start_line, start_col, f"a token (found {ch!r})")
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+# blanks, comment and quote marks, escapes, arrows, punctuation, a
+# non-decimal digit (²), a decimal digit outside ASCII (٣) and a letter
+# outside ASCII (é)
+MUTATION_ALPHABET = ' \t\r\n#"\\->(){},;:=.!_aZ09nrt²٣é'
+
+
+def mutate_text(rng: random.Random, text: str, edits: int = 3) -> str:
+    """Insert, delete or substitute a few characters at random offsets."""
+    chars = list(text)
+    for _ in range(edits):
+        at = rng.randint(0, len(chars))
+        how = rng.randrange(3)
+        if how == 0 or at == len(chars):
+            chars.insert(at, rng.choice(MUTATION_ALPHABET))
+        elif how == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(MUTATION_ALPHABET)
+    return "".join(chars)

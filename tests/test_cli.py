@@ -40,6 +40,12 @@ class TestValidate:
         code, _, err = run(capsys, "validate", bad)
         assert code == 3 and "expected" in err
 
+    def test_non_decimal_digit_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.org"
+        bad.write_text((MODELS / "org1.org").read_text().replace("init { 1 }", "init { ² }"), encoding="utf-8")
+        code, _, err = run(capsys, "validate", bad)
+        assert code == 3 and "8:24: expected a token (found '²')" in err
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", tmp_path / "nope.org")
         assert code == 3

@@ -30,6 +30,7 @@ from roleflow import (
     validate_model,
 )
 from roleflow.decomposition import AgentModel, MultiAgentModel
+from roleflow.modelio import parse_model, serialize_model
 from roleflow.runtime import Scenario
 
 from conftest import TOK, tok
@@ -312,3 +313,36 @@ class TestSemanticPreservation:
                 assert got_mail == per_channel
                 checked += 1
         assert checked >= 20
+
+
+class TestDecomposeInvariants:
+    def test_generated_orgs_under_every_assignment(self):
+        rng = random.Random(2024)
+        checked = 0
+        for i in range(20):
+            org = gen_org(rng, f"inv{i}")
+            # the same global task declared in a shuffled order
+            parts = org.global_task.parts()
+            for key in ("places", "transitions", "procedures", "arcs"):
+                rng.shuffle(parts[key])
+            shuffled = Organization(org.id, org.objective, org.roles, org.links, Net(**parts))
+            net = org.global_task
+            for assignment in all_assignments(org.roles):
+                mam = decompose(shuffled, assignment)
+                assert mam == decompose(org, assignment)
+                assert sorted(mam.agents) == sorted(set(assignment.values()))
+                owned_places = []
+                for aid, agent in mam.agents.items():
+                    task = agent.task
+                    assert list(task.places) == sorted(task.places)
+                    assert list(task.transitions) == sorted(task.transitions)
+                    assert agent.roles == {r for r, a in assignment.items() if a == aid}
+                    assert all(assignment[t.role] == aid for t in task.transitions.values())
+                    owned_places += task.places
+                # every place is one agent's or a channel, never both
+                assert sorted(owned_places + list(mam.channels)) == sorted(net.places)
+                assert sum(len(a.task.transitions) for a in mam.agents.values()) == len(net.transitions)
+                text = serialize_model(mam)
+                assert serialize_model(parse_model(text).model) == text
+                checked += 1
+        assert checked >= 40

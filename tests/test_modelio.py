@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from roleflow import (
     FormatError,
     ModelSyntaxError,
     ResolutionError,
+    RoleflowError,
     Scenario,
     UnknownOp,
     VersionMismatch,
@@ -16,6 +18,7 @@ from roleflow import (
     parse_ops_text,
     parse_scenario,
     read_context,
+    restore_marking,
     save_context,
     serialize_model,
     synthesize,
@@ -25,9 +28,10 @@ from roleflow import (
 from roleflow.adaptation import OP_KINDS
 from roleflow.runtime import TraceEntry
 from roleflow.modelio import render_trace
+from roleflow.textscan import tokenize
 
 from conftest import MODELS
-from helpers import all_assignments, gen_org
+from helpers import all_assignments, gen_org, mutate_text, naive_tokenize
 
 ORG1_TEXT = (MODELS / "org1.org").read_text()
 
@@ -74,6 +78,18 @@ class TestParseModel:
     def test_matches_programmatic_org(self, org1):
         doc = parse_model(ORG1_TEXT)
         assert doc.model == org1
+
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        # '²' is a digit to str.isdigit but not a decimal one, and int() rejects it
+        bad = ORG1_TEXT.replace("init { 1 }", "init { ² }")
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(bad)
+        assert str(err.value) == "8:24: expected a token (found '²')"
+
+    def test_unicode_decimal_digits_are_ints(self):
+        # '٣' (ARABIC-INDIC DIGIT THREE) is a decimal digit, read as 3
+        doc = parse_model(ORG1_TEXT.replace("init { 1 }", "init { ٣ }"))
+        assert doc.model == parse_model(ORG1_TEXT.replace("init { 1 }", "init { 3 }")).model
 
 
 class TestSerializeModel:
@@ -240,3 +256,107 @@ class TestTraceFormat:
             TraceEntry(1, "agent2", "delivered", "mid 1"),
         )
         assert render_trace(entries) == "0\tagent1\tfired\ttA n=1 sent mid 1\n1\tagent2\tdelivered\tmid 1\n"
+
+
+def _lex(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ModelSyntaxError as exc:
+        return (exc.line, exc.col, exc.expected)
+
+
+def _model_texts(rng, count):
+    """The demo models and scenarios, then generated organizations and their models."""
+    texts = [path.read_text() for path in sorted(MODELS.iterdir())]
+    for i in range(count):
+        org = gen_org(rng, f"lx{i}")
+        texts.append(serialize_model(org))
+        texts.append(serialize_model(decompose(org, next(iter(all_assignments(org.roles))))))
+    return texts
+
+
+LEXICAL_EDGES = [
+    "",
+    "# only a comment",
+    "a\r\n\tb",
+    "->",
+    "-",
+    "- >",
+    "-5 --5",
+    "x!y _1 9z",
+    "²",
+    "1²",
+    "-²",
+    "٣٣ -٣",
+    "é",
+    "\f",
+    '"ok \\n \\t \\" \\\\ \\r"',
+    '"unterminated',
+    '"bad \\q escape"',
+    '"backslash at the end \\',
+    '"escaped quote at the end \\"',
+    '"broken\nline"',
+]
+
+
+class TestTokenizer:
+    def test_tokens_are_named_tuples(self):
+        tok = tokenize("org x")[1]
+        assert (tok.kind, tok.text, tok.line, tok.col) == ("ident", "x", 1, 5)
+        assert tok == ("ident", "x", 1, 5)
+
+    def test_matches_naive_tokenizer_on_mutated_texts(self):
+        rng = random.Random(505)
+        texts = _model_texts(rng, 8)
+        inputs = list(LEXICAL_EDGES)
+        for k in range(3000):
+            inputs.append(mutate_text(rng, texts[k % len(texts)], rng.randint(1, 6)))
+        outcomes = Counter()
+        for text in inputs:
+            got = _lex(tokenize, text)
+            assert got == _lex(naive_tokenize, text), text
+            outcomes["tokens" if isinstance(got, list) else got[2].split(" (")[0]] += 1
+        # every outcome of the lexer was exercised
+        assert set(outcomes) == {
+            "tokens",
+            "a token",
+            "closing quote",
+            "closing quote before end of line",
+            "a valid escape",
+        }, outcomes
+
+
+class TestMalformedInputFuzz:
+    def test_parsers_raise_only_roleflow_errors(self):
+        rng = random.Random(1212)
+        models = _model_texts(rng, 4)
+        scenarios = [path.read_text() for path in sorted(MODELS.glob("*.scn"))]
+        contexts, markings = [], []
+        for name, run_scn in (("org1", "org1_run"), ("devsociety", "devsociety")):
+            org = parse_model((MODELS / f"{name}.org").read_text()).model
+            sdoc = parse_scenario((MODELS / f"{run_scn}.scn").read_text())
+            system = synthesize(decompose(org, sdoc.assignment))
+            for _ in range(3):
+                go(system, sdoc.scenario)
+                ctx = save_context(system)
+                contexts.append(write_context(ctx).decode())
+                for aid, data in ctx.agent_markings:
+                    markings.append((data.decode(), system.task(aid)))
+        parsers = [
+            (parse_model, lambda: mutate_text(rng, rng.choice(models), rng.randint(1, 4))),
+            (parse_scenario, lambda: mutate_text(rng, rng.choice(scenarios), rng.randint(1, 4))),
+            (read_context, lambda: mutate_text(rng, rng.choice(contexts), rng.randint(1, 4)).encode()),
+        ]
+        for k in range(12000):
+            if k % 4 < 3:
+                parse, make = parsers[k % 4]
+                args = (make(),)
+            else:
+                text, task = rng.choice(markings)
+                parse, args = restore_marking, (mutate_text(rng, text, rng.randint(1, 4)).encode(), task)
+            try:
+                parse(*args)
+            except RoleflowError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{parse.__name__} raised {exc!r} on {args[0]!r}")
