@@ -120,6 +120,7 @@ from .runtime import (
     adaptive_loop,
     go,
     resume_context,
+    resume_run,
     run_concurrent,
     save_context,
     system_ended,

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .adaptation import PlanImpact, diff_models, evolve
+from .adaptation import diff_models, evolve
 from .decomposition import (
     MultiAgentModel,
     decompose,
@@ -43,7 +43,7 @@ from .modelio import (
     write_context,
 )
 from .organization import Organization, validate_organization
-from .runtime import adaptive_loop, resume_context, run_concurrent
+from .runtime import adaptive_loop, resume_run, run_concurrent
 
 _FORMAT_ERRORS = (ModelSyntaxError, ResolutionError, UnknownOp, FormatError, OSError)
 
@@ -148,43 +148,35 @@ def _cmd_run(args) -> int:
         else:
             mam = _model_for_run(args.model, sdoc)
         context = read_context(Path(args.resume_from).read_bytes())
-        system = synthesize(mam)
-        impact = PlanImpact({aid: "preserving" for aid in system.agent_ids})
-        system = resume_context(system, context, impact)
-        system.trigger_cursor = sum(
-            1 for t in sdoc.scenario.triggers if t.at_step < context.step_count
-        )
+        system = resume_run(context, mam, sdoc.scenario)
     else:
-        mam = _model_for_run(args.model, sdoc)
-        system = synthesize(mam)
+        system = synthesize(_model_for_run(args.model, sdoc))
 
-    if args.concurrent:
-        if args.checkpoint_at is not None:
+    sink = None
+    if args.checkpoint_at is not None:
+        if args.concurrent:
             print("--checkpoint-at is only available in deterministic mode", file=sys.stderr)
             return 2
-        report = run_concurrent(system, sdoc.scenario, args.seed)
-    else:
-        sink = None
-        if args.checkpoint_at is not None:
-            if not args.context:
-                print("--checkpoint-at needs --context FILE", file=sys.stderr)
-                return 2
-            ctx_path = Path(args.context)
+        if not args.context:
+            print("--checkpoint-at needs --context FILE", file=sys.stderr)
+            return 2
+        ctx_path = Path(args.context)
 
-            def sink(context, model):
-                _atomic_write(ctx_path, write_context(context))
-                _atomic_write(
-                    Path(str(ctx_path) + ".model"), serialize_model(model).encode("utf-8")
-                )
+        def sink(context, model):
+            _atomic_write(ctx_path, write_context(context))
+            _atomic_write(Path(str(ctx_path) + ".model"), serialize_model(model).encode("utf-8"))
 
-        try:
+    try:
+        if args.concurrent:
+            report = run_concurrent(system, sdoc.scenario, args.seed)
+        else:
             report = adaptive_loop(
                 system, sdoc.scenario, checkpoint_at=args.checkpoint_at, checkpoint_sink=sink
             )
-        except CoherenceError as exc:
-            if args.trace and exc.partial_trace is not None:
-                _atomic_write(Path(args.trace), render_trace(exc.partial_trace).encode("utf-8"))
-            raise
+    except CoherenceError as exc:
+        if args.trace and exc.partial_trace is not None:
+            _atomic_write(Path(args.trace), render_trace(exc.partial_trace).encode("utf-8"))
+        raise
 
     if args.trace:
         _atomic_write(Path(args.trace), render_trace(report.trace).encode("utf-8"))

@@ -1,7 +1,11 @@
 """Execution of a synthesized multi-agent system under an adaptive loop.
 
-One scheduler action per call: pending adaptation triggers first, then
-message delivery, then one round-robin agent firing. When an adaptation is
+One scheduler engine, `_run`, with two choosers of the next action. Both
+take a due adaptation trigger first. `go` (`adaptive_loop`) then delivers
+the oldest message, else fires the next agent round-robin; the seeded
+chooser (`run_concurrent`) draws one of the ready deliveries and firings.
+The engine alone checks the end condition, takes checkpoints, writes the
+trace and adapts, so both modes mean the same thing. When an adaptation is
 needed the loop snapshots the full context (markings, mailboxes, in-flight
 messages, cursor), evolves the model, rebuilds the system, and restores the
 context so plan-preserving agents keep their accomplished work while
@@ -18,6 +22,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from .adaptation import AdaptationRequest, PlanImpact, diff_models, evolve
@@ -104,8 +109,8 @@ class AgentState:
     __hash__ = None
 
     def __reduce__(self):
-        # copies and pickles carry the public fields only, never the live part
-        return (Context, self._fields())
+        # a copy or pickle is detached: no ready set, and a mailbox of its own
+        return (AgentState, (self._marking, list(self._mailbox)))
 
     def __repr__(self):
         return f"AgentState(marking={self._marking!r}, mailbox={self._mailbox!r})"
@@ -342,6 +347,7 @@ def _agent_fire(system: RunnableSystem, aid: str) -> Progressed:
                     break
         elif isinstance(ev, SentMessage):
             system.bus.append((ev.channel, ev.value))
+    system.step_count += 1
     return Progressed(aid, tid, tuple(sorted(binding.items())), tuple(events))
 
 
@@ -357,30 +363,55 @@ def _intercepted_request(system: RunnableSystem, value: Value) -> AdaptationRequ
     return AdaptationRequest(tuple(ops), reason="model-requested")
 
 
-def go(system: RunnableSystem, scenario: Scenario) -> StepOutcome:
-    """One atomic scheduler action: trigger, else delivery, else one firing."""
+def _deliver(system: RunnableSystem, index: int) -> StepOutcome:
+    """Deliver the bus message at `index`, or turn an adapt! message into a request."""
+    channel, value = system.bus.pop(index)
+    if channel == ADAPT_CHANNEL:
+        return AdaptationNeeded(_intercepted_request(system, value))
+    consumer = system.model.channels[channel].consumer
+    system.states[consumer].mailbox.append((channel, value))
+    system.step_count += 1
+    return Delivered(consumer, channel, value)
+
+
+def _due_trigger(system: RunnableSystem, scenario: Scenario) -> Optional[Trigger]:
+    """The scenario trigger due at the current step, if any; it is not consumed."""
     if system.trigger_cursor < len(scenario.triggers):
         trig = scenario.triggers[system.trigger_cursor]
         if trig.at_step == system.step_count:
-            system.trigger_cursor += 1
-            return AdaptationNeeded(trig.request)
+            return trig
+    return None
 
+
+def go(system: RunnableSystem, scenario: Scenario) -> StepOutcome:
+    """One atomic scheduler action: trigger, else delivery, else one round-robin firing."""
+    trig = _due_trigger(system, scenario)
+    if trig is not None:
+        system.trigger_cursor += 1
+        return AdaptationNeeded(trig.request)
     if system.bus:
-        channel, value = system.bus.pop(0)
-        if channel == ADAPT_CHANNEL:
-            return AdaptationNeeded(_intercepted_request(system, value))
-        consumer = system.model.channels[channel].consumer
-        system.states[consumer].mailbox.append((channel, value))
-        system.step_count += 1
-        return Delivered(consumer, channel, value)
-
+        return _deliver(system, 0)
     index = system._next_ready(system.cursor)
     if index is None:
         return QuiescentPass()
     outcome = _agent_fire(system, system.agent_ids[index])
     system.cursor = (index + 1) % len(system.agent_ids)
-    system.step_count += 1
     return outcome
+
+
+def _seeded_step(rng: random.Random, system: RunnableSystem, scenario: Scenario) -> StepOutcome:
+    """Like `go`, but the delivery or firing is one draw over `_ready_actions`."""
+    trig = _due_trigger(system, scenario)
+    if trig is not None:
+        system.trigger_cursor += 1
+        return AdaptationNeeded(trig.request)
+    actions = _ready_actions(system)
+    if not actions:
+        return QuiescentPass()
+    kind, target, index = rng.choice(actions)
+    if kind == "deliver":
+        return _deliver(system, index)
+    return _agent_fire(system, target)
 
 
 def system_ended(system: RunnableSystem, scenario: Scenario) -> bool:
@@ -392,7 +423,7 @@ def _end_reason(system: RunnableSystem, scenario: Scenario) -> Optional[str]:
         return "budget"
     cond = scenario.end_condition
     if cond[0] == "quiescence":
-        if system.quiescent() and not _trigger_pending_now(system, scenario):
+        if system.quiescent() and _due_trigger(system, scenario) is None:
             return "quiescence"
     elif cond[0] == "marked":
         _, aid, pid = cond
@@ -400,12 +431,6 @@ def _end_reason(system: RunnableSystem, scenario: Scenario) -> Optional[str]:
         if state is not None and not state.marking.get(pid).is_empty:
             return "place-marked"
     return None
-
-
-def _trigger_pending_now(system: RunnableSystem, scenario: Scenario) -> bool:
-    if system.trigger_cursor >= len(scenario.triggers):
-        return False
-    return scenario.triggers[system.trigger_cursor].at_step == system.step_count
 
 
 class _Live(NamedTuple):
@@ -588,6 +613,19 @@ def resume_context(
     return new_system
 
 
+def resume_run(context: Context, model: MultiAgentModel, scenario: Scenario) -> RunnableSystem:
+    """A system for `model` resumed from a checkpoint, ready to run `scenario` on.
+
+    Every agent is plan-preserving, and the scenario's triggers before the
+    checkpoint's step count count as done.
+    """
+    system = synthesize(model)
+    impact = PlanImpact({aid: "preserving" for aid in system.agent_ids})
+    system = resume_context(system, context, impact)
+    system.trigger_cursor = sum(1 for t in scenario.triggers if t.at_step < context.step_count)
+    return system
+
+
 def _finish(system, reason, trace, adaptations, final_entry=True):
     if final_entry:
         trace.append(TraceEntry(system.step_count, "-", "quiescent", reason))
@@ -616,6 +654,12 @@ def adaptive_loop(
     and reports end reason "checkpoint" without a closing trace entry so a
     resumed run's trace concatenates seamlessly.
     """
+    return _run(system, scenario, go, checkpoint_at, checkpoint_sink)
+
+
+def _run(system, scenario, step, checkpoint_at=None, checkpoint_sink=None) -> FinalReport:
+    """The scheduler engine. `step(system, scenario)` takes one action, `go` or
+    `_seeded_step`; the end check, checkpoint, trace and adaptation are shared."""
     trace: list[TraceEntry] = []
     adaptations: list[tuple[str, ...]] = []
     try:
@@ -628,7 +672,7 @@ def adaptive_loop(
                 if checkpoint_sink is not None:
                     checkpoint_sink(context, system.model)
                 return _finish(system, "checkpoint", trace, adaptations, final_entry=False)
-            outcome = go(system, scenario)
+            outcome = step(system, scenario)
             if isinstance(outcome, Progressed):
                 trace.append(
                     TraceEntry(
@@ -715,55 +759,6 @@ def run_concurrent(system: RunnableSystem, scenario: Scenario, seed: int) -> Fin
     ready agent or channel delivery, so the final state is that of some
     interleaving of single steps. Per-channel message order is preserved.
     Adaptation triggers act as a global barrier exactly as in the
-    deterministic loop.
+    deterministic loop. The same seed gives the same trace.
     """
-    rng = random.Random(seed)
-    trace: list[TraceEntry] = []
-    adaptations: list[tuple[str, ...]] = []
-    try:
-        while True:
-            reason = _end_reason(system, scenario)
-            if reason is not None:
-                return _finish(system, reason, trace, adaptations)
-            if system.trigger_cursor < len(scenario.triggers):
-                trig = scenario.triggers[system.trigger_cursor]
-                if trig.at_step == system.step_count:
-                    system.trigger_cursor += 1
-                    system = _adapt(system, trig.request, trace, adaptations)
-                    continue
-            actions = _ready_actions(system)
-            if not actions:
-                return _finish(system, "stalled", trace, adaptations)
-            action = rng.choice(actions)
-            if action[0] == "deliver":
-                _, channel, index = action
-                channel, value = system.bus.pop(index)
-                if channel == ADAPT_CHANNEL:
-                    request = _intercepted_request(system, value)
-                    system = _adapt(system, request, trace, adaptations)
-                    continue
-                consumer = system.model.channels[channel].consumer
-                system.states[consumer].mailbox.append((channel, value))
-                system.step_count += 1
-                trace.append(
-                    TraceEntry(
-                        system.step_count - 1,
-                        consumer,
-                        "delivered",
-                        f"{channel} {value.canonical()}",
-                    )
-                )
-            else:
-                outcome = _agent_fire(system, action[1])
-                system.step_count += 1
-                trace.append(
-                    TraceEntry(
-                        system.step_count - 1,
-                        outcome.agent,
-                        "fired",
-                        _fired_detail(outcome.transition, dict(outcome.binding), outcome.events),
-                    )
-                )
-    except CoherenceError as exc:
-        exc.partial_trace = tuple(trace)
-        raise
+    return _run(system, scenario, partial(_seeded_step, random.Random(seed)))

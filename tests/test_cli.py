@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from roleflow import parse_model
 from roleflow.cli import run_cli
 
@@ -108,6 +110,39 @@ class TestRun:
         )
         assert code == 0
         assert "place out_ { 2 }" in out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "model, scenario, golden",
+        [
+            ("org1", "org1_run", "org1"),
+            ("org1", "org1_adapt", "org1_adapt"),
+            ("devsociety", "devsociety", "devsociety"),  # covers an adapt! intercept
+        ],
+    )
+    def test_concurrent_bytes_are_pinned_per_seed(self, capsys, tmp_path, model, scenario, golden, seed):
+        trace = tmp_path / "run.trace"
+        code, out, _ = run(
+            capsys,
+            "run", MODELS / f"{model}.org", MODELS / f"{scenario}.scn",
+            "--concurrent", "--seed", seed, "--trace", trace,
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"{golden}.seed{seed}.report").read_text()
+        assert trace.read_text() == (GOLDEN / f"{golden}.seed{seed}.trace").read_text()
+
+    @pytest.mark.parametrize("mode", [(), ("--concurrent",)])
+    def test_rejected_adaptation_leaves_the_partial_trace(self, capsys, tmp_path, mode):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(
+            "assign A -> agent1\nassign B -> agent2\n"
+            "colorset Tok = int\n"
+            "at 1 adapt { rP agent2 inc1 }\n"  # procedure in use: rejected
+        )
+        trace = tmp_path / "run.trace"
+        code, _, err = run(capsys, "run", MODELS / "org1.org", scn, "--trace", trace, *mode)
+        assert code == 2 and "rejected" in err
+        assert trace.read_text() == "0\tagent1\tfired\ttA n=1 sent mid 1\n"
 
     def test_checkpoint_rejected_in_concurrent_mode(self, capsys, tmp_path):
         code, _, err = run(

@@ -34,6 +34,7 @@ from roleflow import (
     parse_model,
     parse_scenario,
     resume_context,
+    resume_run,
     run_concurrent,
     save_context,
     synthesize,
@@ -396,6 +397,16 @@ class TestSaveContext:
             assert twin == ctx and hash(twin) == hash(ctx)
             assert write_context(twin) == write_context(ctx)
             assert twin._live is None
+        go(system, Scenario())  # delivers tA's message to agent2
+        state = system.states["agent2"]
+        index = state._index
+        firing = system.first_firing("agent2")  # agent2 is clean now
+        for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert twin == state and twin._ready_set is None
+            twin.mailbox.append(("mid", tok(7)))
+            twin.marking = Marking()
+            assert state._mailbox == [("mid", tok(1))]
+            assert system._ready_set.firing[index] == firing  # still clean
 
 
 class TestResumeContext:
@@ -499,29 +510,32 @@ class TestAdaptiveLoop:
         adaptive_loop(synthesize(mam1), scenario)
         assert calls == ["save_context", "evolve", "synthesize", "resume_context"] * 2
 
-    def test_in_memory_checkpoint_resume_identity(self):
-        mam, scenario = demo()
-        golden = adaptive_loop(synthesize(mam), scenario)
-        for k in range(0, 11):
-            captured = {}
-
-            def sink(context, model):
-                captured["context"] = context
-                captured["model"] = model
-
-            head = adaptive_loop(
-                synthesize(mam), scenario, checkpoint_at=k, checkpoint_sink=sink
+    def test_in_memory_checkpoint_resume_identity(self, mam1):
+        """resume_run continues the trace; triggers before the checkpoint count as done."""
+        two_triggers = Scenario(
+            triggers=(
+                Trigger(1, AdaptationRequest((modify_agent("agent1", ()),))),
+                Trigger(2, AdaptationRequest((rp_p("agent2", "inc1", inc2()),))),
             )
-            assert head.end_reason == "checkpoint"
-            resumed = synthesize(captured["model"])
-            from roleflow import PlanImpact
+        )
+        for (mam, scenario), checkpoints in [(demo(), range(0, 11)), ((mam1, two_triggers), range(0, 3))]:
+            golden = adaptive_loop(synthesize(mam), scenario)
+            for k in checkpoints:
+                captured = {}
 
-            impact = PlanImpact({aid: "preserving" for aid in resumed.agent_ids})
-            resumed = resume_context(resumed, captured["context"], impact)
-            tail = adaptive_loop(resumed, scenario)
-            assert render_trace(head.trace) + render_trace(tail.trace) == render_trace(
-                golden.trace
-            )
+                def sink(context, model):
+                    captured["context"] = context
+                    captured["model"] = model
+
+                head = adaptive_loop(
+                    synthesize(mam), scenario, checkpoint_at=k, checkpoint_sink=sink
+                )
+                assert head.end_reason == "checkpoint"
+                resumed = resume_run(captured["context"], captured["model"], scenario)
+                tail = adaptive_loop(resumed, scenario)
+                assert render_trace(head.trace) + render_trace(tail.trace) == render_trace(
+                    golden.trace
+                )
 
     def test_message_conservation_each_step(self, mam1):
         system = synthesize(mam1)
