@@ -14,7 +14,7 @@ import bisect
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InvalidModel,
@@ -33,8 +33,6 @@ INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
 COLOR_KINDS = ("unit", "int", "text", "enum", "product")
-
-BUILTINS = ("identity", "constOf", "concat", "inc", "addK", "first", "second", "pairOf")
 
 _TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
@@ -72,6 +70,8 @@ class ColorSet:
                 raise TypeMismatch(f"product '{self.name}' needs at least two components")
         elif self.components:
             raise TypeMismatch(f"color '{self.name}' is not a product but lists components")
+        # how many products nest in this color; the parsers cap it
+        object.__setattr__(self, "depth", 1 + max(c.depth for c in self.components) if self.components else 0)
 
     def descriptor(self) -> str:
         """Canonical self-contained rendering. Equal descriptors mean identical colors."""
@@ -357,89 +357,142 @@ def _clamped(n: int) -> int:
     return n
 
 
+class Builtin(NamedTuple):
+    """One expression builtin, walked over colors by `analyze_expr` and over values by `eval_expr`.
+
+    `contexts` has one entry per typed operand: `None` gives the operand the
+    call's expected color; a function of the builtin's name, the expected color
+    and the earlier operands' colors gives another, or raises `TypeMismatch`
+    when none can exist. Operands past them, up to `arity`, are constants.
+    `rule(name, expected, colors, args)` returns the builtin's own problems and
+    its color (an operand of unknown color has None); `evaluate(color, values,
+    args)` builds the result of a well-typed call.
+    """
+
+    arity: int
+    contexts: tuple
+    rule: Callable
+    evaluate: Callable
+
+
+def own_color(name, expected, colors):
+    """No context: the operand must carry its own color."""
+    return None
+
+
+def _first_color(name, expected, colors):
+    return colors[0] or expected
+
+
+def _pair_part(name, expected, colors):
+    if expected is None or expected.kind != "product" or len(expected.components) != 2:
+        raise TypeMismatch(f"{name} needs a two-component product context")
+    return expected.components[len(colors)]
+
+
+def _operand_color(name, expected, colors, args):
+    return (), colors[0]
+
+
+def _context_color(name, expected, colors, args):
+    return (), expected
+
+
+def _text(name, expected, colors, args):
+    cs = colors[0]
+    return ((f"{name} needs text operands",) if cs is not None and cs.kind != "text" else ()), cs or expected
+
+
+def _int(name, expected, colors, args):
+    cs = colors[0]
+    problems = (f"{name} needs an int operand",) if cs is not None and cs.kind != "int" else ()
+    for k in args[len(colors):]:
+        if k.kind != "lit" or k.value.colorset.kind != "int":
+            problems += (f"{name} constant must be an integer literal",)
+    return problems, cs
+
+
+def _projection(idx: int):
+    """The rule and the evaluator of a builtin that yields component `idx` of a product."""
+
+    def rule(name, expected, colors, args):
+        cs = colors[0]
+        if cs is None:
+            return (f"cannot infer the operand color of {name}",), None
+        if cs.kind != "product":
+            return (f"{name} needs a product operand",), None
+        out = cs.components[idx]
+        if expected is not None and out is not expected and out != expected:
+            return (f"{name} yields {out.name} where {expected.name} needed",), out
+        return (), out
+
+    return rule, lambda cs, vs, args: vs[0].payload[idx]
+
+
+BUILTINS: dict[str, Builtin] = {
+    "identity": Builtin(1, (None,), _operand_color, lambda cs, vs, args: vs[0]),
+    "constOf": Builtin(1, (None,), _operand_color, lambda cs, vs, args: vs[0]),
+    "concat": Builtin(
+        2, (None, _first_color), _text, lambda cs, vs, args: Value(cs, vs[0].payload + vs[1].payload)
+    ),
+    "inc": Builtin(1, (None,), _int, lambda cs, vs, args: Value(cs, _clamped(vs[0].payload + 1))),
+    "addK": Builtin(
+        2, (None,), _int, lambda cs, vs, args: Value(cs, _clamped(vs[0].payload + args[1].value.payload))
+    ),
+    "first": Builtin(1, (own_color,), *_projection(0)),
+    "second": Builtin(1, (own_color,), *_projection(1)),
+    "pairOf": Builtin(2, (_pair_part, _pair_part), _context_color, lambda cs, vs, args: Value(cs, tuple(vs))),
+}
+
+
+def _call_problem(name: str, builtin: Builtin | None) -> str:
+    if builtin is None:
+        return f"unknown builtin '{name}'"
+    return f"builtin {name} takes {builtin.arity} argument(s)"
+
+
 def eval_expr(expr: Expr, binding: Mapping[str, Value], expected: ColorSet | None = None) -> Value:
     """Evaluate an expression under a binding.
 
     Tuple construction needs an expected product color set from the caller;
     every other form carries or derives its own color.
     """
-    if expr.kind == "var":
+    kind = expr.kind
+    if kind == "var":
         if expr.name not in binding:
             raise UnboundVariable(f"variable '{expr.name}' is not bound")
         v = binding[expr.name]
-        if expected is not None and v.colorset != expected:
+        # colors are mostly shared objects: `is` spares the field-by-field compare
+        if expected is not None and v.colorset is not expected and v.colorset != expected:
             raise TypeMismatch(
                 f"variable '{expr.name}' has color {v.colorset.name}, needed {expected.name}"
             )
         return v
-    if expr.kind == "lit":
-        if expected is not None and expr.value.colorset != expected:
+    if kind == "lit":
+        if expected is not None and expr.value.colorset is not expected and expr.value.colorset != expected:
             raise TypeMismatch("literal color does not match context")
         return expr.value
-    if expr.kind == "tuple":
+    if kind == "tuple":
         if expected is None or expected.kind != "product":
             raise TypeMismatch("tuple expression needs a product context")
         if len(expr.args) != len(expected.components):
             raise TypeMismatch(f"tuple arity mismatch for {expected.name}")
-        parts = tuple(
-            eval_expr(a, binding, c) for a, c in zip(expr.args, expected.components)
-        )
-        return Value(expected, parts)
-    return _eval_call(expr, binding, expected)
-
-
-def _eval_call(expr: Expr, binding, expected):
+        return Value(expected, tuple(eval_expr(a, binding, c) for a, c in zip(expr.args, expected.components)))
     name, args = expr.name, expr.args
-
-    def arity(n):
-        if len(args) != n:
-            raise TypeMismatch(f"builtin {name} takes {n} argument(s)")
-
-    if name in ("identity", "constOf"):
-        arity(1)
-        return eval_expr(args[0], binding, expected)
-    if name == "concat":
-        arity(2)
-        a = eval_expr(args[0], binding, expected)
-        b = eval_expr(args[1], binding, a.colorset)
-        if a.colorset.kind != "text":
-            raise TypeMismatch("concat needs text operands")
-        return Value(a.colorset, a.payload + b.payload)
-    if name == "inc":
-        arity(1)
-        a = eval_expr(args[0], binding, expected)
-        if a.colorset.kind != "int":
-            raise TypeMismatch("inc needs an int operand")
-        return Value(a.colorset, _clamped(a.payload + 1))
-    if name == "addK":
-        arity(2)
-        a = eval_expr(args[0], binding, expected)
-        if a.colorset.kind != "int":
-            raise TypeMismatch("addK needs an int operand")
-        k = args[1]
-        if k.kind != "lit" or k.value.colorset.kind != "int":
-            raise TypeMismatch("addK constant must be an integer literal")
-        return Value(a.colorset, _clamped(a.payload + k.value.payload))
-    if name in ("first", "second"):
-        arity(1)
-        a = eval_expr(args[0], binding, None)
-        if a.colorset.kind != "product":
-            raise TypeMismatch(f"{name} needs a product operand")
-        idx = 0 if name == "first" else 1
-        out = a.payload[idx]
-        if expected is not None and out.colorset != expected:
-            raise TypeMismatch(f"{name} result color does not match context")
-        return out
-    if name == "pairOf":
-        arity(2)
-        if expected is None or expected.kind != "product" or len(expected.components) != 2:
-            raise TypeMismatch("pairOf needs a two-component product context")
-        parts = (
-            eval_expr(args[0], binding, expected.components[0]),
-            eval_expr(args[1], binding, expected.components[1]),
-        )
-        return Value(expected, parts)
-    raise TypeMismatch(f"unknown builtin '{name}'")
+    builtin = BUILTINS.get(name)
+    if builtin is None or len(args) != builtin.arity:
+        raise TypeMismatch(_call_problem(name, builtin))
+    _, contexts, rule, evaluate = builtin
+    values, colors = [], []
+    for context in contexts:
+        ctx = expected if context is None else context(name, expected, colors)
+        v = eval_expr(args[len(values)], binding, ctx)
+        values.append(v)
+        colors.append(v.colorset)
+    problems, color = rule(name, expected, colors, args)
+    if problems:
+        raise TypeMismatch(problems[0])
+    return evaluate(color, values, args)
 
 
 def analyze_expr(
@@ -450,12 +503,12 @@ def analyze_expr(
         if expr.name not in env:
             return ([f"unbound variable '{expr.name}'"], None)
         cs = env[expr.name]
-        if expected is not None and cs != expected:
+        if expected is not None and cs is not expected and cs != expected:
             return ([f"variable '{expr.name}' has color {cs.name}, needed {expected.name}"], cs)
         return ([], cs)
     if expr.kind == "lit":
         cs = expr.value.colorset
-        if expected is not None and cs != expected:
+        if expected is not None and cs is not expected and cs != expected:
             return ([f"literal of color {cs.name} where {expected.name} needed"], cs)
         return ([], cs)
     if expr.kind == "tuple":
@@ -467,71 +520,22 @@ def analyze_expr(
         for a, c in zip(expr.args, expected.components):
             probs += analyze_expr(a, c, env)[0]
         return (probs, expected)
-    return _analyze_call(expr, expected, env)
-
-
-def _analyze_call(expr, expected, env):
     name, args = expr.name, expr.args
-    if name not in BUILTINS:
-        return ([f"unknown builtin '{name}'"], None)
-
-    def want(n):
-        return [f"builtin {name} takes {n} argument(s)"] if len(args) != n else []
-
-    if name in ("identity", "constOf"):
-        probs = want(1)
-        if probs:
-            return (probs, None)
-        return analyze_expr(args[0], expected, env)
-    if name == "concat":
-        probs = want(2)
-        if probs:
-            return (probs, None)
-        p0, cs0 = analyze_expr(args[0], expected, env)
-        probs += p0
-        if cs0 is not None and cs0.kind != "text":
-            probs.append("concat needs text operands")
-        p1, _ = analyze_expr(args[1], cs0 or expected, env)
-        return (probs + p1, cs0 or expected)
-    if name in ("inc", "addK"):
-        probs = want(2 if name == "addK" else 1)
-        if probs:
-            return (probs, None)
-        p0, cs0 = analyze_expr(args[0], expected, env)
-        probs += p0
-        if cs0 is not None and cs0.kind != "int":
-            probs.append(f"{name} needs an int operand")
-        if name == "addK":
-            k = args[1]
-            if k.kind != "lit" or k.value.colorset.kind != "int":
-                probs.append("addK constant must be an integer literal")
-        return (probs, cs0)
-    if name in ("first", "second"):
-        probs = want(1)
-        if probs:
-            return (probs, None)
-        p0, cs0 = analyze_expr(args[0], None, env)
-        probs += p0
-        if cs0 is None:
-            probs.append(f"cannot infer the operand color of {name}")
-            return (probs, None)
-        if cs0.kind != "product":
-            probs.append(f"{name} needs a product operand")
-            return (probs, None)
-        idx = 0 if name == "first" else 1
-        out = cs0.components[idx]
-        if expected is not None and out != expected:
-            probs.append(f"{name} yields {out.name} where {expected.name} needed")
-        return (probs, out)
-    # pairOf
-    probs = want(2)
-    if probs:
-        return (probs, None)
-    if expected is None or expected.kind != "product" or len(expected.components) != 2:
-        return (["pairOf needs a two-component product context"], None)
-    for a, c in zip(args, expected.components):
-        probs += analyze_expr(a, c, env)[0]
-    return (probs, expected)
+    builtin = BUILTINS.get(name)
+    if builtin is None or len(args) != builtin.arity:
+        return ([_call_problem(name, builtin)], None)
+    found, colors = [], []
+    for context in builtin.contexts:
+        try:
+            ctx = expected if context is None else context(name, expected, colors)
+        except TypeMismatch as exc:
+            return ([*itertools.chain.from_iterable(found), str(exc)], None)
+        probs, cs = analyze_expr(args[len(colors)], ctx, env)
+        found.append(probs)
+        colors.append(cs)
+    own, color = builtin.rule(name, expected, colors, args)
+    # the builtin's own problems follow its first operand's and precede the rest
+    return ([*found[0], *own, *itertools.chain.from_iterable(found[1:])], color)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .cpn import (
     Transition,
     Value,
     Variable,
+    own_color,
     quote_text,
 )
 from .decomposition import AgentModel, Channel, MultiAgentModel
@@ -36,14 +37,22 @@ from .errors import (
     FormatError,
     ModelSyntaxError,
     ResolutionError,
+    TypeMismatch,
     UnknownOp,
     VersionMismatch,
 )
 from .organization import CommLink, Organization, Role
 from .runtime import Context, FinalReport, Scenario, Trigger
-from .textscan import TokenStream, parse_descriptor, parse_value, parse_value_text, stream
+from .textscan import (
+    MAX_COLOR_DEPTH, TokenStream, parse_descriptor, parse_descriptor_text,
+    parse_value, parse_value_text, stream,
+)
 
 CONTEXT_HEADER = "CTX1"
+
+# how deeply calls and tuples may nest in one expression; each level costs
+# a few stack frames in parsing, checking, evaluation and comparison
+MAX_EXPR_DEPTH = 64
 
 
 @dataclass
@@ -73,8 +82,9 @@ def parse_expr(
     env: Mapping[str, ColorSet],
     colorsets: Mapping[str, ColorSet],
     expected: Optional[ColorSet],
+    depth: int = 0,
 ) -> Expr:
-    tok = ts.peek()
+    tok = _within_depth(ts, depth)
     if tok.kind == "int":
         ts.next()
         if expected is None or expected.kind != "int":
@@ -97,22 +107,15 @@ def parse_expr(
         for i, comp in enumerate(expected.components):
             if i:
                 ts.expect("punct", ",")
-            args.append(parse_expr(ts, env, colorsets, comp))
+            args.append(parse_expr(ts, env, colorsets, comp, depth + 1))
         ts.expect("punct", ")")
         return Expr.tup(*args)
     name_tok = ts.expect("ident", what="an expression")
     name = name_tok.text
     if ts.at("punct", "("):
-        return _parse_call(ts, name_tok, env, colorsets, expected)
+        return _parse_call(ts, name_tok, env, colorsets, expected, depth)
     if ts.at("punct", "."):
-        ts.next()
-        member = ts.expect("ident", what="an enum member").text
-        cs = colorsets.get(name)
-        if cs is None:
-            raise ResolutionError(name, name_tok.line, name_tok.col)
-        if cs.kind != "enum" or member not in cs.members:
-            raise ModelSyntaxError(name_tok.line, name_tok.col, f"a member of enum {name}")
-        return Expr.lit(Value(cs, member))
+        return _enum_literal(ts, name_tok, colorsets)
     if name in env:
         return Expr.var(name)
     if expected is not None and expected.kind == "enum" and name in expected.members:
@@ -120,74 +123,74 @@ def parse_expr(
     raise ResolutionError(name, name_tok.line, name_tok.col)
 
 
-def _parse_call(ts, name_tok, env, colorsets, expected) -> Expr:
+def _within_depth(ts, depth: int):
+    """The next token, unless it starts an expression nested past the cap."""
+    if depth > MAX_EXPR_DEPTH:
+        ts.fail(f"an expression with at most {MAX_EXPR_DEPTH} nested calls and tuples")
+    return ts.peek()
+
+
+def _parse_call(ts, name_tok, env, colorsets, expected, depth) -> Expr:
+    """A builtin call shaped by its table entry; the parser knows no operand's color."""
     name = name_tok.text
-    if name not in BUILTINS:
+    builtin = BUILTINS.get(name)
+    if builtin is None:
         raise ModelSyntaxError(name_tok.line, name_tok.col, "a builtin function name")
     ts.expect("punct", "(")
-
-    def done():
-        ts.expect("punct", ")")
-
-    if name in ("identity", "constOf", "inc"):
-        arg = parse_expr(ts, env, colorsets, expected)
-        done()
-        return Expr.call(name, arg)
-    if name == "concat":
-        a = parse_expr(ts, env, colorsets, expected)
+    args = []
+    for i, context in enumerate(builtin.contexts):
+        if i:
+            ts.expect("punct", ",")
+        if context is own_color:
+            args.append(parse_expr_inferred(ts, env, colorsets, depth + 1))
+            continue
+        try:
+            ctx = expected if context is None else context(name, expected, (None,) * i)
+        except TypeMismatch:  # only a pair's components can lack a context
+            raise ModelSyntaxError(name_tok.line, name_tok.col, f"{name} in a pair-colored context") from None
+        args.append(parse_expr(ts, env, colorsets, ctx, depth + 1))
+    constants = []
+    for _ in range(len(args), builtin.arity):
         ts.expect("punct", ",")
-        b = parse_expr(ts, env, colorsets, expected)
-        done()
-        return Expr.call(name, a, b)
-    if name == "addK":
-        a = parse_expr(ts, env, colorsets, expected)
-        ts.expect("punct", ",")
-        k = ts.expect("int", what="an integer constant")
-        done()
-        if expected is None or expected.kind != "int":
-            raise ModelSyntaxError(name_tok.line, name_tok.col, "addK in an int-colored context")
-        return Expr.call(name, a, Expr.lit(Value(expected, int(k.text))))
-    if name in ("first", "second"):
-        arg = parse_expr_inferred(ts, env, colorsets)
-        done()
-        return Expr.call(name, arg)
-    # pairOf
-    if expected is None or expected.kind != "product" or len(expected.components) != 2:
-        raise ModelSyntaxError(name_tok.line, name_tok.col, "pairOf in a pair-colored context")
-    a = parse_expr(ts, env, colorsets, expected.components[0])
-    ts.expect("punct", ",")
-    b = parse_expr(ts, env, colorsets, expected.components[1])
-    done()
-    return Expr.call(name, a, b)
+        constants.append(ts.expect("int", what="an integer constant"))
+    ts.expect("punct", ")")
+    if constants and (expected is None or expected.kind != "int"):
+        raise ModelSyntaxError(name_tok.line, name_tok.col, f"{name} in an int-colored context")
+    return Expr.call(name, *args, *(Expr.lit(Value(expected, int(k.text))) for k in constants))
 
 
-def parse_expr_inferred(ts, env, colorsets) -> Expr:
+def parse_expr_inferred(ts, env, colorsets, depth: int = 0) -> Expr:
     """Parse where the color must come from the expression itself (vars, projections)."""
-    tok = ts.peek()
-    if tok.kind == "ident":
-        if ts.peek(1).kind == "punct" and ts.peek(1).text == "(":
-            name = ts.next().text
-            if name in ("first", "second", "identity", "constOf", "inc"):
-                ts.expect("punct", "(")
-                arg = parse_expr_inferred(ts, env, colorsets)
-                ts.expect("punct", ")")
-                return Expr.call(name, arg)
+    tok = _within_depth(ts, depth)
+    if tok.kind != "ident":
+        raise ModelSyntaxError(tok.line, tok.col, "an expression with inferable color")
+    ts.next()
+    if ts.at("punct", "("):
+        builtin = BUILTINS.get(tok.text)
+        # a one-operand builtin takes its color from that operand
+        if builtin is None or builtin.arity != 1:
             raise ModelSyntaxError(tok.line, tok.col, "an expression with inferable color")
-        if ts.peek(1).kind == "punct" and ts.peek(1).text == ".":
-            name = ts.next().text
-            ts.next()
-            member = ts.expect("ident", what="an enum member").text
-            cs = colorsets.get(name)
-            if cs is None:
-                raise ResolutionError(name, tok.line, tok.col)
-            if cs.kind != "enum" or member not in cs.members:
-                raise ModelSyntaxError(tok.line, tok.col, f"a member of enum {name}")
-            return Expr.lit(Value(cs, member))
-        name = ts.next().text
-        if name in env:
-            return Expr.var(name)
-        raise ResolutionError(name, tok.line, tok.col)
-    raise ModelSyntaxError(tok.line, tok.col, "an expression with inferable color")
+        ts.next()
+        arg = parse_expr_inferred(ts, env, colorsets, depth + 1)
+        ts.expect("punct", ")")
+        return Expr.call(tok.text, arg)
+    if ts.at("punct", "."):
+        return _enum_literal(ts, tok, colorsets)
+    if tok.text in env:
+        return Expr.var(tok.text)
+    raise ResolutionError(tok.text, tok.line, tok.col)
+
+
+def _enum_literal(ts, name_tok, colorsets) -> Expr:
+    """`Enum.member`, read from the '.' after the enum's name."""
+    ts.expect("punct", ".")
+    member = ts.expect("ident", what="an enum member").text
+    cs = colorsets.get(name_tok.text)
+    if cs is None:
+        raise ResolutionError(name_tok.text, name_tok.line, name_tok.col)
+    if cs.kind != "enum" or member not in cs.members:
+        raise ModelSyntaxError(name_tok.line, name_tok.col, f"a member of enum {name_tok.text}")
+    return Expr.lit(Value(cs, member))
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +259,9 @@ class NetBuilder:
                 comps.append(self.lookup_colorset(ts.expect("ident", what="a color set name")))
             ts.expect("punct", ")")
             cs = ColorSet(name.text, "product", components=tuple(comps))
+            if cs.depth > MAX_COLOR_DEPTH:
+                expected = f"a color set with at most {MAX_COLOR_DEPTH} nested products"
+                raise ModelSyntaxError(name.line, name.col, expected)
         else:
             ts.fail("one of unit/int/text/enum/product")
         self._declare("colorset", name, self.colorsets, cs)
@@ -273,18 +279,8 @@ class NetBuilder:
         initial = Multiset()
         if ts.at("ident", "init"):
             ts.next()
-            initial = self._multiset(ts, cs)
+            initial = Multiset(_value_list(ts, cs))
         self._declare("place", name, self.places, Place(name.text, cs, initial))
-
-    def _multiset(self, ts, cs) -> Multiset:
-        ts.expect("punct", "{")
-        values = []
-        if not ts.at("punct", "}"):
-            values.append(parse_value(ts, cs))
-            while ts.accept("punct", ","):
-                values.append(parse_value(ts, cs))
-        ts.expect("punct", "}")
-        return Multiset(values)
 
     def _params(self, ts) -> tuple:
         ts.expect("punct", "(")
@@ -619,15 +615,20 @@ def _parse_channel_tail(ts, name_tok) -> Channel:
     initial: tuple[Value, ...] = ()
     if ts.at("ident", "init"):
         ts.next()
-        ts.expect("punct", "{")
-        values = []
-        if not ts.at("punct", "}"):
-            values.append(parse_value(ts, cs))
-            while ts.accept("punct", ","):
-                values.append(parse_value(ts, cs))
-        ts.expect("punct", "}")
-        initial = tuple(values)
+        initial = tuple(_value_list(ts, cs))
     return Channel(name_tok.text, cs, producer, consumer, initial)
+
+
+def _value_list(ts, cs: ColorSet) -> list[Value]:
+    """`{ v, ... }`: canonical values of one color, in the order written."""
+    ts.expect("punct", "{")
+    values = []
+    if not ts.at("punct", "}"):
+        values.append(parse_value(ts, cs))
+        while ts.accept("punct", ","):
+            values.append(parse_value(ts, cs))
+    ts.expect("punct", "}")
+    return values
 
 
 _AGENT_KEYWORDS = ("assumes", "sensor", "effector")
@@ -931,7 +932,7 @@ def read_context(data: bytes) -> Context:
         elif head == "channel":
             ch, _, descriptor = rest.partition(" : ")
             try:
-                channel_colors[ch.strip()] = _descriptor(descriptor.strip())
+                channel_colors[ch.strip()] = parse_descriptor_text(descriptor.strip())
             except Exception as exc:
                 raise FormatError(f"bad channel descriptor: {exc}") from exc
         elif head == "agent":
@@ -971,12 +972,6 @@ def _int_field(text: str, what: str) -> int:
         return int(text.strip())
     except ValueError as exc:
         raise FormatError(f"bad {what} value {text!r}") from exc
-
-
-def _descriptor(text: str) -> ColorSet:
-    from .textscan import parse_descriptor_text
-
-    return parse_descriptor_text(text)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,10 @@ from typing import NamedTuple
 from .cpn import ColorSet, Value, value_of
 from .errors import ModelSyntaxError
 
+# how many products may nest in one color set (`ColorSet.depth`); each level
+# costs a few stack frames wherever colors are compared, hashed or rendered
+MAX_COLOR_DEPTH = 32
+
 # One alternative per lexical class; a match is one token, one newline, or
 # one run of blanks or a comment. Blanks and comments are alternatives of
 # their own rather than a prefix of the token match: a prefix would let
@@ -175,8 +179,10 @@ def parse_value_text(text: str, colorset: ColorSet) -> Value:
     return v
 
 
-def parse_descriptor(ts: TokenStream) -> ColorSet:
+def parse_descriptor(ts: TokenStream, depth: int = 0) -> ColorSet:
     """Parse a self-contained descriptor: name=structure, recursively."""
+    if depth > MAX_COLOR_DEPTH:
+        ts.fail(f"a color set with at most {MAX_COLOR_DEPTH} nested products")
     name = ts.expect("ident", what="a color set name").text
     ts.expect("punct", "=")
     head = ts.expect("ident", what="a color kind").text
@@ -191,9 +197,9 @@ def parse_descriptor(ts: TokenStream) -> ColorSet:
         return ColorSet(name, "enum", members=tuple(members))
     if head == "product":
         ts.expect("punct", "(")
-        comps = [parse_descriptor(ts)]
+        comps = [parse_descriptor(ts, depth + 1)]
         while ts.accept("punct", ","):
-            comps.append(parse_descriptor(ts))
+            comps.append(parse_descriptor(ts, depth + 1))
         ts.expect("punct", ")")
         return ColorSet(name, "product", components=tuple(comps))
     ts.fail("one of unit/int/text/enum/product")

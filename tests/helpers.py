@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 from roleflow import (
     ColorSet,
@@ -29,10 +30,11 @@ from roleflow import (
     Value,
     communication_structure,
     enabled_bindings,
-    eval_expr,
     fire,
     validate_organization,
 )
+from roleflow.cpn import INT_MAX, INT_MIN
+from roleflow.errors import SaturationWarning, TypeMismatch, UnboundVariable
 
 TOK = ColorSet("Tok", "int")
 
@@ -76,7 +78,7 @@ def brute_force_bindings(net, marking, tid, mailbox=()):
         for arc, (_, _, v) in zip(arcs, combo):
             binding[arc.label] = v
         if t.guard is not None:
-            if eval_expr(t.guard, binding).payload != "true":
+            if naive_eval_expr(t.guard, binding).payload != "true":
                 continue
         if binding not in found:
             found.append(binding)
@@ -86,8 +88,6 @@ def brute_force_bindings(net, marking, tid, mailbox=()):
 
 def accounting_fire(net, marking, tid, binding):
     """Expected post-firing marking from explicit per-place count bookkeeping."""
-    from roleflow.cpn import invoke_procedure
-
     t = net.transitions[tid]
     proc = net.procedures[t.procedure]
     counts = {pid: dict() for pid in net.places}
@@ -100,11 +100,112 @@ def accounting_fire(net, marking, tid, binding):
         assert counts[arc.place][v] >= 0, "negative intermediate count"
         if counts[arc.place][v] == 0:
             del counts[arc.place][v]
-    results = invoke_procedure(proc, binding)
+    body = dict(proc.body)
+    results = {rname: naive_eval_expr(body[rname], binding, rcs) for rname, rcs in proc.outputs}
     for arc in net.output_arcs(tid):
         v = results[arc.label]
         counts[arc.place][v] = counts[arc.place].get(v, 0) + 1
     return Marking({pid: Multiset.from_counts(c) for pid, c in counts.items() if c})
+
+
+# ---------------------------------------------------------------------------
+# oracle: expression evaluation by an if-chain over the builtins, kept apart
+# from the library's builtin table
+
+
+def _naive_clamped(n: int) -> int:
+    if n > INT_MAX:
+        warnings.warn("integer result clamped at the 64-bit bound", SaturationWarning)
+        return INT_MAX
+    if n < INT_MIN:
+        warnings.warn("integer result clamped at the 64-bit bound", SaturationWarning)
+        return INT_MIN
+    return n
+
+
+def naive_eval_expr(expr: Expr, binding, expected: ColorSet | None = None) -> Value:
+    """Evaluate an expression under a binding.
+
+    Tuple construction needs an expected product color set from the caller;
+    every other form carries or derives its own color.
+    """
+    if expr.kind == "var":
+        if expr.name not in binding:
+            raise UnboundVariable(f"variable '{expr.name}' is not bound")
+        v = binding[expr.name]
+        if expected is not None and v.colorset != expected:
+            raise TypeMismatch(
+                f"variable '{expr.name}' has color {v.colorset.name}, needed {expected.name}"
+            )
+        return v
+    if expr.kind == "lit":
+        if expected is not None and expr.value.colorset != expected:
+            raise TypeMismatch("literal color does not match context")
+        return expr.value
+    if expr.kind == "tuple":
+        if expected is None or expected.kind != "product":
+            raise TypeMismatch("tuple expression needs a product context")
+        if len(expr.args) != len(expected.components):
+            raise TypeMismatch(f"tuple arity mismatch for {expected.name}")
+        parts = tuple(
+            naive_eval_expr(a, binding, c) for a, c in zip(expr.args, expected.components)
+        )
+        return Value(expected, parts)
+    return _naive_eval_call(expr, binding, expected)
+
+
+def _naive_eval_call(expr: Expr, binding, expected):
+    name, args = expr.name, expr.args
+
+    def arity(n):
+        if len(args) != n:
+            raise TypeMismatch(f"builtin {name} takes {n} argument(s)")
+
+    if name in ("identity", "constOf"):
+        arity(1)
+        return naive_eval_expr(args[0], binding, expected)
+    if name == "concat":
+        arity(2)
+        a = naive_eval_expr(args[0], binding, expected)
+        b = naive_eval_expr(args[1], binding, a.colorset)
+        if a.colorset.kind != "text":
+            raise TypeMismatch("concat needs text operands")
+        return Value(a.colorset, a.payload + b.payload)
+    if name == "inc":
+        arity(1)
+        a = naive_eval_expr(args[0], binding, expected)
+        if a.colorset.kind != "int":
+            raise TypeMismatch("inc needs an int operand")
+        return Value(a.colorset, _naive_clamped(a.payload + 1))
+    if name == "addK":
+        arity(2)
+        a = naive_eval_expr(args[0], binding, expected)
+        if a.colorset.kind != "int":
+            raise TypeMismatch("addK needs an int operand")
+        k = args[1]
+        if k.kind != "lit" or k.value.colorset.kind != "int":
+            raise TypeMismatch("addK constant must be an integer literal")
+        return Value(a.colorset, _naive_clamped(a.payload + k.value.payload))
+    if name in ("first", "second"):
+        arity(1)
+        a = naive_eval_expr(args[0], binding, None)
+        if a.colorset.kind != "product":
+            raise TypeMismatch(f"{name} needs a product operand")
+        idx = 0 if name == "first" else 1
+        out = a.payload[idx]
+        if expected is not None and out.colorset != expected:
+            raise TypeMismatch(f"{name} result color does not match context")
+        return out
+    if name == "pairOf":
+        arity(2)
+        if expected is None or expected.kind != "product" or len(expected.components) != 2:
+            raise TypeMismatch("pairOf needs a two-component product context")
+        parts = (
+            naive_eval_expr(args[0], binding, expected.components[0]),
+            naive_eval_expr(args[1], binding, expected.components[1]),
+        )
+        return Value(expected, parts)
+    raise TypeMismatch(f"unknown builtin '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +938,101 @@ def gen_net_and_marking(rng: random.Random):
         }
     )
     return net, marking
+
+
+# ---------------------------------------------------------------------------
+# random expressions for the evaluator oracle
+
+_NAIVE_BUILTINS = ("identity", "constOf", "concat", "inc", "addK", "first", "second", "pairOf")
+
+
+def _edge_value(rng: random.Random, cs: ColorSet) -> Value:
+    """A random value whose ints sit at or next to a 64-bit bound 40 % of the time."""
+    if cs.kind == "int" and rng.random() < 0.4:
+        return Value(cs, rng.choice([INT_MAX - rng.randint(0, 1), INT_MIN + rng.randint(0, 1)]))
+    if cs.kind == "product":
+        return Value(cs, tuple(_edge_value(rng, c) for c in cs.components))
+    return gen_value(rng, cs)
+
+
+def gen_typed_expr(
+    rng: random.Random, cs: ColorSet, binding: dict, depth: int = 0, inferable: bool = False
+) -> Expr:
+    """A random expression of color `cs`; it binds the fresh variables it uses in `binding`.
+
+    An `inferable` expression carries its own color, as a projection's operand must.
+    """
+    forms = ["var", "lit", "identity", "constOf"]
+    if depth < 4:
+        forms += ["first", "second"]
+        if cs.kind == "text":
+            forms.append("concat")
+        if cs.kind == "int":
+            forms += ["inc", "addK"]
+        if cs.kind == "product" and not inferable:
+            forms.append("tuple")
+            if len(cs.components) == 2:
+                forms.append("pairOf")
+    form = rng.choice(forms)
+    if form == "var":
+        known = [name for name, v in binding.items() if v.colorset == cs]
+        if known and rng.random() < 0.5:
+            return Expr.var(rng.choice(known))
+        name = f"v{len(binding)}"
+        binding[name] = _edge_value(rng, cs)
+        return Expr.var(name)
+    if form == "lit":
+        return Expr.lit(_edge_value(rng, cs))
+    sub = lambda c, own=inferable: gen_typed_expr(rng, c, binding, depth + 1, own)
+    if form in ("identity", "constOf", "inc"):
+        return Expr.call(form, sub(cs))
+    if form == "concat":
+        return Expr.call(form, sub(cs), sub(cs, False))
+    if form == "addK":
+        k = rng.choice([rng.randint(-5, 5), 2**62, -(2**62)])
+        return Expr.call(form, sub(cs), Expr.lit(Value(cs, k)))
+    if form in ("first", "second"):
+        other = gen_colorset(rng, f"W{depth}")
+        parts = (cs, other) if form == "first" else (other, cs)
+        return Expr.call(form, sub(ColorSet(f"P{depth}", "product", components=parts), True))
+    args = [sub(c, False) for c in cs.components]
+    return Expr.tup(*args) if form == "tuple" else Expr.call(form, *args)
+
+
+def gen_untyped_expr(rng: random.Random, colors: list, depth: int = 0) -> Expr:
+    """A random expression with no type discipline over variables v0..v3 and `colors`."""
+    form = rng.choice(["var", "lit", "tuple", "call", "call"] if depth < 3 else ["var", "lit"])
+    if form == "var":
+        return Expr.var(f"v{rng.randint(0, 4)}")
+    if form == "lit":
+        return Expr.lit(_edge_value(rng, rng.choice(colors)))
+    args = [gen_untyped_expr(rng, colors, depth + 1) for _ in range(rng.randint(0, 3))]
+    if form == "tuple":
+        return Expr.tup(*args)
+    return Expr.call(rng.choice(_NAIVE_BUILTINS + ("dup",)), *args)
+
+
+# ---------------------------------------------------------------------------
+# deeply nested inputs for the parsers' nesting caps
+
+
+def nested_inputs(org_text: str, expr_depth: int, color_depth: int) -> dict:
+    """Inputs whose expression or color nests `expr_depth` or `color_depth` levels deep.
+
+    `org_text` is an organization with the rule `o = inc(n)`; each value is a
+    model text, except "context descriptor", which is CTX1 context text.
+    """
+    descriptor = "T=int"
+    for i in range(color_depth):
+        descriptor = f"P{i}=product({descriptor},T=int)"
+    chain = "colorset C0 = product(Tok,Tok)\n" if color_depth else ""
+    chain += "".join(f"colorset C{i} = product(C{i - 1},Tok)\n" for i in range(1, color_depth))
+    return {
+        "expression": org_text.replace("o = inc(n)", "o = " + "inc(" * expr_depth + "n" + ")" * expr_depth),
+        "colorset chain": org_text + chain,
+        "channel descriptor": f"mas org1\nchannel c : {descriptor} from a to b\n",
+        "context descriptor": f"CTX1\ncursor 0\nsteps 0\nchannel c : {descriptor}\n",
+    }
 
 
 # ---------------------------------------------------------------------------

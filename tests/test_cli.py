@@ -6,6 +6,9 @@ from roleflow import parse_model
 from roleflow.cli import run_cli
 
 from conftest import GOLDEN, MODELS
+from helpers import nested_inputs
+
+DEEP = nested_inputs((MODELS / "org1.org").read_text(), 600, 1000)
 
 
 def run(capsys, *args):
@@ -47,6 +50,13 @@ class TestValidate:
         bad.write_text((MODELS / "org1.org").read_text().replace("init { 1 }", "init { ² }"), encoding="utf-8")
         code, _, err = run(capsys, "validate", bad)
         assert code == 3 and "8:24: expected a token (found '²')" in err
+
+    @pytest.mark.parametrize("kind", ["expression", "colorset chain", "channel descriptor"])
+    def test_deep_nesting_exits_3(self, capsys, tmp_path, kind):
+        bad = tmp_path / "bad.org"
+        bad.write_text(DEEP[kind])
+        code, _, err = run(capsys, "validate", bad)
+        assert code == 3 and "expected" in err and "Traceback" not in err
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", tmp_path / "nope.org")
@@ -102,6 +112,16 @@ class TestRun:
         )
         assert code == 0
         assert head_trace.read_text() + tail_trace.read_text() == golden
+
+    def test_resume_from_deep_context_exits_3(self, capsys, tmp_path):
+        ctx = tmp_path / "deep.ctx"
+        ctx.write_text(DEEP["context descriptor"])
+        args = ("run", MODELS / "org1.org", MODELS / "org1_run.scn", "--resume-from", ctx)
+        code, _, err = run(capsys, *args)
+        assert code == 3 and "bad channel descriptor" in err
+        Path(str(ctx) + ".model").write_text(DEEP["channel descriptor"])
+        code, _, err = run(capsys, *args)
+        assert code == 3 and "nested products" in err
 
     def test_concurrent_mode(self, capsys):
         code, out, _ = run(

@@ -27,11 +27,11 @@ from roleflow import (
 )
 from roleflow.adaptation import OP_KINDS
 from roleflow.runtime import TraceEntry
-from roleflow.modelio import render_trace
-from roleflow.textscan import tokenize
+from roleflow.modelio import MAX_EXPR_DEPTH, render_trace
+from roleflow.textscan import MAX_COLOR_DEPTH, tokenize
 
 from conftest import MODELS
-from helpers import all_assignments, gen_org, mutate_text, naive_tokenize
+from helpers import all_assignments, gen_org, mutate_text, naive_tokenize, nested_inputs
 
 ORG1_TEXT = (MODELS / "org1.org").read_text()
 
@@ -85,6 +85,28 @@ class TestParseModel:
         with pytest.raises(ModelSyntaxError) as err:
             parse_model(bad)
         assert str(err.value) == "8:24: expected a token (found '²')"
+
+    def test_nesting_caps(self):
+        at_cap = nested_inputs(ORG1_TEXT, MAX_EXPR_DEPTH, MAX_COLOR_DEPTH)
+        past = nested_inputs(ORG1_TEXT, MAX_EXPR_DEPTH + 1, MAX_COLOR_DEPTH + 1)
+        for kind in ("expression", "colorset chain"):
+            assert validate_organization(parse_model(at_cap[kind]).model).empty
+        parse_model(at_cap["channel descriptor"])
+        read_context(at_cap["context descriptor"].encode())
+        expr_line = next(i for i, ln in enumerate(ORG1_TEXT.split("\n"), 1) if "o = inc(n)" in ln)
+        # the innermost `n`, one level past the cap, is the offending token
+        expr_col = ORG1_TEXT.split("\n")[expr_line - 1].index("inc(n)") + 1 + len("inc(") * (MAX_EXPR_DEPTH + 1)
+        chain_line = ORG1_TEXT.count("\n") + MAX_COLOR_DEPTH + 1
+        nested = f"an expression with at most {MAX_EXPR_DEPTH} nested calls and tuples"
+        colors = f"a color set with at most {MAX_COLOR_DEPTH} nested products"
+        with pytest.raises(ModelSyntaxError, match=f"^{expr_line}:{expr_col}: expected {nested}$"):
+            parse_model(past["expression"])
+        with pytest.raises(ModelSyntaxError, match=f"^{chain_line}:10: expected {colors}$"):
+            parse_model(past["colorset chain"])
+        with pytest.raises(ModelSyntaxError, match=f"expected {colors}$"):
+            parse_model(past["channel descriptor"])
+        with pytest.raises(FormatError, match=f"expected {colors}$"):
+            read_context(past["context descriptor"].encode())
 
     def test_unicode_decimal_digits_are_ints(self):
         # '٣' (ARABIC-INDIC DIGIT THREE) is a decimal digit, read as 3
@@ -347,6 +369,13 @@ class TestMalformedInputFuzz:
             (parse_scenario, lambda: mutate_text(rng, rng.choice(scenarios), rng.randint(1, 4))),
             (read_context, lambda: mutate_text(rng, rng.choice(contexts), rng.randint(1, 4)).encode()),
         ]
+        # nesting past the caps; each of these once overflowed the stack
+        nested = nested_inputs(ORG1_TEXT, 600, 1000)
+        fixed = [(read_context, (nested.pop("context descriptor").encode(),))]
+        fixed += [(parse_model, (text,)) for text in nested.values()]
+        for parse, args in fixed:
+            with pytest.raises(RoleflowError):
+                parse(*args)
         for k in range(12000):
             if k % 4 < 3:
                 parse, make = parsers[k % 4]
