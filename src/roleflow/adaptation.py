@@ -162,8 +162,12 @@ class _Rejection(Exception):
 def _admit_colorsets(parts: dict) -> dict:
     """Keep the color table closed over everything the net parts reference."""
     table = {cs.name: cs for cs in parts["colorsets"]}
+    walked = set()  # ids of the colors walked: a shared component is walked once, not once per path
 
     def admit(cs):
+        if id(cs) in walked:
+            return
+        walked.add(id(cs))
         if cs.name not in table:
             table[cs.name] = cs
         for comp in cs.components:

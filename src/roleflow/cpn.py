@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -460,7 +461,7 @@ def eval_expr(expr: Expr, binding: Mapping[str, Value], expected: ColorSet | Non
     kind = expr.kind
     if kind == "var":
         if expr.name not in binding:
-            raise UnboundVariable(f"variable '{expr.name}' is not bound")
+            raise UnboundVariable(f"unbound variable '{expr.name}'")
         v = binding[expr.name]
         # colors are mostly shared objects: `is` spares the field-by-field compare
         if expected is not None and v.colorset is not expected and v.colorset != expected:
@@ -469,14 +470,15 @@ def eval_expr(expr: Expr, binding: Mapping[str, Value], expected: ColorSet | Non
             )
         return v
     if kind == "lit":
-        if expected is not None and expr.value.colorset is not expected and expr.value.colorset != expected:
-            raise TypeMismatch("literal color does not match context")
+        cs = expr.value.colorset
+        if expected is not None and cs is not expected and cs != expected:
+            raise TypeMismatch(f"literal of color {cs.name} where {expected.name} needed")
         return expr.value
     if kind == "tuple":
-        if expected is None or expected.kind != "product":
-            raise TypeMismatch("tuple expression needs a product context")
-        if len(expr.args) != len(expected.components):
-            raise TypeMismatch(f"tuple arity mismatch for {expected.name}")
+        if expected is None:
+            raise TypeMismatch("tuple expression needs a known product context")
+        if expected.kind != "product" or len(expr.args) != len(expected.components):
+            raise TypeMismatch(f"tuple does not fit product {expected.name}")
         return Value(expected, tuple(eval_expr(a, binding, c) for a, c in zip(expr.args, expected.components)))
     name, args = expr.name, expr.args
     builtin = BUILTINS.get(name)
@@ -499,43 +501,78 @@ def analyze_expr(
     expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet]
 ) -> tuple[list[str], ColorSet | None]:
     """Static check of an expression: returns (problems, inferred color set)."""
+    problems, color, _ = _analyze(expr, expected, env, False)
+    return problems, color
+
+
+def compile_expr(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet]) -> Callable:
+    """A closure that evaluates a well-typed expression under a binding.
+
+    The closure trusts the static colors: it checks no type and no binding
+    cover, so it must only see bindings that give each name of `env` a value
+    of its color. An expression `analyze_expr` finds a problem in raises
+    `TypeMismatch` here instead. Builtins evaluate through `BUILTINS`, so
+    `SaturationWarning` clamping is the same as in `eval_expr`.
+    """
+    problems, _, run = _analyze(expr, expected, env, True)
+    if problems:
+        raise TypeMismatch(problems[0])
+    return run
+
+
+def _analyze(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet], build: bool):
+    """(problems, inferred color, closure); the closure is built only when asked and well-typed."""
     if expr.kind == "var":
-        if expr.name not in env:
-            return ([f"unbound variable '{expr.name}'"], None)
-        cs = env[expr.name]
+        name = expr.name
+        if name not in env:
+            return ([f"unbound variable '{name}'"], None, None)
+        cs = env[name]
         if expected is not None and cs is not expected and cs != expected:
-            return ([f"variable '{expr.name}' has color {cs.name}, needed {expected.name}"], cs)
-        return ([], cs)
+            return ([f"variable '{name}' has color {cs.name}, needed {expected.name}"], cs, None)
+        return ([], cs, operator.itemgetter(name) if build else None)
     if expr.kind == "lit":
-        cs = expr.value.colorset
+        value = expr.value
+        cs = value.colorset
         if expected is not None and cs is not expected and cs != expected:
-            return ([f"literal of color {cs.name} where {expected.name} needed"], cs)
-        return ([], cs)
+            return ([f"literal of color {cs.name} where {expected.name} needed"], cs, None)
+        return ([], cs, (lambda binding: value) if build else None)
     if expr.kind == "tuple":
         if expected is None:
-            return (["tuple expression needs a known product context"], None)
+            return (["tuple expression needs a known product context"], None, None)
         if expected.kind != "product" or len(expected.components) != len(expr.args):
-            return ([f"tuple does not fit product {expected.name}"], None)
-        probs = []
+            return ([f"tuple does not fit product {expected.name}"], None, None)
+        probs, parts = [], []
         for a, c in zip(expr.args, expected.components):
-            probs += analyze_expr(a, c, env)[0]
-        return (probs, expected)
+            found, _, part = _analyze(a, c, env, build)
+            probs += found
+            parts.append(part)
+        if not build or probs:
+            return (probs, expected, None)
+        return ([], expected, lambda binding: Value(expected, tuple([f(binding) for f in parts])))
     name, args = expr.name, expr.args
     builtin = BUILTINS.get(name)
     if builtin is None or len(args) != builtin.arity:
-        return ([_call_problem(name, builtin)], None)
-    found, colors = [], []
+        return ([_call_problem(name, builtin)], None, None)
+    found, colors, operands = [], [], []
     for context in builtin.contexts:
         try:
             ctx = expected if context is None else context(name, expected, colors)
         except TypeMismatch as exc:
-            return ([*itertools.chain.from_iterable(found), str(exc)], None)
-        probs, cs = analyze_expr(args[len(colors)], ctx, env)
+            return ([*itertools.chain.from_iterable(found), str(exc)], None, None)
+        probs, cs, operand = _analyze(args[len(colors)], ctx, env, build)
         found.append(probs)
         colors.append(cs)
+        operands.append(operand)
     own, color = builtin.rule(name, expected, colors, args)
     # the builtin's own problems follow its first operand's and precede the rest
-    return ([*found[0], *own, *itertools.chain.from_iterable(found[1:])], color)
+    problems = [*found[0], *own, *itertools.chain.from_iterable(found[1:])]
+    if not build or problems:
+        return (problems, color, None)
+    evaluate = builtin.evaluate
+    if len(operands) == 1:
+        (only,) = operands
+        return ([], color, lambda binding: evaluate(color, [only(binding)], args))
+    return ([], color, lambda binding: evaluate(color, [f(binding) for f in operands], args))
 
 
 @dataclass(frozen=True)
@@ -684,6 +721,12 @@ class Net:
             procedures=list(self.procedures.values()),
             arcs=list(self.arcs),
         )
+
+    def __getstate__(self):
+        # transition plans hold closures; an unpickled net builds its own
+        state = dict(self.__dict__)
+        state.pop("_plans", None)
+        return state
 
     def __eq__(self, other):
         if not isinstance(other, Net):
@@ -888,14 +931,6 @@ def _type_check(net: Net) -> ValidationReport:
     return report_of(out)
 
 
-def _receive_value(transition: Transition, mailbox: Mailbox) -> Optional[Value]:
-    assert isinstance(transition.event, ReceiveEvent)
-    for ch, v in mailbox:
-        if ch == transition.event.channel:
-            return v
-    return None
-
-
 def iter_bindings(
     net: Net, marking: Marking, transition_id: str, mailbox: Mailbox = ()
 ) -> Iterator[dict[str, Value]]:
@@ -915,36 +950,67 @@ def iter_bindings(
     t = net.transitions.get(transition_id)
     if t is None:
         raise UnknownTransition(transition_id)
-    proc = net.procedures.get(t.procedure)
-    if proc is None:
+    if t.procedure not in net.procedures:
         raise InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
+    fixed = _received(t.event, mailbox)
+    if fixed is None:
+        return
+    guard = t.guard
+    passes = None if guard is None else (lambda binding: _guard_passes(guard, binding))
+    yield from _bindings(fixed, _arc_pairs(net.input_arcs(transition_id)), marking, passes)
 
-    fixed: dict[str, Value] = {}
-    if isinstance(t.event, ReceiveEvent):
-        msg = _receive_value(t, mailbox)
-        if msg is None:
-            return
-        fixed[t.event.var] = msg
 
-    arcs = net.input_arcs(transition_id)
+def _received(event: Event, mailbox: Mailbox) -> Optional[dict[str, Value]]:
+    """The binding a receive event fixes (the earliest message on its channel), or None
+    when no such message waits; an empty binding for any other event."""
+    if not isinstance(event, ReceiveEvent):
+        return {}
+    channel = event.channel
+    for ch, v in mailbox:
+        if ch == channel:
+            return {event.var: v}
+    return None
+
+
+def _arc_pairs(arcs) -> tuple[tuple[str, str], ...]:
+    return tuple([(arc.label, arc.place) for arc in arcs])
+
+
+def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[str, Value]]:
+    """`fixed` extended by one token per (label, place) input, in canonical order.
+
+    Only extensions whose tokens the marking holds together and that
+    `passes` (when given) accepts are yielded. Where each input takes a
+    place of its own, every combination of present tokens is held together.
+    """
     pools: list[list[Value]] = []
-    for arc in arcs:
-        pool = marking.get(arc.place).distinct()
+    for _, pid in inputs:
+        pool = marking.get(pid).distinct()
         if not pool:
             return
         pools.append(pool)
-
+    labels = [label for label, _ in inputs]
+    places = [pid for _, pid in inputs]
+    shared = len(set(places)) != len(places)
     for combo in itertools.product(*pools):
-        binding = dict(fixed)
-        by_place: dict[str, list[Value]] = {}
-        for arc, v in zip(arcs, combo):
-            binding[arc.label] = v
-            by_place.setdefault(arc.place, []).append(v)
-        if not all(marking.get(pid).contains(vs) for pid, vs in by_place.items()):
+        if shared and _short_place(marking, zip(places, combo)) is not None:
             continue
-        if t.guard is not None and not _guard_passes(t.guard, binding):
+        binding = dict(fixed)
+        binding.update(zip(labels, combo))
+        if passes is not None and not passes(binding):
             continue
         yield binding
+
+
+def _short_place(marking: Marking, taken) -> Optional[str]:
+    """The first place that lacks the tokens `taken` ((place, value) pairs) takes, or None."""
+    by_place: dict[str, list[Value]] = {}
+    for pid, v in taken:
+        by_place.setdefault(pid, []).append(v)
+    for pid, vs in by_place.items():
+        if not marking.get(pid).contains(vs):
+            return pid
+    return None
 
 
 def first_binding(
@@ -973,6 +1039,10 @@ def fire(
 ) -> tuple[Marking, list[Union[SentMessage, ReceivedMessage]]]:
     """Fire one transition under a binding, returning the new marking and events.
 
+    Every part of the binding is checked first: its cover of the inputs, the
+    presence of its tokens, the guard, and each procedure output and the
+    sent message under the checked evaluator (`eval_expr`).
+
     The caller owns mailbox bookkeeping: a receive binding must have been
     built from the earliest matching message, and the caller removes it.
     """
@@ -985,34 +1055,112 @@ def fire(
     if set(binding) != set(proc.input_names()):
         raise NotEnabled(f"binding does not cover the inputs of {t.id}")
 
-    arcs = net.input_arcs(transition_id)
-    by_place: dict[str, list[Value]] = {}
-    for arc in arcs:
-        by_place.setdefault(arc.place, []).append(binding[arc.label])
-    for pid, vs in by_place.items():
-        if not marking.get(pid).contains(vs):
-            raise NotEnabled(f"tokens for {t.id} not present in {pid}")
+    inputs = _arc_pairs(net.input_arcs(transition_id))
+    short = _short_place(marking, [(pid, binding[label]) for label, pid in inputs])
+    if short is not None:
+        raise NotEnabled(f"tokens for {t.id} not present in {short}")
     if t.guard is not None and not _guard_passes(t.guard, binding):
         raise NotEnabled(f"guard of {t.id} rejects the binding")
 
     results = invoke_procedure(proc, binding)
+    sent = None
+    if isinstance(t.event, SendEvent):
+        sent = eval_expr(t.event.message, {**binding, **results}, None)
+    outputs = _arc_pairs(net.output_arcs(transition_id))
+    return _occur(marking, inputs, outputs, t.event, binding, results, sent)
 
+
+def _occur(marking: Marking, inputs, outputs, event: Event, binding, results, sent):
+    """One occurrence: the new marking and the events. `fire` and `TransitionPlan.fire` both end here.
+
+    Each input's token leaves its place, each routed result enters its
+    place, and a receive or send event is reported (`sent` is the sent
+    value). Nothing is checked: the binding's tokens must be present.
+    """
+    places = marking._places
     changes: dict[str, Multiset] = {}
-    for pid, vs in by_place.items():
-        changes[pid] = marking.get(pid).minus(vs)
-    for arc in net.output_arcs(transition_id):
-        base = changes.get(arc.place, marking.get(arc.place))
-        changes[arc.place] = base.plus([results[arc.label]])
+    for label, pid in inputs:
+        changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).minus((binding[label],))
+    for label, pid in outputs:
+        changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).plus((results[label],))
     new_marking = marking.with_updates(changes)
+    if isinstance(event, ReceiveEvent):
+        return new_marking, [ReceivedMessage(event.channel, binding[event.var])]
+    if isinstance(event, SendEvent):
+        return new_marking, [SentMessage(event.channel, sent)]
+    return new_marking, []
 
-    events: list[Union[SentMessage, ReceivedMessage]] = []
-    if isinstance(t.event, ReceiveEvent):
-        events.append(ReceivedMessage(t.event.channel, binding[t.event.var]))
-    elif isinstance(t.event, SendEvent):
-        env = dict(binding)
-        env.update(results)
-        events.append(SentMessage(t.event.channel, eval_expr(t.event.message, env, None)))
-    return new_marking, events
+
+class TransitionPlan:
+    """How one transition of a well-typed net finds its first binding and fires.
+
+    Built once per transition by `transition_plans`, from a net whose
+    `type_check_net` report is empty, and trusting what that report proved:
+    the guard, each procedure output and the sent message are closures from
+    `compile_expr`, and `fire` checks neither the binding's cover nor its
+    tokens. Only bindings that `first_binding` returned for the same marking
+    and mailbox may be fired.
+    """
+
+    __slots__ = ("inputs", "distinct", "event", "guard", "outputs", "out_arcs", "send")
+
+    def __init__(self, net: Net, t: Transition):
+        proc = net.procedures[t.procedure]
+        env = dict(proc.inputs)
+        body = dict(proc.body)
+        # (label, place) pairs in label order, and whether no two share a place
+        self.inputs = _arc_pairs(net.input_arcs(t.id))
+        self.distinct = len({pid for _, pid in self.inputs}) == len(self.inputs)
+        self.event = t.event
+        self.guard = None
+        if t.guard is not None:
+            guard = compile_expr(t.guard, None, env)
+            self.guard = lambda binding: guard(binding).payload == "true"
+        self.outputs = tuple([(name, compile_expr(body[name], cs, env)) for name, cs in proc.outputs])
+        self.out_arcs = _arc_pairs(net.output_arcs(t.id))
+        self.send = None
+        if isinstance(t.event, SendEvent):
+            self.send = compile_expr(t.event.message, None, {**env, **dict(proc.outputs)})
+
+    def first_binding(self, marking: Marking, mailbox: Mailbox) -> Optional[dict[str, Value]]:
+        """The transition's canonically first binding, as `first_binding` finds it, or None."""
+        binding = _received(self.event, mailbox)
+        if binding is None:
+            return None
+        if not self.distinct or self.guard is not None:
+            return next(_bindings(binding, self.inputs, marking, self.guard), None)
+        # each input takes a place of its own and nothing filters: the head of every pool
+        places = marking._places
+        for label, pid in self.inputs:
+            ms = places.get(pid)
+            if ms is None:
+                return None
+            binding[label] = ms.distinct()[0]
+        return binding
+
+    def fire(self, marking: Marking, binding: dict) -> tuple[Marking, list]:
+        """The occurrence under a binding `first_binding` found for this marking."""
+        results = {name: run(binding) for name, run in self.outputs}
+        sent = None if self.send is None else self.send({**binding, **results})
+        return _occur(marking, self.inputs, self.out_arcs, self.event, binding, results, sent)
+
+
+def transition_plans(net: Net) -> dict[str, TransitionPlan]:
+    """The net's transition plans by id, in sorted id order.
+
+    They are built on first use and kept on the net, the way
+    `type_check_net` keeps its report, so a net carried across an adaptation
+    keeps them. Only a net whose report is empty gets plans; any other net
+    raises `InvalidModel`.
+    """
+    plans = getattr(net, "_plans", None)
+    if plans is None:
+        report = type_check_net(net)
+        if not report.empty:
+            raise InvalidModel(f"net {net.id} fails its type check: {report.entries[0].render()}")
+        plans = {tid: TransitionPlan(net, net.transitions[tid]) for tid in net.transition_ids}
+        net._plans = plans
+    return plans
 
 
 @dataclass(frozen=True)

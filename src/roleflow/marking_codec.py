@@ -10,7 +10,7 @@ identically-named places carry identical color sets.
 from __future__ import annotations
 
 from .cpn import Marking, Multiset, Net
-from .errors import FormatError, IncompatiblePlace, InvalidModel, VersionMismatch
+from .errors import FormatError, IncompatiblePlace, InvalidModel, RoleflowError, VersionMismatch
 from .textscan import parse_value_text
 
 MARKING_HEADER = "MRK1"
@@ -69,7 +69,7 @@ def restore_marking(data: bytes, net: Net) -> Marking:
                 raise FormatError(f"non-positive token count in {ln!r}")
             try:
                 value = parse_value_text(value_text, net.places[current].colorset)
-            except Exception as exc:
+            except RoleflowError as exc:
                 raise FormatError(f"bad token value in {ln!r}: {exc}") from exc
             places[current] = places[current].plus([value] * count)
         else:

@@ -37,6 +37,7 @@ from .errors import (
     FormatError,
     ModelSyntaxError,
     ResolutionError,
+    RoleflowError,
     TypeMismatch,
     UnknownOp,
     VersionMismatch,
@@ -403,6 +404,8 @@ class NetBuilder:
 
         def admit(cs: ColorSet):
             seen = table.get(cs.name)
+            if seen is cs:  # walked already: a shared component is walked once, not once per path
+                return
             if seen is not None and seen != cs:
                 raise ResolutionError(cs.name)
             table[cs.name] = cs
@@ -911,7 +914,7 @@ def read_context(data: bytes) -> Context:
             raise FormatError(f"{what} on channel '{ch}' without a declared color")
         try:
             return ch, parse_value_text(value_text, cs)
-        except Exception as exc:
+        except RoleflowError as exc:
             raise FormatError(f"bad {what} value: {exc}") from exc
 
     for ln in lines[1:]:
@@ -933,7 +936,7 @@ def read_context(data: bytes) -> Context:
             ch, _, descriptor = rest.partition(" : ")
             try:
                 channel_colors[ch.strip()] = parse_descriptor_text(descriptor.strip())
-            except Exception as exc:
+            except RoleflowError as exc:
                 raise FormatError(f"bad channel descriptor: {exc}") from exc
         elif head == "agent":
             current_agent = rest.strip()

@@ -35,8 +35,7 @@ from .cpn import (
     # wraps it in every roleflow module that holds it, and
     # perfbench/test_perfbench.py checks that this module does.
     enabled_bindings,  # noqa: F401
-    fire,
-    first_binding,
+    transition_plans,
 )
 from .decomposition import MultiAgentModel, synthesize
 from .errors import (
@@ -196,8 +195,9 @@ class RunnableSystem:
         del ready_set.dirty[bisect_left(ready_set.dirty, index)]
         state, task = self._states[index], self._tasks[index]
         found = None
-        for tid in task.transition_ids:
-            binding = first_binding(task, state._marking, tid, state._mailbox)
+        marking, mailbox = state._marking, state._mailbox
+        for tid, plan in transition_plans(task).items():
+            binding = plan.first_binding(marking, mailbox)
             if binding is not None:
                 found = (tid, binding)
                 break
@@ -336,7 +336,9 @@ def _agent_fire(system: RunnableSystem, aid: str) -> Progressed:
     """Fire the first enabled (transition, binding) in canonical order of an agent that can fire."""
     tid, binding = system.first_firing(aid)
     state = system.states[aid]
-    new_marking, events = fire(system.task(aid), state.marking, tid, binding)
+    # the binding is the plan's own, found for this very marking and mailbox
+    plan = transition_plans(system._tasks[state._index])[tid]
+    new_marking, events = plan.fire(state._marking, binding)
     state.marking = new_marking  # marks the agent dirty
     mailbox = state._mailbox
     for ev in events:

@@ -8,8 +8,10 @@ runs are checked against an exhaustive interleaving search.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
 import warnings
 
 from roleflow import (
@@ -24,8 +26,11 @@ from roleflow import (
     OutputArc,
     Place,
     ProcedureDef,
+    ReceivedMessage,
     ReceiveEvent,
     Role,
+    SendEvent,
+    SentMessage,
     Transition,
     Value,
     communication_structure,
@@ -106,6 +111,21 @@ def accounting_fire(net, marking, tid, binding):
         v = results[arc.label]
         counts[arc.place][v] = counts[arc.place].get(v, 0) + 1
     return Marking({pid: Multiset.from_counts(c) for pid, c in counts.items() if c})
+
+
+def accounting_events(net, tid, binding):
+    """Expected events of a firing: the received message, or the sent one
+    evaluated by `naive_eval_expr` over the binding and the procedure's results."""
+    t = net.transitions[tid]
+    if isinstance(t.event, ReceiveEvent):
+        return [ReceivedMessage(t.event.channel, binding[t.event.var])]
+    if isinstance(t.event, SendEvent):
+        proc = net.procedures[t.procedure]
+        body = dict(proc.body)
+        env = dict(binding)
+        env.update({rname: naive_eval_expr(body[rname], binding, rcs) for rname, rcs in proc.outputs})
+        return [SentMessage(t.event.channel, naive_eval_expr(t.event.message, env))]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -1033,6 +1053,32 @@ def nested_inputs(org_text: str, expr_depth: int, color_depth: int) -> dict:
         "channel descriptor": f"mas org1\nchannel c : {descriptor} from a to b\n",
         "context descriptor": f"CTX1\ncursor 0\nsteps 0\nchannel c : {descriptor}\n",
     }
+
+
+def shared_product_chain(org_text: str, k: int) -> str:
+    """`org_text` plus `colorset D0 = product(Tok,Tok)` and k-1 lines
+    `colorset Di = product(Di-1,Di-1)`: D{k-1} nests k products, and a walk
+    that follows every path through it visits D0 2^(k-1) times."""
+    lines = ["colorset D0 = product(Tok,Tok)"]
+    lines += [f"colorset D{i} = product(D{i - 1},D{i - 1})" for i in range(1, k)]
+    return org_text.replace("colorset Tok = int\n", "colorset Tok = int\n" + "\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed,
+    so that a runaway computation fails a test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pickle
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from roleflow import (
     ColorSet,
     Expr,
     InputArc,
+    InvalidModel,
     Marking,
     Multiset,
     Net,
@@ -16,7 +18,10 @@ from roleflow import (
     OutputArc,
     Place,
     ProcedureDef,
+    ReceivedMessage,
     ReceiveEvent,
+    Scenario,
+    SendEvent,
     SentMessage,
     StepFired,
     StepQuiescent,
@@ -28,14 +33,27 @@ from roleflow import (
     enabled_bindings,
     fire,
     first_binding,
+    go,
     iter_bindings,
+    parse_model,
+    parse_scenario,
     run_to_quiescence,
     step,
+    synthesize,
     type_check_net,
 )
+from roleflow.cpn import transition_plans
+from roleflow.runtime import QuiescentPass
 
-from conftest import TOK, tok
-from helpers import accounting_fire, brute_force_bindings, gen_bounded_net
+from conftest import MODELS, TOK, tok
+from helpers import (
+    accounting_events,
+    accounting_fire,
+    all_assignments,
+    brute_force_bindings,
+    gen_bounded_net,
+    gen_org,
+)
 
 
 def marking_of(net, **tokens):
@@ -433,3 +451,119 @@ class TestMultisetCaches:
         fresh = flagged(4, "true")
         assert fresh == v and hash(fresh) == first
         assert v.sort_key() == fresh.sort_key() == ("(4,true)", "Pair")
+
+
+# ---------------------------------------------------------------------------
+# transition plans, the runtime's compiled path, against the oracles
+
+
+def assert_plans_match_oracle(net, marking, mailbox=()):
+    """Each plan's first binding is the oracle's first, and firing it gives
+    `accounting_fire`'s marking and the oracle's events. Returns how many fired."""
+    fired = 0
+    for tid, plan in transition_plans(net).items():
+        expected = brute_force_bindings(net, marking, tid, mailbox)
+        binding = plan.first_binding(marking, mailbox)
+        assert binding == (expected[0] if expected else None), tid
+        if binding is not None:
+            want = (accounting_fire(net, marking, tid, binding), accounting_events(net, tid, binding))
+            assert plan.fire(marking, binding) == want, tid
+            assert fire(net, marking, tid, binding) == want, tid
+            fired += 1
+    return fired
+
+
+def build_send_net():
+    """A guarded transition with a receive, then a join on one place that sends a computed result."""
+    sent = Expr.call("addK", Expr.call("first", Expr.var("b")), Expr.lit(tok(10)))
+    procedures = [
+        ProcedureDef("f", (("a", PAIR), ("m", TOK)), (("o", PAIR),), (("o", Expr.var("a")),)),
+        ProcedureDef("g", (("a", PAIR), ("b", PAIR)), (("s", TOK),), (("s", sent),)),
+    ]
+    net = Net(
+        "send",
+        colorsets=[TOK, FLAG, PAIR],
+        places=[Place("p", PAIR), Place("q", PAIR)],
+        transitions=[
+            Transition("t", "R", "f", guard=Expr.call("second", Expr.var("a")), event=ReceiveEvent("ch", "m")),
+            Transition("u", "R", "g", event=SendEvent("out", Expr.var("s"))),
+        ],
+        procedures=procedures,
+        arcs=[InputArc("p", "t", "a"), OutputArc("t", "q", "o"), InputArc("q", "u", "a"), InputArc("q", "u", "b")],
+    )
+    assert type_check_net(net).empty
+    return net
+
+
+class TestTransitionPlans:
+    def test_bounded_family(self):
+        rng = random.Random(811)
+        fired = 0
+        for _ in range(150):
+            net, marking, mailbox = gen_bounded_net(rng)
+            fired += assert_plans_match_oracle(net, marking, mailbox)
+        assert fired > 50
+
+    @pytest.mark.parametrize(
+        "net_of",
+        [build_guarded_net, build_send_net] + [partial(build_join_net, g, r) for g in (False, True) for r in (False, True)],
+        ids=["guarded", "send", "join", "join-receive", "join-guarded", "join-guarded-receive"],
+    )
+    def test_hand_made_nets_along_their_runs(self, net_of):
+        """Guards, two input arcs on one place, a receive and a send, fired until quiescent."""
+        net = net_of()
+        rng = random.Random(812)
+        flags = [Value(FLAG, f) for f in ("false", "true")]
+        fired = 0
+        for _ in range(40):
+            color = net.places["p"].colorset
+            pool = flags if color == FLAG else [flagged(n, f.payload) for n in (1, 2, 10) for f in flags]
+            marking = Marking({"p": Multiset([rng.choice(pool) for _ in range(rng.randint(0, 5))])})
+            mailbox = [("ch", tok(rng.randint(0, 3))) for _ in range(rng.randint(0, 3))]
+            while True:
+                fired += assert_plans_match_oracle(net, marking, mailbox)
+                result = step(net, marking, mailbox)
+                if isinstance(result, StepQuiescent):
+                    break
+                marking = result.marking
+                if any(isinstance(ev, ReceivedMessage) for ev in result.events):
+                    mailbox.pop(0)
+        assert fired >= 10
+
+    def test_decomposed_agents_along_their_runs(self):
+        """Every agent of every system, at every state a deterministic run reaches."""
+        rng = random.Random(813)
+        dev = parse_model((MODELS / "devsociety.org").read_text()).model
+        cases = [(dev, parse_scenario((MODELS / "devsociety.scn").read_text()).assignment)]
+        while len(cases) < 30:
+            org = gen_org(rng, f"tp{len(cases)}")
+            cases.append((org, rng.choice(list(all_assignments(org.roles)))))
+        fired = 0
+        for org, assignment in cases:
+            system = synthesize(decompose(org, assignment))
+            for _ in range(200):
+                for aid in system.agent_ids:
+                    state = system.states[aid]
+                    fired += assert_plans_match_oracle(system.task(aid), state.marking, tuple(state._mailbox))
+                if isinstance(go(system, Scenario()), QuiescentPass):
+                    break
+        assert fired > 100
+
+    def test_only_a_clean_net_gets_plans(self, net1):
+        parts = net1.parts()
+        parts["transitions"] = [Transition("t", "", "inc1")]
+        unchecked = Net(**parts)
+        assert not type_check_net(unchecked).empty
+        with pytest.raises(InvalidModel, match="fails its type check"):
+            transition_plans(unchecked)
+        # the public functions stay checked and keep working on it
+        assert fire(unchecked, marking_of(unchecked, p=[1]), "t", {"n": tok(1)})[0] == marking_of(unchecked, q=[2])
+        assert transition_plans(net1) is transition_plans(net1)
+
+    def test_pickled_net_builds_its_own_plans(self, net1):
+        plans = transition_plans(net1)
+        back = pickle.loads(pickle.dumps(net1))
+        assert back == net1 and transition_plans(back) is not plans
+        marking = marking_of(net1, p=[4])
+        binding = transition_plans(back)["t"].first_binding(marking, ())
+        assert transition_plans(back)["t"].fire(marking, binding) == plans["t"].fire(marking, binding)

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from roleflow import (
     Value,
     eval_expr,
 )
-from roleflow.cpn import INT_MAX, INT_MIN, analyze_expr
+from roleflow.cpn import INT_MAX, INT_MIN, analyze_expr, compile_expr
 
 from conftest import TOK, tok
 from helpers import gen_colorset, gen_typed_expr, gen_untyped_expr, naive_eval_expr
@@ -193,6 +194,9 @@ def test_well_typed_expressions_match_the_naive_evaluator():
         want, want_warned = _outcome(naive_eval_expr, expr, binding, cs)
         assert isinstance(want, Value), (expr, want)
         assert (got, got_warned) == (want, want_warned), expr
+        # the compiled closure: same value, same SaturationWarning count
+        compiled = compile_expr(expr, cs, env)
+        assert _outcome(lambda e, b, x: compiled(b), expr, binding, cs) == (want, want_warned), expr
         clamped += bool(want_warned)
     # the generator reaches the 64-bit bound often enough to compare clamping
     assert clamped > 50, clamped
@@ -205,17 +209,31 @@ def test_ill_typed_expressions_raise_in_both_evaluators():
     binding = {"v0": tok(0), "v1": Value(TXT, "t"), "v2": Value(FLAG, "true")}
     binding["v3"] = Value(PAIR, (tok(3), Value(TXT, "u")))
     env = {name: v.colorset for name, v in binding.items()}
-    rejected = 0
+    env_with_unbound = {**env, "v4": TOK}  # compiles a use of v4 as well
+    rejected = same_words = 0
     for k in range(4000):
         expr = gen_untyped_expr(rng, colors)
         expected = rng.choice(colors + [None, None])
-        problems, _ = analyze_expr(expr, expected, env)
+        problems, color = analyze_expr(expr, expected, env)
         got, got_warned = _outcome(eval_expr, expr, binding, expected)
         want, want_warned = _outcome(naive_eval_expr, expr, binding, expected)
         if problems:
             rejected += 1
             assert isinstance(got, RoleflowError) and isinstance(want, RoleflowError), (expr, problems)
+            # a top-level variable, literal or ill-fitting tuple is one problem in one wording
+            if expr.kind in ("var", "lit") or (expr.kind == "tuple" and color is None):
+                assert str(got) == problems[0], expr
+                same_words += 1
         else:
             assert isinstance(want, Value), (expr, want)
             assert (got, got_warned) == (want, want_warned), expr
+        compile_problems = analyze_expr(expr, expected, env_with_unbound)[0]
+        if compile_problems:
+            with pytest.raises(TypeMismatch, match=f"^{re.escape(compile_problems[0])}$"):
+                compile_expr(expr, expected, env_with_unbound)
+        else:
+            compiled = compile_expr(expr, expected, env_with_unbound)
+            if not problems:
+                assert _outcome(lambda e, b, x: compiled(b), expr, binding, expected) == (want, want_warned)
     assert 1000 < rejected < 4000, rejected
+    assert same_words > 300, same_words

@@ -122,3 +122,16 @@ def test_value_canonical_text_round_trip(data):
     cs = gen_colorset(rng, "C")
     v = gen_value(rng, cs)
     assert parse_value_text(v.canonical(), cs) == v
+
+
+def test_program_faults_are_not_read_as_bad_tokens(net1, monkeypatch):
+    from roleflow import marking_codec
+
+    data = save_marking(net1, Marking({"p": Multiset([tok(1)])}))
+
+    def broken(*args):
+        raise RuntimeError("fault in the reader")
+
+    monkeypatch.setattr(marking_codec, "parse_value_text", broken)
+    with pytest.raises(RuntimeError, match="fault in the reader"):
+        restore_marking(data, net1)

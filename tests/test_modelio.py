@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 
 from roleflow import (
+    Expr,
     FormatError,
     ModelSyntaxError,
+    ProcedureDef,
     ResolutionError,
     RoleflowError,
     Scenario,
@@ -13,6 +15,7 @@ from roleflow import (
     VersionMismatch,
     canonical_net_text,
     decompose,
+    evolve,
     go,
     parse_model,
     parse_ops_text,
@@ -22,16 +25,26 @@ from roleflow import (
     save_context,
     serialize_model,
     synthesize,
+    validate_model,
     validate_organization,
     write_context,
 )
-from roleflow.adaptation import OP_KINDS
+from roleflow import modelio
+from roleflow.adaptation import OP_KINDS, AdaptationRequest, a_p
 from roleflow.runtime import TraceEntry
 from roleflow.modelio import MAX_EXPR_DEPTH, render_trace
 from roleflow.textscan import MAX_COLOR_DEPTH, tokenize
 
 from conftest import MODELS
-from helpers import all_assignments, gen_org, mutate_text, naive_tokenize, nested_inputs
+from helpers import (
+    all_assignments,
+    deadline,
+    gen_org,
+    mutate_text,
+    naive_tokenize,
+    nested_inputs,
+    shared_product_chain,
+)
 
 ORG1_TEXT = (MODELS / "org1.org").read_text()
 
@@ -107,6 +120,25 @@ class TestParseModel:
             parse_model(past["channel descriptor"])
         with pytest.raises(FormatError, match=f"expected {colors}$"):
             read_context(past["context descriptor"].encode())
+
+    def test_shared_product_chain_at_the_depth_cap(self):
+        # D{k-1} = product(D{k-2},D{k-2}) ... nests k products; each color is walked once
+        k = MAX_COLOR_DEPTH
+        text = shared_product_chain(ORG1_TEXT, k)
+        with deadline(20):
+            org = parse_model(text).model
+            assert validate_organization(org).empty
+            deep = org.global_task.colorsets[f"D{k - 1}"]
+            assert deep.depth == k
+            assert list(org.global_task.colorsets) == ["Tok"] + [f"D{i}" for i in range(k)]
+            # aP rebuilds agent1's task and closes its color table over the new procedure
+            mam = decompose(org, {"A": "agent1", "B": "agent2"})
+            keep = ProcedureDef("keep", (("x", deep),), (("y", deep),), (("y", Expr.var("x")),))
+            evolved, _ = evolve(mam, AdaptationRequest((a_p("agent1", keep),)))
+            task = evolved.agents["agent1"].task
+            assert task.colorsets[f"D{k - 1}"] is deep and len(task.colorsets) == k + 1
+            assert validate_model(evolved).empty
+            assert synthesize(evolved).agent_ids == ("agent1", "agent2")
 
     def test_unicode_decimal_digits_are_ints(self):
         # '٣' (ARABIC-INDIC DIGIT THREE) is a decimal digit, read as 3
@@ -262,6 +294,25 @@ class TestContextCodec:
     def test_unterminated_marking(self):
         data = b"CTX1\ncursor 0\nsteps 0\nagent a\nmarking-begin\nMRK1\n"
         with pytest.raises(FormatError):
+            read_context(data)
+
+    @pytest.mark.parametrize(
+        "target,steps,line",
+        [("parse_descriptor_text", 1, "channel "), ("parse_value_text", 1, "bus "), ("parse_value_text", 2, "mail ")],
+        ids=["channel", "bus", "mail"],
+    )
+    def test_program_faults_are_not_read_as_bad_input(self, mam1, monkeypatch, target, steps, line):
+        system = synthesize(mam1)
+        for _ in range(steps):  # tA's message is in flight after one step, in agent2's mailbox after two
+            go(system, Scenario())
+        data = write_context(save_context(system))
+        assert ("\n" + line).encode() in data and (b"\nbus " in data) == (steps == 1)
+
+        def broken(*args):
+            raise RuntimeError("fault in the reader")
+
+        monkeypatch.setattr(modelio, target, broken)
+        with pytest.raises(RuntimeError, match="fault in the reader"):
             read_context(data)
 
     def test_equal_states_give_equal_bytes(self, mam1):
