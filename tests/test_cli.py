@@ -123,6 +123,25 @@ class TestRun:
         code, _, err = run(capsys, *args)
         assert code == 3 and "nested products" in err
 
+    @pytest.mark.parametrize("where", ["bus", "mail"])
+    def test_resume_from_mis_colored_message_exits_2(self, capsys, tmp_path, where):
+        """A context may say a channel carries another color than the model's;
+        its message must not reach the receiving procedure."""
+        ctx = tmp_path / "snap.ctx"
+        base = ("run", MODELS / "org1.org", MODELS / "org1_run.scn")
+        code, _, _ = run(capsys, *base, "--checkpoint-at", 1, "--context", ctx)
+        assert code == 0 and "bus mid 1\n" in ctx.read_text()
+        text = ctx.read_text().replace("channel mid : Tok=int", "channel mid : Tok=text")
+        if where == "bus":
+            text = text.replace("bus mid 1\n", 'bus mid "x"\n')
+        else:  # already delivered: the message waits in agent2's mailbox
+            text = text.replace("bus mid 1\n", "").replace("marking-end\n", 'marking-end\nmail mid "x"\n')
+            text = text.replace('marking-end\nmail mid "x"\n', "marking-end\n", 1)
+        ctx.write_text(text)
+        code, out, err = run(capsys, *base, "--resume-from", ctx)
+        assert code == 2 and out == ""
+        assert "error: transition tB: variable 'n' has color Tok=text, needed Tok=int" in err
+
     def test_concurrent_mode(self, capsys):
         code, out, _ = run(
             capsys,

@@ -549,6 +549,22 @@ class TestTransitionPlans:
                     break
         assert fired > 100
 
+    @pytest.mark.parametrize(
+        "net_of, tokens, mailbox, name",
+        [
+            (build_guarded_net, [tok(1)], [], "b"),  # a guard: the search with a filter
+            (partial(build_join_net, False, False), [tok(1), tok(2)], [], "a"),  # one place twice
+            (partial(build_join_net, False, True), [flagged(1, "true")] * 2, [("ch", Value(FLAG, "true"))], "m"),
+            (build_send_net, [flagged(1, "true")], [("ch", flagged(2, "true"))], "m"),
+        ],
+        ids=["guarded", "join", "join-receive", "send"],
+    )
+    def test_mis_colored_values_raise_before_any_closure(self, net_of, tokens, mailbox, name):
+        """A marking or mailbox from outside the net may hold a value of the wrong color."""
+        net = net_of()
+        with pytest.raises(TypeMismatch, match=f"transition t: variable '{name}' has color"):
+            transition_plans(net)["t"].first_binding(Marking({"p": Multiset(tokens)}), mailbox)
+
     def test_only_a_clean_net_gets_plans(self, net1):
         parts = net1.parts()
         parts["transitions"] = [Transition("t", "", "inc1")]

@@ -10,6 +10,7 @@ import pytest
 from roleflow import (
     AdaptationNeeded,
     CoherenceError,
+    ColorSet,
     Delivered,
     Expr,
     InputArc,
@@ -27,6 +28,8 @@ from roleflow import (
     SentMessage,
     Transition,
     Trigger,
+    TypeMismatch,
+    Value,
     adaptive_loop,
     communication_structure,
     decompose,
@@ -607,6 +610,37 @@ class TestDeletedChannelHandling:
         assert resumed.states["agent2"].mailbox == []
         assert resumed.bus == []
         assert any("deleted channel side" in w for w in resumed.warnings)
+
+
+class TestForeignValues:
+    """Values a net is handed from outside (a mailbox, an assigned marking)
+    are checked against the receiving procedure's colors before it runs."""
+
+    TEXT = ColorSet("Tok", "text")
+
+    def identity_model(self):
+        text = (MODELS / "org1.org").read_text().replace("o = inc(n)", "o = n")
+        doc = parse_model(text)
+        return decompose(doc.model, {"A": "agent1", "B": "agent2"})
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_mis_colored_message_raises_before_the_procedure(self, seed):
+        system = synthesize(self.identity_model())
+        system.states["agent1"].marking = Marking()
+        system.states["agent2"].mailbox.append(("mid", Value(self.TEXT, "x")))
+        with pytest.raises(TypeMismatch, match="variable 'n' has color Tok=text, needed Tok=int"):
+            if seed is None:
+                adaptive_loop(system, Scenario())
+            else:
+                run_concurrent(system, Scenario(), seed)
+        assert system.states["agent2"].marking == Marking()
+
+    def test_mis_colored_token_in_an_assigned_marking_raises(self, mam1):
+        system = synthesize(mam1)
+        system.states["agent1"].marking = Marking({"in_": Multiset([Value(self.TEXT, "x")])})
+        with pytest.raises(TypeMismatch, match="transition tA: variable 'n' has color Tok=text"):
+            adaptive_loop(system, Scenario())
+        assert system.bus == []
 
 
 def evolve_chain(mam, ops):
