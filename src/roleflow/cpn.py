@@ -84,6 +84,26 @@ class ColorSet:
             body = self.kind
         return f"{self.name}={body}"
 
+    # Cached like `Value`'s hash: a color whose products share a component
+    # then hashes each distinct component once, not once per path through it.
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.name, self.kind, self.members, self.components))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # string hashes differ between processes: never pickle the cached hash
+        return {
+            "name": self.name,
+            "kind": self.kind,
+            "members": self.members,
+            "components": self.components,
+            "depth": self.depth,
+        }
+
 
 @dataclass(frozen=True)
 class Value:
@@ -176,11 +196,15 @@ def value_of(colorset: ColorSet, raw) -> Value:
 class Multiset:
     """An immutable bag of same-colored values.
 
-    The distinct values in canonical order are sorted once and then handed
-    from each multiset to the ones `plus` and `minus` derive from it.
+    The distinct values in canonical order are sorted once, with their sort
+    keys beside them, and then handed from each multiset to the ones `plus`
+    and `minus` derive from it. A derived multiset copies the count table
+    and, once sorted, the two lists at C level; it does Python-level work
+    only for the values it adds or removes, so one occurrence costs what it
+    moves, not what its places hold.
     """
 
-    __slots__ = ("_counts", "_distinct")
+    __slots__ = ("_counts", "_distinct", "_keys")
 
     def __init__(self, values: Iterable[Value] = ()):
         counts: dict[Value, int] = {}
@@ -193,6 +217,7 @@ class Multiset:
             counts[v] = counts.get(v, 0) + 1
         self._counts = counts
         self._distinct: Optional[list[Value]] = None
+        self._keys: Optional[list] = None
 
     @classmethod
     def from_counts(cls, counts: Mapping[Value, int]) -> "Multiset":
@@ -205,13 +230,14 @@ class Multiset:
                 color = v.colorset
             elif v.colorset != color:
                 raise TypeMismatch("multiset mixes color sets")
-        return cls._of(dict(counts), None)
+        return cls._of(dict(counts), None, None)
 
     @classmethod
-    def _of(cls, counts: dict[Value, int], distinct: Optional[list[Value]]) -> "Multiset":
+    def _of(cls, counts: dict[Value, int], distinct: Optional[list[Value]], keys: Optional[list]) -> "Multiset":
         ms = cls.__new__(cls)
         ms._counts = counts
         ms._distinct = distinct
+        ms._keys = keys
         return ms
 
     def items(self) -> list[tuple[Value, int]]:
@@ -228,6 +254,7 @@ class Multiset:
         """The distinct values in canonical order. Shared: callers must not mutate it."""
         if self._distinct is None:
             self._distinct = sorted(self._counts, key=Value.sort_key)
+            self._keys = [v.sort_key() for v in self._distinct]
         return self._distinct
 
     def count(self, v: Value) -> int:
@@ -241,7 +268,9 @@ class Multiset:
         return not self._counts
 
     def plus(self, values: Iterable[Value]) -> "Multiset":
-        counts = dict(self._counts)
+        # `copy` keeps the stored hashes; `dict(...)` re-inserts every entry
+        # once the table has deleted slots
+        counts = self._counts.copy()
         color = next(iter(counts)).colorset if counts else None
         fresh = []
         for v in values:
@@ -253,15 +282,18 @@ class Multiset:
             if n == 0:
                 fresh.append(v)
             counts[v] = n + 1
-        distinct = self._distinct
+        distinct, keys = self._distinct, self._keys
         if distinct is not None and fresh:
-            distinct = list(distinct)
+            distinct, keys = distinct.copy(), keys.copy()
             for v in fresh:
-                bisect.insort(distinct, v, key=Value.sort_key)
-        return Multiset._of(counts, distinct)
+                key = v.sort_key()
+                i = bisect.bisect_right(keys, key)
+                keys.insert(i, key)
+                distinct.insert(i, v)
+        return Multiset._of(counts, distinct, keys)
 
     def minus(self, values: Iterable[Value]) -> "Multiset":
-        counts = dict(self._counts)
+        counts = self._counts.copy()
         gone = []
         for v in values:
             n = counts.get(v, 0)
@@ -272,13 +304,16 @@ class Multiset:
                 gone.append(v)
             else:
                 counts[v] = n - 1
-        distinct = self._distinct
+        distinct, keys = self._distinct, self._keys
         if distinct is not None and gone:
-            distinct = list(distinct)
-            for v in gone:
-                start = bisect.bisect_left(distinct, v.sort_key(), key=Value.sort_key)
-                del distinct[distinct.index(v, start)]
-        return Multiset._of(counts, distinct)
+            if len(gone) == 1 and distinct[0] is gone[0]:  # the head, as a plan takes it
+                distinct, keys = distinct[1:], keys[1:]
+            else:
+                distinct, keys = distinct.copy(), keys.copy()
+                for v in gone:
+                    i = distinct.index(v, bisect.bisect_left(keys, v.sort_key()))
+                    del distinct[i], keys[i]
+        return Multiset._of(counts, distinct, keys)
 
     def contains(self, values: Iterable[Value]) -> bool:
         need: dict[Value, int] = {}
@@ -617,14 +652,19 @@ class ReceiveEvent:
 Event = Union[SendEvent, ReceiveEvent, None]
 
 
-@dataclass(frozen=True)
-class SentMessage:
+# The event records are built on every occurrence, so they are named tuples:
+# immutable, hashable and picklable like a frozen dataclass, without one
+# `object.__setattr__` per field. Like any tuple, a record compares equal to
+# a tuple of the same items, so a sent and a received message on the same
+# channel with the same value are equal; tell them apart with isinstance.
+
+
+class SentMessage(NamedTuple):
     channel: str
     value: Value
 
 
-@dataclass(frozen=True)
-class ReceivedMessage:
+class ReceivedMessage(NamedTuple):
     channel: str
     value: Value
 
@@ -979,6 +1019,11 @@ def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[st
     Only extensions whose tokens the marking holds together and that
     `passes` (when given) accepts are yielded. Where each input takes a
     place of its own, every combination of present tokens is held together.
+
+    The combinations are counted through the pools in place, last input
+    fastest, as `itertools.product` would give them, but without copying
+    each pool first: the first binding costs O(inputs), not O(tokens). The
+    pools are the multisets' shared `distinct()` lists, which never change.
     """
     pools: list[list[Value]] = []
     for _, pid in inputs:
@@ -989,14 +1034,25 @@ def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[st
     labels = [label for label, _ in inputs]
     places = [pid for _, pid in inputs]
     shared = len(set(places)) != len(places)
-    for combo in itertools.product(*pools):
-        if shared and _short_place(marking, zip(places, combo)) is not None:
-            continue
-        binding = dict(fixed)
-        binding.update(zip(labels, combo))
-        if passes is not None and not passes(binding):
-            continue
-        yield binding
+    positions = [0] * len(pools)
+    combo = [pool[0] for pool in pools]
+    while True:
+        if not shared or _short_place(marking, zip(places, combo)) is None:
+            binding = dict(fixed)
+            binding.update(zip(labels, combo))
+            if passes is None or passes(binding):
+                yield binding
+        # the next combination: the last input that is not at its pool's end
+        # moves on, and every input after it starts over
+        j = len(pools) - 1
+        while j >= 0 and positions[j] + 1 == len(pools[j]):
+            positions[j] = 0
+            combo[j] = pools[j][0]
+            j -= 1
+        if j < 0:
+            return
+        positions[j] += 1
+        combo[j] = pools[j][positions[j]]
 
 
 def _short_place(marking: Marking, taken) -> Optional[str]:

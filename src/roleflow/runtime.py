@@ -29,6 +29,7 @@ from .adaptation import AdaptationRequest, PlanImpact, diff_models, evolve
 from .cpn import (
     Marking,
     ReceivedMessage,
+    ReceiveEvent,
     SentMessage,
     Value,
     # Not called here any more. It stays bound because the benchmark's tracer
@@ -44,6 +45,7 @@ from .errors import (
     ImpactMismatch,
     IncompatiblePlace,
     RoleflowError,
+    TypeMismatch,
 )
 from .marking_codec import restore_marking, save_marking
 
@@ -253,16 +255,18 @@ class RunnableSystem:
         return True
 
 
-@dataclass(frozen=True)
-class Progressed:
+# The records built on every step are named tuples, as `cpn.SentMessage` is:
+# no `object.__setattr__` per field, and equal to a tuple of the same items.
+
+
+class Progressed(NamedTuple):
     agent: str
     transition: str
-    binding: tuple
+    binding: tuple  # (name, Value) pairs sorted by name
     events: tuple
 
 
-@dataclass(frozen=True)
-class Delivered:
+class Delivered(NamedTuple):
     agent: str
     channel: str
     value: Value
@@ -299,8 +303,7 @@ class Scenario:
             raise ValueError("trigger steps must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step: int
     agent: str
     kind: str  # fired | delivered | adapted | quiescent
@@ -321,8 +324,9 @@ class FinalReport:
     warnings: tuple[str, ...]
 
 
-def _fired_detail(transition: str, binding: dict, events) -> str:
-    bound = ",".join(f"{k}={binding[k].canonical()}" for k in sorted(binding))
+def _fired_detail(transition: str, binding: tuple, events) -> str:
+    """The trace detail of a firing; `binding` holds (name, Value) pairs sorted by name."""
+    bound = ",".join(f"{k}={v.canonical()}" for k, v in binding)
     text = f"{transition} {bound}" if bound else transition
     for ev in events:
         if isinstance(ev, SentMessage):
@@ -546,10 +550,18 @@ def resume_context(
       agent.
 
     Messages in flight on deleted channels are dropped with a warning too.
+
+    A context read from bytes types each message by the file's own
+    `channel` lines, so every message it keeps must have the color the new
+    model gives its channel; a message that does not raises `TypeMismatch`.
+    A context from `save_context` holds only messages the runtime sent, and
+    skips the check.
     """
     if context.version != CONTEXT_VERSION:
         raise ContextCorrupt(f"unsupported context version '{context.version}'")
     ids, live = new_system.agent_ids, context._live
+    if live is None:
+        _check_message_colors(new_system.model, context)
     # agent id -> (task, Marking, ready-set entry); a context read from
     # bytes has no task, and MRK1 bytes in place of the Marking
     if live is None:
@@ -613,6 +625,30 @@ def resume_context(
     new_system.cursor = context.cursor % max(1, len(new_system.agent_ids))
     new_system.step_count = context.step_count
     return new_system
+
+
+def _check_message_colors(model: MultiAgentModel, context: Context) -> None:
+    """Raise `TypeMismatch` for the first mailbox or bus message of the context
+    whose color is not its channel's in `model`; messages on channels the model
+    lacks are left to `resume_context` to drop."""
+    channels = model.channels
+    messages = [m for _, mail in context.agent_mailboxes for m in mail]
+    messages += context.bus
+    for ch, value in messages:
+        channel = channels.get(ch)
+        if channel is None:
+            continue
+        got, need = value.colorset, channel.colorset
+        if got is need or got == need:
+            continue
+        colors = f"has color {got.descriptor()}, needed {need.descriptor()}"
+        task = model.agents[channel.consumer].task
+        for tid in task.transition_ids:
+            event = task.transitions[tid].event
+            if isinstance(event, ReceiveEvent) and event.channel == ch:
+                # worded as the transition's own check would word it
+                raise TypeMismatch(f"transition {tid}: variable '{event.var}' {colors}, on channel {ch}")
+        raise TypeMismatch(f"channel {ch}: a message {colors}")
 
 
 def resume_run(context: Context, model: MultiAgentModel, scenario: Scenario) -> RunnableSystem:
@@ -681,7 +717,7 @@ def _run(system, scenario, step, checkpoint_at=None, checkpoint_sink=None) -> Fi
                         system.step_count - 1,
                         outcome.agent,
                         "fired",
-                        _fired_detail(outcome.transition, dict(outcome.binding), outcome.events),
+                        _fired_detail(outcome.transition, outcome.binding, outcome.events),
                     )
                 )
             elif isinstance(outcome, Delivered):

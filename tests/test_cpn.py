@@ -1,5 +1,7 @@
 import pickle
 import random
+import sys
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -51,6 +53,7 @@ from helpers import (
     accounting_fire,
     all_assignments,
     brute_force_bindings,
+    deadline,
     gen_bounded_net,
     gen_org,
 )
@@ -444,6 +447,38 @@ class TestMultisetCaches:
         with pytest.raises(TypeMismatch):
             ms.plus([tok(3), flagged(1, "true")])
 
+    def test_versions_match_a_counter_model(self):
+        """Random plus/minus chains against a Counter: every earlier version
+        still reads as it did, and a held `distinct()` list never changes."""
+        rng = random.Random(805)
+        for _ in range(40):
+            model = Counter()
+            ms = Multiset()
+            versions = []  # (multiset, its Counter, its distinct() list, a copy of that list)
+            for _ in range(rng.randint(1, 40)):
+                present = list(model.elements())
+                if present and rng.random() < 0.45:
+                    gone = rng.sample(present, rng.randint(1, min(3, len(present))))
+                    if rng.random() < 0.5:  # equal values, but not the objects the multiset holds
+                        gone = [tok(v.payload) for v in gone]
+                    ms = ms.minus(gone)
+                    model.subtract(gone)
+                    model = +model
+                else:
+                    added = [tok(rng.randint(-5, 30)) for _ in range(rng.randint(1, 4))]
+                    ms = ms.plus(added)
+                    model.update(added)
+                held = ms.distinct() if rng.random() < 0.6 else None
+                versions.append((ms, Counter(model), held, None if held is None else list(held)))
+                for old, counts, held, snapshot in versions:
+                    live = sorted(counts, key=Value.sort_key)
+                    assert old.distinct() == live
+                    assert old.items() == [(v, counts[v]) for v in live]
+                    assert held is None or (held == snapshot and old.distinct() is held)
+                    twin = Multiset.from_counts(counts)
+                    assert old == twin and hash(old) == hash(twin)
+                    assert old.total() == sum(counts.values())
+
     def test_cached_value_hash_matches_a_fresh_equal_value(self):
         v = flagged(4, "true")
         first = hash(v)
@@ -451,6 +486,28 @@ class TestMultisetCaches:
         fresh = flagged(4, "true")
         assert fresh == v and hash(fresh) == first
         assert v.sort_key() == fresh.sort_key() == ("(4,true)", "Pair")
+
+
+class TestColorSetHash:
+    @staticmethod
+    def chain(depth):
+        """`depth` nested products, each of two references to the one below."""
+        cs = TOK
+        for i in range(depth):
+            cs = ColorSet(f"D{i}", "product", components=(cs, cs))
+        return cs
+
+    def test_shared_chain_hashes_at_once(self):
+        with deadline(2):
+            assert hash(self.chain(32)) == hash(self.chain(32))
+        assert hash(self.chain(3)) != hash(self.chain(4))
+
+    def test_pickle_drops_the_cached_hash(self):
+        cs = self.chain(2)
+        hash(cs)
+        assert "_hash" not in cs.__getstate__()
+        back = pickle.loads(pickle.dumps(cs))
+        assert back == cs and hash(back) == hash(cs) and back.depth == 2
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +524,9 @@ def assert_plans_match_oracle(net, marking, mailbox=()):
         assert binding == (expected[0] if expected else None), tid
         if binding is not None:
             want = (accounting_fire(net, marking, tid, binding), accounting_events(net, tid, binding))
-            assert plan.fire(marking, binding) == want, tid
-            assert fire(net, marking, tid, binding) == want, tid
+            for got in (plan.fire(marking, binding), fire(net, marking, tid, binding)):
+                # events are tuples: a sent and a received message can be equal, their types not
+                assert got == want and list(map(type, got[1])) == list(map(type, want[1])), tid
             fired += 1
     return fired
 
@@ -583,3 +641,125 @@ class TestTransitionPlans:
         marking = marking_of(net1, p=[4])
         binding = transition_plans(back)["t"].first_binding(marking, ())
         assert transition_plans(back)["t"].fire(marking, binding) == plans["t"].fire(marking, binding)
+
+
+def build_loop_net():
+    """One transition that takes a token from p and puts it back incremented."""
+    net = Net(
+        "loop",
+        colorsets=[TOK],
+        places=[Place("p", TOK)],
+        transitions=[Transition("t", "R", "inc1")],
+        procedures=[
+            ProcedureDef("inc1", (("n", TOK),), (("o", TOK),), (("o", Expr.call("inc", Expr.var("n"))),))
+        ],
+        arcs=[InputArc("p", "t", "n"), OutputArc("t", "p", "o")],
+    )
+    assert type_check_net(net).empty
+    return net
+
+
+def python_calls(fn):
+    """How many Python-level functions `fn()` calls, generator resumptions included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestOccurrenceCost:
+    """A firing costs what it moves, whatever its places hold."""
+
+    NETS = {
+        # the head leaves p and a value p lacks enters it
+        "loop": (build_loop_net, lambda n: [tok(2 * i) for i in range(n)]),
+        # two tokens leave one place, the second not its head
+        "join": (partial(build_join_net, False, False), lambda n: [flagged(i, "true") for i in range(n)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_plan_fire_matches_accounting_on_large_places(self, name):
+        build, tokens = self.NETS[name]
+        net = build()
+        rng = random.Random(814)
+        values = tokens(2000)
+        marking = Marking({"p": Multiset(values + rng.sample(values, 300))})
+        plan = transition_plans(net)["t"]
+        for _ in range(25):
+            binding = plan.first_binding(marking, ())
+            want = accounting_fire(net, marking, "t", binding)
+            got, events = plan.fire(marking, binding)
+            assert got == want and events == []
+            assert got.get("p").distinct() == sorted(want.get("p").distinct(), key=Value.sort_key)
+            marking = got
+
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_python_calls_do_not_grow_with_the_place(self, name):
+        build, tokens = self.NETS[name]
+        net = build()
+        counts = []
+        for n in (20, 2000):
+            marking = Marking({"p": Multiset(tokens(n))})
+            plan = transition_plans(net)["t"]
+            binding = plan.first_binding(marking, ())  # sorts the pool
+            counts.append(python_calls(lambda: plan.fire(marking, binding)))
+        assert counts[0] == counts[1]
+
+
+def random_join_case(rng):
+    """A transition with one to three input arcs on one or two places, maybe a
+    guard, and pools of up to 500 tokens; the token combinations stay few
+    enough for the oracle to enumerate."""
+    while True:
+        n_in = rng.randint(1, 3)
+        names = [f"a{j}" for j in range(n_in)]
+        arcs = [InputArc(rng.choice(["p", "q"]), "t", name) for name in names]
+        sizes = {pid: rng.choice([0, 1, 3, 6, 40, 500, 500]) for pid in ("p", "q")}
+        combos = 1
+        for arc in arcs:
+            combos *= sizes[arc.place]
+        if combos <= 4000:
+            break
+    guard = Expr.call("second", Expr.var(rng.choice(names))) if rng.random() < 0.5 else None
+    net = Net(
+        "odometer",
+        colorsets=[TOK, FLAG, PAIR],
+        places=[Place("p", PAIR), Place("q", PAIR), Place("r", PAIR)],
+        transitions=[Transition("t", "R", "f", guard=guard)],
+        procedures=[ProcedureDef("f", tuple((n, PAIR) for n in names), (("o", PAIR),), (("o", Expr.var("a0")),))],
+        arcs=arcs + [OutputArc("t", "r", "o")],
+    )
+    assert type_check_net(net).empty
+    spread = rng.choice([2, 10, 1000])  # few distinct values, or mostly distinct ones
+    flags = ["false", "true"] if rng.random() < 0.7 else ["false"]
+    marking = Marking(
+        {pid: Multiset([flagged(rng.randrange(spread), rng.choice(flags)) for _ in range(n)]) for pid, n in sizes.items()}
+    )
+    return net, marking
+
+
+class TestBindingOdometer:
+    def test_guards_shared_places_and_large_pools_match_brute_force(self):
+        rng = random.Random(815)
+        shapes = Counter()
+        for _ in range(50):
+            net, marking = random_join_case(rng)
+            expected = brute_force_bindings(net, marking, "t")
+            assert enabled_bindings(net, marking, "t") == expected
+            assert transition_plans(net)["t"].first_binding(marking, ()) == (expected[0] if expected else None)
+            places = [arc.place for arc in net.input_arcs("t")]
+            pools = [len(marking.get(pid)) for pid in places]
+            shapes["shared"] += len(set(places)) < len(places)
+            shapes["guarded"] += net.transitions["t"].guard is not None
+            shapes["large"] += max(pools) == 500
+            shapes["enabled"] += bool(expected)
+        assert min(shapes.values()) >= 8, shapes

@@ -11,6 +11,7 @@ from roleflow import (
     AdaptationNeeded,
     CoherenceError,
     ColorSet,
+    Context,
     Delivered,
     Expr,
     InputArc,
@@ -22,6 +23,7 @@ from roleflow import (
     Place,
     ProcedureDef,
     Progressed,
+    ReceivedMessage,
     QuiescentPass,
     Role,
     Scenario,
@@ -42,10 +44,11 @@ from roleflow import (
     save_context,
     synthesize,
     system_ended,
+    TraceEntry,
     write_context,
 )
 from roleflow.adaptation import AdaptationRequest, modify_agent, rp_p, rp_t
-from roleflow.modelio import render_trace
+from roleflow.modelio import read_context, render_trace
 import roleflow.runtime as runtime_mod
 
 from conftest import MODELS, TOK, tok
@@ -105,6 +108,41 @@ class TestGo:
         for _ in range(3):
             go(system, Scenario())
         assert isinstance(go(system, Scenario()), QuiescentPass)
+
+
+STEP_RECORDS = [
+    (SentMessage("mid", tok(1)), "SentMessage(channel='mid', value=Value(Tok:1))"),
+    (ReceivedMessage("mid", tok(1)), "ReceivedMessage(channel='mid', value=Value(Tok:1))"),
+    (
+        Progressed("agent1", "tA", (("n", tok(1)),), (SentMessage("mid", tok(1)),)),
+        "Progressed(agent='agent1', transition='tA', binding=(('n', Value(Tok:1)),),"
+        " events=(SentMessage(channel='mid', value=Value(Tok:1)),))",
+    ),
+    (Delivered("agent2", "mid", tok(1)), "Delivered(agent='agent2', channel='mid', value=Value(Tok:1))"),
+    (TraceEntry(3, "agent2", "fired", "tB n=1"), "TraceEntry(step=3, agent='agent2', kind='fired', detail='tB n=1')"),
+]
+
+
+@pytest.mark.parametrize("record, text", STEP_RECORDS, ids=[type(r).__name__ for r, _ in STEP_RECORDS])
+def test_step_records_keep_fields_repr_and_immutability(record, text):
+    cls = type(record)
+    fields = {
+        SentMessage: ("channel", "value"),
+        ReceivedMessage: ("channel", "value"),
+        Progressed: ("agent", "transition", "binding", "events"),
+        Delivered: ("agent", "channel", "value"),
+        TraceEntry: ("step", "agent", "kind", "detail"),
+    }[cls]
+    assert cls._fields == fields
+    assert repr(record) == text
+    items = tuple(getattr(record, name) for name in fields)
+    twin = cls(*items)
+    assert twin == record and hash(twin) == hash(record) and twin == items
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is cls and back == record and hash(back) == hash(record)
 
 
 class TestSystemEnded:
@@ -641,6 +679,45 @@ class TestForeignValues:
         with pytest.raises(TypeMismatch, match="transition tA: variable 'n' has color Tok=text"):
             adaptive_loop(system, Scenario())
         assert system.bus == []
+
+
+    @staticmethod
+    def context_with(system, mail=(), bus=()):
+        """The system's context through its bytes, with messages added to
+        agent2's mailbox and to the bus."""
+        ctx = read_context(write_context(save_context(system)))
+        mailboxes = tuple((aid, box + tuple(mail) if aid == "agent2" else box) for aid, box in ctx.agent_mailboxes)
+        return Context(ctx.version, ctx.agent_markings, mailboxes, ctx.bus + tuple(bus), ctx.cursor, ctx.step_count)
+
+    @pytest.mark.parametrize("where", ["mail", "bus"])
+    def test_resume_from_bytes_checks_message_colors(self, mam1, where):
+        system = synthesize(mam1)
+        message = ("mid", Value(self.TEXT, "x"))
+        ctx = self.context_with(system, **{where: [message]})
+        with pytest.raises(
+            TypeMismatch, match="transition tB: variable 'n' has color Tok=text, needed Tok=int, on channel mid"
+        ):
+            resume_run(ctx, mam1, Scenario())
+        # a message of the channel's color passes, as do ones on channels the model lacks
+        ctx = self.context_with(system, **{where: [("mid", tok(5)), ("gone", Value(self.TEXT, "x"))]})
+        assert adaptive_loop(resume_run(ctx, mam1, Scenario()), Scenario()).final_markings["agent2"].get("out_")
+
+    def test_a_message_no_transition_receives_is_checked_too(self, mam1):
+        parts = mam1.agents["agent2"].task.parts()
+        parts.update(transitions=[], arcs=[], procedures=[])
+        idle, _ = evolve_chain(mam1, [rp_t("agent2", Net(**parts))])
+        ctx = self.context_with(synthesize(idle), mail=[("mid", Value(self.TEXT, "x"))])
+        with pytest.raises(TypeMismatch, match="^channel mid: a message has color Tok=text, needed Tok=int$"):
+            resume_run(ctx, idle, Scenario())
+
+    def test_a_context_from_save_context_is_not_checked(self, mam1, monkeypatch):
+        checked = []
+        monkeypatch.setattr(runtime_mod, "_check_message_colors", lambda model, ctx: checked.append(ctx))
+        scenario = Scenario(triggers=(Trigger(1, AdaptationRequest((rp_p("agent2", "inc1", inc2()),))),))
+        assert adaptive_loop(synthesize(mam1), scenario).adaptations
+        assert checked == []
+        resume_run(self.context_with(synthesize(mam1)), mam1, Scenario())
+        assert len(checked) == 1
 
 
 def evolve_chain(mam, ops):
