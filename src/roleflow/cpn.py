@@ -306,13 +306,10 @@ class Multiset:
                 counts[v] = n - 1
         distinct, keys = self._distinct, self._keys
         if distinct is not None and gone:
-            if len(gone) == 1 and distinct[0] is gone[0]:  # the head, as a plan takes it
-                distinct, keys = distinct[1:], keys[1:]
-            else:
-                distinct, keys = distinct.copy(), keys.copy()
-                for v in gone:
-                    i = distinct.index(v, bisect.bisect_left(keys, v.sort_key()))
-                    del distinct[i], keys[i]
+            distinct, keys = distinct.copy(), keys.copy()
+            for v in gone:
+                i = distinct.index(v, bisect.bisect_left(keys, v.sort_key()))
+                del distinct[i], keys[i]
         return Multiset._of(counts, distinct, keys)
 
     def contains(self, values: Iterable[Value]) -> bool:
@@ -652,18 +649,34 @@ class ReceiveEvent:
 Event = Union[SendEvent, ReceiveEvent, None]
 
 
+def typed_record(cls):
+    """Give a named-tuple record a frozen dataclass's equality: equal only to
+    a record of its own type with equal items, never to a plain tuple or to
+    a record of another type. The hash stays the tuple's."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _record_eq, _record_ne, tuple.__hash__
+    return cls
+
+
+def _record_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other):
+    return not _record_eq(self, other)
+
+
 # The event records are built on every occurrence, so they are named tuples:
 # immutable, hashable and picklable like a frozen dataclass, without one
-# `object.__setattr__` per field. Like any tuple, a record compares equal to
-# a tuple of the same items, so a sent and a received message on the same
-# channel with the same value are equal; tell them apart with isinstance.
+# `object.__setattr__` per field.
 
 
+@typed_record
 class SentMessage(NamedTuple):
     channel: str
     value: Value
 
 
+@typed_record
 class ReceivedMessage(NamedTuple):
     channel: str
     value: Value
@@ -1019,11 +1032,6 @@ def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[st
     Only extensions whose tokens the marking holds together and that
     `passes` (when given) accepts are yielded. Where each input takes a
     place of its own, every combination of present tokens is held together.
-
-    The combinations are counted through the pools in place, last input
-    fastest, as `itertools.product` would give them, but without copying
-    each pool first: the first binding costs O(inputs), not O(tokens). The
-    pools are the multisets' shared `distinct()` lists, which never change.
     """
     pools: list[list[Value]] = []
     for _, pid in inputs:
@@ -1034,25 +1042,14 @@ def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[st
     labels = [label for label, _ in inputs]
     places = [pid for _, pid in inputs]
     shared = len(set(places)) != len(places)
-    positions = [0] * len(pools)
-    combo = [pool[0] for pool in pools]
-    while True:
-        if not shared or _short_place(marking, zip(places, combo)) is None:
-            binding = dict(fixed)
-            binding.update(zip(labels, combo))
-            if passes is None or passes(binding):
-                yield binding
-        # the next combination: the last input that is not at its pool's end
-        # moves on, and every input after it starts over
-        j = len(pools) - 1
-        while j >= 0 and positions[j] + 1 == len(pools[j]):
-            positions[j] = 0
-            combo[j] = pools[j][0]
-            j -= 1
-        if j < 0:
-            return
-        positions[j] += 1
-        combo[j] = pools[j][positions[j]]
+    for combo in itertools.product(*pools):
+        if shared and _short_place(marking, zip(places, combo)) is not None:
+            continue
+        binding = dict(fixed)
+        binding.update(zip(labels, combo))
+        if passes is not None and not passes(binding):
+            continue
+        yield binding
 
 
 def _short_place(marking: Marking, taken) -> Optional[str]:
@@ -1204,6 +1201,11 @@ class TransitionPlan:
         return _occur(marking, self.inputs, self.out_arcs, self.event, binding, results, sent)
 
 
+def color_mismatch(tid: str, var: str, got: ColorSet, need: ColorSet) -> str:
+    """How a value of the wrong color bound to a transition's variable is reported."""
+    return f"transition {tid}: variable '{var}' has color {got.descriptor()}, needed {need.descriptor()}"
+
+
 def _admission(t: Transition, env: Mapping[str, ColorSet], guard: Optional[Callable]) -> Callable:
     """A `passes` for `_bindings`: each value has its input's color, then the guard holds."""
     colors = tuple(env.items())
@@ -1212,9 +1214,7 @@ def _admission(t: Transition, env: Mapping[str, ColorSet], guard: Optional[Calla
         for name, cs in colors:
             got = binding[name].colorset
             if got is not cs and got != cs:
-                raise TypeMismatch(
-                    f"transition {t.id}: variable '{name}' has color {got.descriptor()}, needed {cs.descriptor()}"
-                )
+                raise TypeMismatch(color_mismatch(t.id, name, got, cs))
         return guard is None or guard(binding).payload == "true"
 
     return passes

@@ -32,11 +32,13 @@ from .cpn import (
     ReceiveEvent,
     SentMessage,
     Value,
+    color_mismatch,
     # Not called here any more. It stays bound because the benchmark's tracer
     # wraps it in every roleflow module that holds it, and
     # perfbench/test_perfbench.py checks that this module does.
     enabled_bindings,  # noqa: F401
     transition_plans,
+    typed_record,
 )
 from .decomposition import MultiAgentModel, synthesize
 from .errors import (
@@ -256,9 +258,10 @@ class RunnableSystem:
 
 
 # The records built on every step are named tuples, as `cpn.SentMessage` is:
-# no `object.__setattr__` per field, and equal to a tuple of the same items.
+# no `object.__setattr__` per field, and equal only to records of their type.
 
 
+@typed_record
 class Progressed(NamedTuple):
     agent: str
     transition: str
@@ -266,6 +269,7 @@ class Progressed(NamedTuple):
     events: tuple
 
 
+@typed_record
 class Delivered(NamedTuple):
     agent: str
     channel: str
@@ -303,6 +307,7 @@ class Scenario:
             raise ValueError("trigger steps must be strictly increasing")
 
 
+@typed_record
 class TraceEntry(NamedTuple):
     step: int
     agent: str
@@ -560,8 +565,6 @@ def resume_context(
     if context.version != CONTEXT_VERSION:
         raise ContextCorrupt(f"unsupported context version '{context.version}'")
     ids, live = new_system.agent_ids, context._live
-    if live is None:
-        _check_message_colors(new_system.model, context)
     # agent id -> (task, Marking, ready-set entry); a context read from
     # bytes has no task, and MRK1 bytes in place of the Marking
     if live is None:
@@ -603,6 +606,9 @@ def resume_context(
         state._marking = marking
         if mail:
             kept = [m for m in mail if m[0] in channels]
+            if live is None:
+                for ch, v in kept:
+                    _check_message_color(new_system.model, ch, v)
             if len(kept) != len(mail):
                 entry = _DIRTY
                 warnings.extend(
@@ -619,6 +625,8 @@ def resume_context(
     new_system.bus = []
     for ch, v in context.bus:
         if ch in channels or ch == ADAPT_CHANNEL:
+            if live is None and ch in channels:
+                _check_message_color(new_system.model, ch, v)
             new_system.bus.append((ch, v))
         else:
             warnings.append(f"dropped in-flight message on deleted channel {ch}")
@@ -627,28 +635,20 @@ def resume_context(
     return new_system
 
 
-def _check_message_colors(model: MultiAgentModel, context: Context) -> None:
-    """Raise `TypeMismatch` for the first mailbox or bus message of the context
-    whose color is not its channel's in `model`; messages on channels the model
-    lacks are left to `resume_context` to drop."""
-    channels = model.channels
-    messages = [m for _, mail in context.agent_mailboxes for m in mail]
-    messages += context.bus
-    for ch, value in messages:
-        channel = channels.get(ch)
-        if channel is None:
-            continue
-        got, need = value.colorset, channel.colorset
-        if got is need or got == need:
-            continue
-        colors = f"has color {got.descriptor()}, needed {need.descriptor()}"
-        task = model.agents[channel.consumer].task
-        for tid in task.transition_ids:
-            event = task.transitions[tid].event
-            if isinstance(event, ReceiveEvent) and event.channel == ch:
-                # worded as the transition's own check would word it
-                raise TypeMismatch(f"transition {tid}: variable '{event.var}' {colors}, on channel {ch}")
-        raise TypeMismatch(f"channel {ch}: a message {colors}")
+def _check_message_color(model: MultiAgentModel, ch: str, value: Value) -> None:
+    """Raise `TypeMismatch` if a message kept from a context read from bytes
+    lacks the color `model` gives its channel `ch`."""
+    channel = model.channels[ch]
+    got, need = value.colorset, channel.colorset
+    if got is need or got == need:
+        return
+    task = model.agents[channel.consumer].task
+    for tid in task.transition_ids:
+        event = task.transitions[tid].event
+        if isinstance(event, ReceiveEvent) and event.channel == ch:
+            # worded as the receiving transition's own check
+            raise TypeMismatch(f"{color_mismatch(tid, event.var, got, need)}, on channel {ch}")
+    raise TypeMismatch(f"channel {ch}: a message has color {got.descriptor()}, needed {need.descriptor()}")
 
 
 def resume_run(context: Context, model: MultiAgentModel, scenario: Scenario) -> RunnableSystem:

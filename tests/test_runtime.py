@@ -137,7 +137,12 @@ def test_step_records_keep_fields_repr_and_immutability(record, text):
     assert repr(record) == text
     items = tuple(getattr(record, name) for name in fields)
     twin = cls(*items)
-    assert twin == record and hash(twin) == hash(record) and twin == items
+    assert twin == record and hash(twin) == hash(record)
+    # equal only to a record of its own type, as a frozen dataclass was
+    assert record != items and not record == items and items != record
+    other = ReceivedMessage if cls is SentMessage else SentMessage
+    if len(items) == 2:
+        assert record != other(*items) and other(*items) != record
     for name in (fields[0], "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -710,14 +715,27 @@ class TestForeignValues:
         with pytest.raises(TypeMismatch, match="^channel mid: a message has color Tok=text, needed Tok=int$"):
             resume_run(ctx, idle, Scenario())
 
+    def test_messages_resume_drops_are_not_checked(self, mam1):
+        """A mis-colored message that resuming drops anyway, in the mailbox of
+        a plan-modifying agent or of an agent the model lacks, is no error."""
+        bad = ("mid", Value(self.TEXT, "x"))
+        ctx = self.context_with(synthesize(mam1), mail=[bad])
+        modified, impact = evolve_chain(mam1, [rp_t("agent2", hold_task())])
+        assert impact.per_agent["agent2"] == "modifying"
+        assert resume_context(synthesize(modified), ctx, impact).states["agent2"].mailbox == []
+        ctx = self.context_with(synthesize(mam1))
+        mailboxes = ctx.agent_mailboxes + (("ghost", (bad,)),)
+        ghost = Context(ctx.version, ctx.agent_markings, mailboxes, ctx.bus, ctx.cursor, ctx.step_count)
+        assert adaptive_loop(resume_run(ghost, mam1, Scenario()), Scenario()).end_reason == "quiescence"
+
     def test_a_context_from_save_context_is_not_checked(self, mam1, monkeypatch):
         checked = []
-        monkeypatch.setattr(runtime_mod, "_check_message_colors", lambda model, ctx: checked.append(ctx))
+        monkeypatch.setattr(runtime_mod, "_check_message_color", lambda model, ch, v: checked.append(ch))
         scenario = Scenario(triggers=(Trigger(1, AdaptationRequest((rp_p("agent2", "inc1", inc2()),))),))
         assert adaptive_loop(synthesize(mam1), scenario).adaptations
         assert checked == []
-        resume_run(self.context_with(synthesize(mam1)), mam1, Scenario())
-        assert len(checked) == 1
+        resume_run(self.context_with(synthesize(mam1), mail=[("mid", tok(5))], bus=[("mid", tok(6))]), mam1, Scenario())
+        assert checked == ["mid", "mid"]
 
 
 def evolve_chain(mam, ops):
