@@ -391,7 +391,7 @@ def _clamped(n: int) -> int:
 
 
 class Builtin(NamedTuple):
-    """One expression builtin, walked over colors by `analyze_expr` and over values by `eval_expr`.
+    """One expression builtin, walked over colors by `_analyze`, whose closures are the only evaluator.
 
     `contexts` has one entry per typed operand: `None` gives the operand the
     call's expected color; a function of the builtin's name, the expected color
@@ -485,48 +485,14 @@ def _call_problem(name: str, builtin: Builtin | None) -> str:
 
 
 def eval_expr(expr: Expr, binding: Mapping[str, Value], expected: ColorSet | None = None) -> Value:
-    """Evaluate an expression under a binding.
+    """Evaluate an expression under a binding, through the closure a transition plan would run.
 
-    Tuple construction needs an expected product color set from the caller;
-    every other form carries or derives its own color.
+    The expression is compiled over the binding's colors; its first problem
+    is raised instead, as `UnboundVariable` for an unbound name and as
+    `TypeMismatch` otherwise. A tuple needs an expected product color.
     """
-    kind = expr.kind
-    if kind == "var":
-        if expr.name not in binding:
-            raise UnboundVariable(f"unbound variable '{expr.name}'")
-        v = binding[expr.name]
-        # colors are mostly shared objects: `is` spares the field-by-field compare
-        if expected is not None and v.colorset is not expected and v.colorset != expected:
-            raise TypeMismatch(
-                f"variable '{expr.name}' has color {v.colorset.name}, needed {expected.name}"
-            )
-        return v
-    if kind == "lit":
-        cs = expr.value.colorset
-        if expected is not None and cs is not expected and cs != expected:
-            raise TypeMismatch(f"literal of color {cs.name} where {expected.name} needed")
-        return expr.value
-    if kind == "tuple":
-        if expected is None:
-            raise TypeMismatch("tuple expression needs a known product context")
-        if expected.kind != "product" or len(expr.args) != len(expected.components):
-            raise TypeMismatch(f"tuple does not fit product {expected.name}")
-        return Value(expected, tuple(eval_expr(a, binding, c) for a, c in zip(expr.args, expected.components)))
-    name, args = expr.name, expr.args
-    builtin = BUILTINS.get(name)
-    if builtin is None or len(args) != builtin.arity:
-        raise TypeMismatch(_call_problem(name, builtin))
-    _, contexts, rule, evaluate = builtin
-    values, colors = [], []
-    for context in contexts:
-        ctx = expected if context is None else context(name, expected, colors)
-        v = eval_expr(args[len(values)], binding, ctx)
-        values.append(v)
-        colors.append(v.colorset)
-    problems, color = rule(name, expected, colors, args)
-    if problems:
-        raise TypeMismatch(problems[0])
-    return evaluate(color, values, args)
+    _, run = _checked(expr, expected, {name: v.colorset for name, v in binding.items()})
+    return run(binding)
 
 
 def analyze_expr(
@@ -543,13 +509,23 @@ def compile_expr(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorS
     The closure trusts the static colors: it checks no type and no binding
     cover, so it must only see bindings that give each name of `env` a value
     of its color. An expression `analyze_expr` finds a problem in raises
-    `TypeMismatch` here instead. Builtins evaluate through `BUILTINS`, so
-    `SaturationWarning` clamping is the same as in `eval_expr`.
+    `TypeMismatch` here instead. This is the one evaluator: `eval_expr` and
+    every transition plan run such closures, which call the `BUILTINS`
+    evaluators, so clamping and its `SaturationWarning` are the same in each.
     """
     problems, _, run = _analyze(expr, expected, env, True)
     if problems:
         raise TypeMismatch(problems[0])
     return run
+
+
+def _checked(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet]):
+    """(color, closure) of an expression; its first problem is raised as
+    `UnboundVariable` when it is an unbound name, as `TypeMismatch` otherwise."""
+    problems, color, run = _analyze(expr, expected, env, True)
+    if problems:
+        raise (UnboundVariable if problems[0].startswith("unbound variable ") else TypeMismatch)(problems[0])
+    return color, run
 
 
 def _analyze(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet], build: bool):
@@ -621,17 +597,6 @@ class ProcedureDef:
 
     def output_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.outputs)
-
-
-def invoke_procedure(proc: ProcedureDef, binding: Mapping[str, Value]) -> dict[str, Value]:
-    body = dict(proc.body)
-    results: dict[str, Value] = {}
-    for rname, rcs in proc.outputs:
-        try:
-            results[rname] = eval_expr(body[rname], binding, rcs)
-        except (UnboundVariable, TypeMismatch, KeyError) as exc:
-            raise ProcedureFailure(f"procedure {proc.name}, output {rname}: {exc}") from exc
-    return results
 
 
 @dataclass(frozen=True)
@@ -996,18 +961,15 @@ def iter_bindings(
     pools already runs in canonical order and nothing is sorted. This holds
     for nets whose input arc labels are distinct, which `type_check_net`
     requires.
+
+    The bindings pass the `passes` of a `TransitionPlan` built for this call,
+    on any net: each value has its input's color, then the guard holds.
     """
-    t = net.transitions.get(transition_id)
-    if t is None:
-        raise UnknownTransition(transition_id)
-    if t.procedure not in net.procedures:
-        raise InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
-    fixed = _received(t.event, mailbox)
+    plan = TransitionPlan(net, transition_id)
+    fixed = _received(plan.event, mailbox)
     if fixed is None:
         return
-    guard = t.guard
-    passes = None if guard is None else (lambda binding: _guard_passes(guard, binding))
-    yield from _bindings(fixed, _arc_pairs(net.input_arcs(transition_id)), marking, passes)
+    yield from _bindings(fixed, plan.inputs, marking, plan.passes)
 
 
 def _received(event: Event, mailbox: Mailbox) -> Optional[dict[str, Value]]:
@@ -1030,7 +992,7 @@ def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[st
     """`fixed` extended by one token per (label, place) input, in canonical order.
 
     Only extensions whose tokens the marking holds together and that
-    `passes` (when given) accepts are yielded. Where each input takes a
+    `passes` accepts are yielded. Where each input takes a
     place of its own, every combination of present tokens is held together.
     """
     pools: list[list[Value]] = []
@@ -1047,9 +1009,8 @@ def _bindings(fixed: dict, inputs, marking: Marking, passes) -> Iterator[dict[st
             continue
         binding = dict(fixed)
         binding.update(zip(labels, combo))
-        if passes is not None and not passes(binding):
-            continue
-        yield binding
+        if passes(binding):
+            yield binding
 
 
 def _short_place(marking: Marking, taken) -> Optional[str]:
@@ -1077,91 +1038,58 @@ def enabled_bindings(
     return list(iter_bindings(net, marking, transition_id, mailbox))
 
 
-def _guard_passes(guard: Expr, binding: Binding) -> bool:
-    v = eval_expr(guard, binding, None)
-    if v.colorset.kind != "enum":
-        raise TypeMismatch("guard evaluated to a non-enum value")
-    return v.payload == "true"
-
-
 def fire(
     net: Net, marking: Marking, transition_id: str, binding: Binding
 ) -> tuple[Marking, list[Union[SentMessage, ReceivedMessage]]]:
     """Fire one transition under a binding, returning the new marking and events.
 
-    Every part of the binding is checked first: its cover of the inputs, the
-    presence of its tokens, the guard, and each procedure output and the
-    sent message under the checked evaluator (`eval_expr`).
+    The checks stand in front of a `TransitionPlan` built for this call, on
+    any net. The binding must cover the procedure's inputs, the marking must
+    hold its tokens, and the plan's `passes` must accept it: each value has
+    its input's color, then the guard holds. Only then does the plan fire it.
 
     The caller owns mailbox bookkeeping: a receive binding must have been
     built from the earliest matching message, and the caller removes it.
     """
-    t = net.transitions.get(transition_id)
-    if t is None:
-        raise UnknownTransition(transition_id)
-    proc = net.procedures.get(t.procedure)
-    if proc is None:
-        raise InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
+    plan = TransitionPlan(net, transition_id)
+    proc = net.procedures[net.transitions[transition_id].procedure]
     if set(binding) != set(proc.input_names()):
-        raise NotEnabled(f"binding does not cover the inputs of {t.id}")
-
-    inputs = _arc_pairs(net.input_arcs(transition_id))
-    short = _short_place(marking, [(pid, binding[label]) for label, pid in inputs])
+        raise NotEnabled(f"binding does not cover the inputs of {transition_id}")
+    short = _short_place(marking, [(pid, binding[label]) for label, pid in plan.inputs])
     if short is not None:
-        raise NotEnabled(f"tokens for {t.id} not present in {short}")
-    if t.guard is not None and not _guard_passes(t.guard, binding):
-        raise NotEnabled(f"guard of {t.id} rejects the binding")
-
-    results = invoke_procedure(proc, binding)
-    sent = None
-    if isinstance(t.event, SendEvent):
-        sent = eval_expr(t.event.message, {**binding, **results}, None)
-    outputs = _arc_pairs(net.output_arcs(transition_id))
-    return _occur(marking, inputs, outputs, t.event, binding, results, sent)
-
-
-def _occur(marking: Marking, inputs, outputs, event: Event, binding, results, sent):
-    """One occurrence: the new marking and the events. `fire` and `TransitionPlan.fire` both end here.
-
-    Each input's token leaves its place, each routed result enters its
-    place, and a receive or send event is reported (`sent` is the sent
-    value). Nothing is checked: the binding's tokens must be present.
-    """
-    places = marking._places
-    changes: dict[str, Multiset] = {}
-    for label, pid in inputs:
-        changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).minus((binding[label],))
-    for label, pid in outputs:
-        changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).plus((results[label],))
-    new_marking = marking.with_updates(changes)
-    if isinstance(event, ReceiveEvent):
-        return new_marking, [ReceivedMessage(event.channel, binding[event.var])]
-    if isinstance(event, SendEvent):
-        return new_marking, [SentMessage(event.channel, sent)]
-    return new_marking, []
+        raise NotEnabled(f"tokens for {transition_id} not present in {short}")
+    if not plan.passes(binding):
+        raise NotEnabled(f"guard of {transition_id} rejects the binding")
+    return plan.fire(marking, binding)
 
 
 class TransitionPlan:
-    """How one transition of a well-typed net finds its first binding and fires.
+    """How one transition finds its bindings and fires: the one firing rule.
 
-    Built once per transition by `transition_plans`, from a net whose
-    `type_check_net` report is empty, and trusting what that report proved:
-    the guard, each procedure output and the sent message are closures from
-    `compile_expr`, and `fire` checks neither the binding's cover nor its
-    tokens. Only bindings that `first_binding` returned for the same marking
-    and mailbox may be fired.
+    The runtime uses the plans `transition_plans` keeps for a clean net; the
+    checked functions build one per call, on any net. Building one checks
+    what the plan runs: the transition and its procedure exist, and its
+    arcs and receive variable feed each input once and route only results
+    (else `InvalidModel`); the guard, an enum, and the sent message compile
+    (else `UnboundVariable` or `TypeMismatch`); each output has a
+    well-typed body (else `ProcedureFailure`).
 
-    What the report cannot prove is the color of a value the net is handed:
-    a mailbox holds messages read from a context or put there by a caller,
-    and a marking may be assigned from outside. So `first_binding` checks
-    each candidate's values against the procedure's input colors, and raises
-    `TypeMismatch` on a mismatch, before the guard or any closure sees them.
+    `fire` checks neither the binding's cover nor its tokens. What no check
+    of the net can prove is the color of a value it is handed (a mailbox
+    message, a marking assigned from outside), so `passes` checks each
+    binding value against its input's color, and raises `TypeMismatch`,
+    before the guard or any closure sees it.
     """
 
     __slots__ = ("inputs", "heads", "event", "passes", "outputs", "out_arcs", "send")
 
-    def __init__(self, net: Net, t: Transition):
-        proc = net.procedures[t.procedure]
+    def __init__(self, net: Net, transition_id: str):
+        t = net.transitions.get(transition_id)
+        if t is None:
+            raise UnknownTransition(transition_id)
+        proc = net.procedures.get(t.procedure)
+        if proc is None:
+            raise InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
         env = dict(proc.inputs)
         body = dict(proc.body)
         # (label, place) pairs in label order, and whether the first binding
@@ -1169,12 +1097,38 @@ class TransitionPlan:
         self.inputs = _arc_pairs(net.input_arcs(t.id))
         self.heads = len({pid for _, pid in self.inputs}) == len(self.inputs) and t.guard is None
         self.event = t.event
-        self.passes = _admission(t, env, None if t.guard is None else compile_expr(t.guard, None, env))
-        self.outputs = tuple([(name, compile_expr(body[name], cs, env)) for name, cs in proc.outputs])
+        fed = [label for label, _ in self.inputs] + ([t.event.var] if isinstance(t.event, ReceiveEvent) else [])
+        if sorted(fed) != sorted(env):
+            raise InvalidModel(f"transition {t.id}: arcs and receive variable must feed each input once")
         self.out_arcs = _arc_pairs(net.output_arcs(t.id))
+        if not {label for label, _ in self.out_arcs} <= set(proc.output_names()):
+            raise InvalidModel(f"transition {t.id}: an output arc routes no procedure result")
+        guard = None
+        if t.guard is not None:
+            color, guard = _checked(t.guard, None, env)
+            if color.kind != "enum":
+                raise TypeMismatch(f"guard of {t.id} has color {color.name}, not an enum")
+        colors = tuple(env.items())
+
+        def passes(binding: dict) -> bool:
+            # the `passes` of `_bindings`: each value has its input's color, then the guard holds
+            for name, cs in colors:
+                got = binding[name].colorset
+                if got is not cs and got != cs:
+                    raise TypeMismatch(color_mismatch(t.id, name, got, cs))
+            return guard is None or guard(binding).payload == "true"
+
+        self.passes = passes
+        outputs = []
+        for name, cs in proc.outputs:
+            try:
+                outputs.append((name, compile_expr(body[name], cs, env)))
+            except (KeyError, TypeMismatch) as exc:
+                raise ProcedureFailure(f"procedure {proc.name}, output {name}: {exc}") from exc
+        self.outputs = tuple(outputs)
         self.send = None
         if isinstance(t.event, SendEvent):
-            self.send = compile_expr(t.event.message, None, {**env, **dict(proc.outputs)})
+            self.send = _checked(t.event.message, None, {**env, **dict(proc.outputs)})[1]
 
     def first_binding(self, marking: Marking, mailbox: Mailbox) -> Optional[dict[str, Value]]:
         """The transition's canonically first binding, as `first_binding` finds it, or None."""
@@ -1194,30 +1148,32 @@ class TransitionPlan:
             binding[label] = ms.distinct()[0]
         return binding if self.passes(binding) else None
 
-    def fire(self, marking: Marking, binding: dict) -> tuple[Marking, list]:
-        """The occurrence under a binding `first_binding` found for this marking."""
+    def fire(self, marking: Marking, binding: Binding) -> tuple[Marking, list]:
+        """The occurrence under an admitted binding: the new marking and the events.
+
+        Each input's token leaves its place, each routed result enters its
+        place, and a receive or send event is reported. Nothing is checked:
+        the binding's tokens must be present.
+        """
         results = {name: run(binding) for name, run in self.outputs}
-        sent = None if self.send is None else self.send({**binding, **results})
-        return _occur(marking, self.inputs, self.out_arcs, self.event, binding, results, sent)
+        places = marking._places
+        changes: dict[str, Multiset] = {}
+        for label, pid in self.inputs:
+            changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).minus((binding[label],))
+        for label, pid in self.out_arcs:
+            changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).plus((results[label],))
+        new_marking = marking.with_updates(changes)
+        event = self.event
+        if isinstance(event, ReceiveEvent):
+            return new_marking, [ReceivedMessage(event.channel, binding[event.var])]
+        if self.send is not None:
+            return new_marking, [SentMessage(event.channel, self.send({**binding, **results}))]
+        return new_marking, []
 
 
 def color_mismatch(tid: str, var: str, got: ColorSet, need: ColorSet) -> str:
     """How a value of the wrong color bound to a transition's variable is reported."""
     return f"transition {tid}: variable '{var}' has color {got.descriptor()}, needed {need.descriptor()}"
-
-
-def _admission(t: Transition, env: Mapping[str, ColorSet], guard: Optional[Callable]) -> Callable:
-    """A `passes` for `_bindings`: each value has its input's color, then the guard holds."""
-    colors = tuple(env.items())
-
-    def passes(binding: dict) -> bool:
-        for name, cs in colors:
-            got = binding[name].colorset
-            if got is not cs and got != cs:
-                raise TypeMismatch(color_mismatch(t.id, name, got, cs))
-        return guard is None or guard(binding).payload == "true"
-
-    return passes
 
 
 def transition_plans(net: Net) -> dict[str, TransitionPlan]:
@@ -1233,7 +1189,7 @@ def transition_plans(net: Net) -> dict[str, TransitionPlan]:
         report = type_check_net(net)
         if not report.empty:
             raise InvalidModel(f"net {net.id} fails its type check: {report.entries[0].render()}")
-        plans = {tid: TransitionPlan(net, net.transitions[tid]) for tid in net.transition_ids}
+        plans = {tid: TransitionPlan(net, tid) for tid in net.transition_ids}
         net._plans = plans
     return plans
 
@@ -1254,10 +1210,8 @@ class StepQuiescent:
 StepResult = Union[StepFired, StepQuiescent]
 
 
-def step(net: Net, marking: Marking, mailbox: Mailbox = (), policy: str = "deterministic") -> StepResult:
+def step(net: Net, marking: Marking, mailbox: Mailbox = ()) -> StepResult:
     """Fire the first enabled (transition, binding) in canonical order, if any."""
-    if policy != "deterministic":
-        raise ValueError(f"unsupported policy '{policy}'")
     for tid in net.transition_ids:
         binding = first_binding(net, marking, tid, mailbox)
         if binding is not None:

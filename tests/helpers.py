@@ -34,8 +34,6 @@ from roleflow import (
     Transition,
     Value,
     communication_structure,
-    enabled_bindings,
-    fire,
     validate_organization,
 )
 from roleflow.cpn import INT_MAX, INT_MIN
@@ -426,18 +424,13 @@ def _initial_state(mam):
     return markings, mailboxes, []
 
 
-def _agent_canonical_firing(task, marking, mailbox):
-    for tid in sorted(task.transitions):
-        bindings = enabled_bindings(task, marking, tid, mailbox)
-        if bindings:
-            return tid, bindings[0]
-    return None
-
-
 def enumerate_final_states(mam, max_states=200_000):
-    """All terminal (markings, mailboxes) reachable by interleaving agent steps."""
-    from roleflow.cpn import ReceivedMessage, SentMessage
+    """All terminal (markings, mailboxes) reachable by interleaving agent steps.
 
+    Each agent's move is its canonically first firing, found by brute force
+    and applied by count accounting, so no library enabling or firing code
+    takes part.
+    """
     init = _initial_state(mam)
     seen = set()
     finals = set()
@@ -457,9 +450,7 @@ def enumerate_final_states(mam, max_states=200_000):
                 delivered_channels.add(ch)
                 moves.append(("deliver", i))
         for aid in sorted(mam.agents):
-            choice = _agent_canonical_firing(
-                mam.agents[aid].task, markings[aid], mailboxes[aid]
-            )
+            choice = naive_first_firing(mam.agents[aid].task, markings[aid], mailboxes[aid])
             if choice is not None:
                 moves.append(("fire", aid, choice))
 
@@ -488,9 +479,8 @@ def enumerate_final_states(mam, max_states=200_000):
             else:
                 aid, (tid, binding) = move[1], move[2]
                 task = mam.agents[aid].task
-                new_marking, events = fire(task, m2[aid], tid, binding)
-                m2[aid] = new_marking
-                for ev in events:
+                m2[aid] = accounting_fire(task, m2[aid], tid, binding)
+                for ev in accounting_events(task, tid, binding):
                     if isinstance(ev, ReceivedMessage):
                         for i, (ch, _) in enumerate(mb2[aid]):
                             if ch == ev.channel:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from roleflow import (
     ColorSet,
     Expr,
+    Firing,
     InputArc,
     InvalidModel,
     Marking,
@@ -20,8 +21,11 @@ from roleflow import (
     OutputArc,
     Place,
     ProcedureDef,
+    ProcedureFailure,
     ReceivedMessage,
     ReceiveEvent,
+    RoleflowError,
+    RunResult,
     Scenario,
     SendEvent,
     SentMessage,
@@ -32,6 +36,7 @@ from roleflow import (
     Value,
     decompose,
     TypeMismatch,
+    UnboundVariable,
     enabled_bindings,
     fire,
     first_binding,
@@ -47,7 +52,7 @@ from roleflow import (
 from roleflow.cpn import transition_plans
 from roleflow.runtime import QuiescentPass
 
-from conftest import MODELS, TOK, tok
+from conftest import MODELS, TOK, build_net1, tok
 from helpers import (
     accounting_events,
     accounting_fire,
@@ -387,6 +392,64 @@ def test_duplicate_ids_rejected_at_construction():
 
     with pytest.raises(InvalidModel):
         Net("dup", colorsets=[TOK], places=[Place("p", TOK), Place("p", TOK)])
+
+
+def net1_with(**parts):
+    changed = build_net1().parts()
+    changed.update(parts)
+    return Net(**changed)
+
+
+def fired_into(pid):
+    """What the five checked functions give for net1 firing its token 1 into `pid`."""
+    binding, after = {"n": tok(1)}, Marking({pid: Multiset([tok(2)])})
+    firing = Firing("t", (("n", tok(1)),), ())
+    return ([binding], binding, (after, []), StepFired("t", binding, after, ()), RunResult(after, (firing,), False))
+
+
+TXT = ColorSet("Txt", "text")
+INC1 = partial(ProcedureDef, "inc1", (("n", TOK),), (("out", TOK),))
+# One net per type-check code: (id, parts that replace net1's, the code the net
+# violates, and the outcomes of enabled_bindings, first_binding, fire, step and
+# run_to_quiescence, or the one error class all five raise).
+ILL_TYPED = [
+    ("role-less", dict(transitions=[Transition("t", "", "inc1")]), "role", fired_into("q")),
+    ("initial-marking", dict(places=[Place("p", TOK, Multiset([Value(TXT, "a")])), Place("q", TOK)]), "initial-marking", TypeMismatch),
+    ("guard-int", dict(transitions=[Transition("t", "R", "inc1", guard=Expr.var("n"))]), "guard", TypeMismatch),
+    ("guard-unbound", dict(transitions=[Transition("t", "R", "inc1", guard=Expr.var("zz"))]), "guard", UnboundVariable),
+    ("output-ill-typed", dict(procedures=[INC1((("out", Expr.lit(Value(TXT, "x"))),))]), "procedure", ProcedureFailure),
+    ("output-missing", dict(procedures=[INC1(())]), "procedure", ProcedureFailure),
+    ("send-unknown-name", dict(transitions=[Transition("t", "R", "inc1", event=SendEvent("ch", Expr.var("zz")))]), "event", UnboundVariable),
+    ("missing-input-arc", dict(arcs=[OutputArc("t", "q", "out")]), "missing-arc", InvalidModel),
+    ("extra-input-label", dict(arcs=[*build_net1().arcs, InputArc("q", "t", "k")]), "arc-label", InvalidModel),
+    ("extra-output-label", dict(arcs=[InputArc("p", "t", "n"), OutputArc("t", "q", "k")]), "arc-label", InvalidModel),
+    ("arc-color", dict(colorsets=[TOK, TXT], places=[Place("p", TXT, Multiset([Value(TXT, "a")])), Place("q", TOK)]), "arc-color", TypeMismatch),
+    ("unknown-procedure", dict(transitions=[Transition("t", "R", "nosuch")]), "transition", InvalidModel),
+    ("unknown-output-place", dict(arcs=[InputArc("p", "t", "n"), OutputArc("t", "zz", "out")]), "arc", fired_into("zz")),
+]
+
+
+@pytest.mark.parametrize("parts,code,outcomes", [row[1:] for row in ILL_TYPED], ids=[row[0] for row in ILL_TYPED])
+def test_checked_functions_on_ill_typed_nets(parts, code, outcomes):
+    """The checked functions give a result or a typed error on any net, never a bare exception."""
+    net = net1_with(**parts)
+    assert code in {v.code for v in type_check_net(net).entries}
+    marking = net.initial_marking()
+    binding = {"n": marking.get("p").values()[0]}
+    calls = [
+        lambda: enabled_bindings(net, marking, "t"),
+        lambda: first_binding(net, marking, "t"),
+        lambda: fire(net, marking, "t", binding),
+        lambda: step(net, marking),
+        lambda: run_to_quiescence(net, marking),
+    ]
+    got = []
+    for call in calls:
+        try:
+            got.append(call())
+        except RoleflowError as exc:
+            got.append(type(exc))
+    assert tuple(got) == (outcomes if isinstance(outcomes, tuple) else (outcomes,) * len(calls))
 
 
 def build_receive_net():

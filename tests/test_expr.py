@@ -42,6 +42,9 @@ def test_concat_literals():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         eval_expr(Expr.var("missing"), {"n": tok(1)})
+    # nested: the first problem, an unbound name, is raised as such
+    with pytest.raises(UnboundVariable, match="^unbound variable 'x'$"):
+        eval_expr(Expr.call("concat", Expr.var("x"), Expr.var("s")), {"s": Value(TXT, "a")})
 
 
 def test_type_mismatch_signals_unvalidated_net():
