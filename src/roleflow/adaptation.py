@@ -150,9 +150,6 @@ class PlanImpact:
     def kind(self, agent_id: str) -> str:
         return self.per_agent[agent_id]
 
-    def is_preserving(self, agent_id: str) -> bool:
-        return self.per_agent.get(agent_id) == "preserving"
-
 
 class _Rejection(Exception):
     def __init__(self, violations):
@@ -427,7 +424,7 @@ def _task_shape(net: Net) -> tuple:
     """Task structure with procedure linkage blanked; knowledge diffs are reported apart."""
     return (
         sorted(
-            ((p.id, p.colorset.descriptor(), tuple(p.initial.items())) for p in net.places.values()),
+            ((p.id, p.colorset, tuple(p.initial.items())) for p in net.places.values()),
             key=lambda e: e[0],
         ),
         sorted(

@@ -34,6 +34,7 @@ from .errors import (
     UnknownOp,
 )
 from .modelio import (
+    channel_line,
     parse_model,
     parse_scenario,
     read_context,
@@ -115,13 +116,7 @@ def _cmd_decompose(args) -> int:
                 },
             )
             _atomic_write(out_dir / f"{aid}.mas", serialize_model(single).encode("utf-8"))
-        manifest = []
-        for cid in sorted(mam.channels):
-            ch = mam.channels[cid]
-            line = f"channel {ch.id} : {ch.colorset.descriptor()} from {ch.producer} to {ch.consumer}"
-            if ch.initial:
-                line += " init { " + ", ".join(v.canonical() for v in ch.initial) + " }"
-            manifest.append(line)
+        manifest = [channel_line(mam.channels[cid]) for cid in sorted(mam.channels)]
         _atomic_write(out_dir / "channels.manifest", ("\n".join(manifest) + "\n").encode("utf-8"))
         print(f"wrote {len(mam.agents)} agent files to {out_dir}")
     return 0

@@ -14,6 +14,7 @@ import bisect
 import itertools
 import operator
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -45,14 +46,35 @@ def quote_text(s: str) -> str:
     return '"' + "".join(out) + '"'
 
 
-@dataclass(frozen=True)
+# every live color by (name, kind, members, components); weak, so the table
+# keeps no color alive
+_COLORS: "weakref.WeakValueDictionary[tuple, ColorSet]" = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ColorSet:
-    """A token type: unit, int, text, an enumeration, or a product of color sets."""
+    """A token type: unit, int, text, an enumeration, or a product of color sets.
+
+    Interned: building a color with the structure of a live one returns that
+    object, so `==` is `is`, and pickles and copies return the live color.
+    """
 
     name: str
     kind: str
     members: tuple[str, ...] = ()
     components: tuple["ColorSet", ...] = ()
+
+    def __new__(cls, name, kind, members=(), components=()):
+        key = (name, kind, members, components)
+        cs = _COLORS.get(key)
+        if cs is None:
+            cs = object.__new__(cls)
+            for attr, value in zip(("name", "kind", "members", "components"), key):
+                object.__setattr__(cs, attr, value)
+            cs.__post_init__()
+            object.__setattr__(cs, "_hash", hash(key))
+            _COLORS[key] = cs
+        return cs
 
     def __post_init__(self):
         if self.kind not in COLOR_KINDS:
@@ -84,25 +106,11 @@ class ColorSet:
             body = self.kind
         return f"{self.name}={body}"
 
-    # Cached like `Value`'s hash: a color whose products share a component
-    # then hashes each distinct component once, not once per path through it.
-
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.name, self.kind, self.members, self.components))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
-    def __getstate__(self):
-        # string hashes differ between processes: never pickle the cached hash
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "members": self.members,
-            "components": self.components,
-            "depth": self.depth,
-        }
+    def __reduce__(self):
+        return (ColorSet, (self.name, self.kind, self.members, self.components))
 
 
 @dataclass(frozen=True)
@@ -276,7 +284,7 @@ class Multiset:
         for v in values:
             if color is None:
                 color = v.colorset
-            elif v.colorset is not color and v.colorset != color:
+            elif v.colorset is not color:
                 raise TypeMismatch("multiset mixes color sets")
             n = counts.get(v, 0)
             if n == 0:
@@ -455,7 +463,7 @@ def _projection(idx: int):
         if cs.kind != "product":
             return (f"{name} needs a product operand",), None
         out = cs.components[idx]
-        if expected is not None and out is not expected and out != expected:
+        if expected is not None and out is not expected:
             return (f"{name} yields {out.name} where {expected.name} needed",), out
         return (), out
 
@@ -535,13 +543,13 @@ def _analyze(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet],
         if name not in env:
             return ([f"unbound variable '{name}'"], None, None)
         cs = env[name]
-        if expected is not None and cs is not expected and cs != expected:
+        if expected is not None and cs is not expected:
             return ([f"variable '{name}' has color {cs.name}, needed {expected.name}"], cs, None)
         return ([], cs, operator.itemgetter(name) if build else None)
     if expr.kind == "lit":
         value = expr.value
         cs = value.colorset
-        if expected is not None and cs is not expected and cs != expected:
+        if expected is not None and cs is not expected:
             return ([f"literal of color {cs.name} where {expected.name} needed"], cs, None)
         return ([], cs, (lambda binding: value) if build else None)
     if expr.kind == "tuple":
@@ -1114,7 +1122,7 @@ class TransitionPlan:
             # the `passes` of `_bindings`: each value has its input's color, then the guard holds
             for name, cs in colors:
                 got = binding[name].colorset
-                if got is not cs and got != cs:
+                if got is not cs:
                     raise TypeMismatch(color_mismatch(t.id, name, got, cs))
             return guard is None or guard(binding).payload == "true"
 

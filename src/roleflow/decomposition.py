@@ -314,11 +314,9 @@ def project_marking(
 
 def marking_compatible(old_task: Net, new_task: Net) -> bool:
     """Whether any marking of the old task can be restored into the new task."""
-    if old_task is new_task:
-        return True
     for pid, place in old_task.places.items():
         other = new_task.places.get(pid)
-        if other is None or other.colorset.descriptor() != place.colorset.descriptor():
+        if other is None or other.colorset is not place.colorset:
             return False
     return True
 

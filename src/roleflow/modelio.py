@@ -45,7 +45,7 @@ from .errors import (
 from .organization import CommLink, Organization, Role
 from .runtime import Context, FinalReport, Scenario, Trigger
 from .textscan import (
-    MAX_COLOR_DEPTH, TokenStream, parse_descriptor, parse_descriptor_text,
+    MAX_COLOR_DEPTH, TokenStream, parse_color_body, parse_descriptor, parse_descriptor_text,
     parse_value, parse_value_text, stream,
 )
 
@@ -243,28 +243,12 @@ class NetBuilder:
     def _stmt_colorset(self, ts, kw):
         name = ts.expect("ident", what="a color set name")
         ts.expect("punct", "=")
-        head = ts.expect("ident", what="a color kind")
-        if head.text in ("unit", "int", "text"):
-            cs = ColorSet(name.text, head.text)
-        elif head.text == "enum":
-            ts.expect("punct", "{")
-            members = [ts.expect("ident", what="an enum member").text]
-            while ts.accept("punct", ","):
-                members.append(ts.expect("ident", what="an enum member").text)
-            ts.expect("punct", "}")
-            cs = ColorSet(name.text, "enum", members=tuple(members))
-        elif head.text == "product":
-            ts.expect("punct", "(")
-            comps = [self.lookup_colorset(ts.expect("ident", what="a color set name"))]
-            while ts.accept("punct", ","):
-                comps.append(self.lookup_colorset(ts.expect("ident", what="a color set name")))
-            ts.expect("punct", ")")
-            cs = ColorSet(name.text, "product", components=tuple(comps))
-            if cs.depth > MAX_COLOR_DEPTH:
-                expected = f"a color set with at most {MAX_COLOR_DEPTH} nested products"
-                raise ModelSyntaxError(name.line, name.col, expected)
-        else:
-            ts.fail("one of unit/int/text/enum/product")
+        cs = parse_color_body(
+            ts, name.text, lambda ts: self.lookup_colorset(ts.expect("ident", what="a color set name"))
+        )
+        if cs.depth > MAX_COLOR_DEPTH:
+            expected = f"a color set with at most {MAX_COLOR_DEPTH} nested products"
+            raise ModelSyntaxError(name.line, name.col, expected)
         self._declare("colorset", name, self.colorsets, cs)
 
     def _stmt_var(self, ts, kw):
@@ -406,7 +390,7 @@ class NetBuilder:
             seen = table.get(cs.name)
             if seen is cs:  # walked already: a shared component is walked once, not once per path
                 return
-            if seen is not None and seen != cs:
+            if seen is not None:  # another color under the same name
                 raise ResolutionError(cs.name)
             table[cs.name] = cs
             for comp in cs.components:
@@ -529,16 +513,19 @@ def _serialize_org(org: Organization) -> str:
     return "\n".join(lines) + "\n"
 
 
+def channel_line(ch: Channel) -> str:
+    """A channel's line in a `.mas` model and in a `channels.manifest`."""
+    line = f"channel {ch.id} : {ch.colorset.descriptor()} from {ch.producer} to {ch.consumer}"
+    if ch.initial:
+        line += " init { " + ", ".join(v.canonical() for v in ch.initial) + " }"
+    return line
+
+
 def _serialize_mas(mam: MultiAgentModel) -> str:
     lines = [f"mas {mam.organization_ref}"]
     for role in sorted(mam.assignment):
         lines.append(f"assign {role} -> {mam.assignment[role]}")
-    for cid in sorted(mam.channels):
-        ch = mam.channels[cid]
-        line = f"channel {ch.id} : {ch.colorset.descriptor()} from {ch.producer} to {ch.consumer}"
-        if ch.initial:
-            line += " init { " + ", ".join(v.canonical() for v in ch.initial) + " }"
-        lines.append(line)
+    lines.extend(channel_line(mam.channels[cid]) for cid in sorted(mam.channels))
     for aid in sorted(mam.agents):
         agent = mam.agents[aid]
         lines.append(f"agent {agent.id}")
@@ -862,14 +849,14 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
 
 def write_context(context: Context) -> bytes:
     lines = [CONTEXT_HEADER, f"cursor {context.cursor}", f"steps {context.step_count}"]
-    channel_colors: dict[str, str] = {}
+    channel_colors: dict[str, ColorSet] = {}
     for _, mailbox in context.agent_mailboxes:
         for ch, v in mailbox:
-            channel_colors.setdefault(ch, v.colorset.descriptor())
+            channel_colors.setdefault(ch, v.colorset)
     for ch, v in context.bus:
-        channel_colors.setdefault(ch, v.colorset.descriptor())
+        channel_colors.setdefault(ch, v.colorset)
     for ch in sorted(channel_colors):
-        lines.append(f"channel {ch} : {channel_colors[ch]}")
+        lines.append(f"channel {ch} : {channel_colors[ch].descriptor()}")
     mailboxes = dict(context.agent_mailboxes)
     for aid, marking_bytes in context.agent_markings:
         lines.append(f"agent {aid}")

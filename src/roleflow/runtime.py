@@ -464,7 +464,7 @@ class Context:
 
     A context taken by `save_context` also keeps, per agent, the task, the
     live `Marking` (immutable) and the agent's ready-set entry, so that
-    `resume_context` can carry an unchanged agent over without encoding it.
+    `resume_context` can carry each agent over without encoding it.
     Its marking bytes are encoded on first use of `agent_markings`, and they
     are the bytes an eager encoding would have given. A context read from
     bytes has no live part.
@@ -545,14 +545,12 @@ def resume_context(
       an empty mailbox.
     - A plan-preserving agent keeps its marking and its mailbox, less the
       messages on channels the new model no longer has (each dropped with a
-      warning). When the context came from `save_context` and the agent's
-      task is the very object the context saw, the agent is carried over:
-      it gets the saved `Marking` object and, unless a message was dropped,
-      its saved ready-set entry, so the new system does not check it again.
-    - Any other preserving agent takes the byte path: its marking goes
-      through `save_marking` and `restore_marking` into the new task, and it
-      starts dirty. A context read from bytes takes this path for every
-      agent.
+      warning). From a `save_context` context it gets the saved `Marking`
+      object, whose marked places the new task must have in the same color
+      object; it also keeps its ready-set entry if its task is the object
+      the context saw and no message was dropped, and starts dirty if not.
+    - From a context read from bytes, `restore_marking` decodes each
+      marking into the new task, and every agent starts dirty.
 
     Messages in flight on deleted channels are dropped with a warning too.
 
@@ -594,15 +592,19 @@ def resume_context(
         if old is None:
             raise ImpactMismatch(f"agent {aid} is preserving but absent from the context")
         old_task, marking, entry = old
-        if old_task is not task:  # the byte path
-            entry = _DIRTY
-            try:
-                data = marking if old_task is None else save_marking(old_task, marking)
-                marking = restore_marking(data, task)
-            except IncompatiblePlace as exc:
-                raise ImpactMismatch(
-                    f"agent {aid} classified preserving but marking restore failed: {exc}"
-                ) from exc
+        try:
+            if old_task is None:  # a context read from bytes
+                marking = restore_marking(marking, task)
+            elif old_task is not task:
+                entry = _DIRTY
+                for pid in marking.place_ids():
+                    old_place, place = old_task.places.get(pid), task.places.get(pid)
+                    if old_place is None or place is None or place.colorset is not old_place.colorset:
+                        raise IncompatiblePlace(pid)
+        except IncompatiblePlace as exc:
+            raise ImpactMismatch(
+                f"agent {aid} classified preserving but marking restore failed: {exc}"
+            ) from exc
         state._marking = marking
         if mail:
             kept = [m for m in mail if m[0] in channels]
@@ -640,7 +642,7 @@ def _check_message_color(model: MultiAgentModel, ch: str, value: Value) -> None:
     lacks the color `model` gives its channel `ch`."""
     channel = model.channels[ch]
     got, need = value.colorset, channel.colorset
-    if got is need or got == need:
+    if got is need:
         return
     task = model.agents[channel.consumer].task
     for tid in task.transition_ids:
@@ -750,9 +752,9 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
       agents the request replaced against the cross-agent tables of the old
       one; a changed channel, an added or removed agent, or any violation
       runs the full pass (see `validate_model`).
-    - `resume_context` carries every plan-preserving agent whose task object
-      is unchanged over by identity, clean in the new ready set. Only an
-      agent whose task changed goes through the marking bytes, and a
+    - `resume_context` carries every plan-preserving agent's marking over
+      by identity, and one whose task object is unchanged stays clean in
+      the new ready set. No marking goes through bytes, and a
       plan-modifying agent still restarts fresh.
 
     The system adapted away is left as it was: its states, ready set, bus

@@ -8,13 +8,13 @@ with backslash escapes, and identifiers that may carry a trailing '!'.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .cpn import ColorSet, Value, value_of
 from .errors import ModelSyntaxError
 
 # how many products may nest in one color set (`ColorSet.depth`); each level
-# costs a few stack frames wherever colors are compared, hashed or rendered
+# costs a few stack frames wherever colors are parsed or rendered
 MAX_COLOR_DEPTH = 32
 
 # One alternative per lexical class; a match is one token, one newline, or
@@ -179,12 +179,9 @@ def parse_value_text(text: str, colorset: ColorSet) -> Value:
     return v
 
 
-def parse_descriptor(ts: TokenStream, depth: int = 0) -> ColorSet:
-    """Parse a self-contained descriptor: name=structure, recursively."""
-    if depth > MAX_COLOR_DEPTH:
-        ts.fail(f"a color set with at most {MAX_COLOR_DEPTH} nested products")
-    name = ts.expect("ident", what="a color set name").text
-    ts.expect("punct", "=")
+def parse_color_body(ts: TokenStream, name: str, component: Callable[[TokenStream], ColorSet]) -> ColorSet:
+    """Parse the structure after `name =`: unit, int, text, enum{...} or
+    product(...), whose components `component` reads."""
     head = ts.expect("ident", what="a color kind").text
     if head in ("unit", "int", "text"):
         return ColorSet(name, head)
@@ -197,12 +194,21 @@ def parse_descriptor(ts: TokenStream, depth: int = 0) -> ColorSet:
         return ColorSet(name, "enum", members=tuple(members))
     if head == "product":
         ts.expect("punct", "(")
-        comps = [parse_descriptor(ts, depth + 1)]
+        comps = [component(ts)]
         while ts.accept("punct", ","):
-            comps.append(parse_descriptor(ts, depth + 1))
+            comps.append(component(ts))
         ts.expect("punct", ")")
         return ColorSet(name, "product", components=tuple(comps))
     ts.fail("one of unit/int/text/enum/product")
+
+
+def parse_descriptor(ts: TokenStream, depth: int = 0) -> ColorSet:
+    """Parse a self-contained descriptor: name=structure, recursively."""
+    if depth > MAX_COLOR_DEPTH:
+        ts.fail(f"a color set with at most {MAX_COLOR_DEPTH} nested products")
+    name = ts.expect("ident", what="a color set name").text
+    ts.expect("punct", "=")
+    return parse_color_body(ts, name, lambda ts: parse_descriptor(ts, depth + 1))
 
 
 def parse_descriptor_text(text: str) -> ColorSet:

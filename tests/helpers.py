@@ -920,6 +920,17 @@ def gen_colorset(rng: random.Random, name: str, depth: int = 0) -> ColorSet:
     return ColorSet(name, kind)
 
 
+def naive_color_equal(a: ColorSet, b: ColorSet) -> bool:
+    """Structural equality of two colors, field by field, recursively."""
+    return (
+        a.name == b.name
+        and a.kind == b.kind
+        and a.members == b.members
+        and len(a.components) == len(b.components)
+        and all(naive_color_equal(x, y) for x, y in zip(a.components, b.components))
+    )
+
+
 def gen_value(rng: random.Random, cs: ColorSet) -> Value:
     if cs.kind == "unit":
         return Value(cs, None)

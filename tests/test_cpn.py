@@ -1,3 +1,5 @@
+import copy
+import itertools
 import pickle
 import random
 import sys
@@ -60,7 +62,9 @@ from helpers import (
     brute_force_bindings,
     deadline,
     gen_bounded_net,
+    gen_colorset,
     gen_org,
+    naive_color_equal,
 )
 
 
@@ -565,12 +569,28 @@ class TestColorSetHash:
             assert hash(self.chain(32)) == hash(self.chain(32))
         assert hash(self.chain(3)) != hash(self.chain(4))
 
+    def test_shared_chains_built_apart_are_one_object(self):
+        with deadline(2):
+            a, b = self.chain(32), self.chain(32)
+            assert a is b and a == b and not a != b
+
+    def test_identity_is_structural_equality(self):
+        # one name for all, so that equal structures come up often among the seeds
+        colors = [gen_colorset(random.Random(seed), "C") for seed in range(60)]
+        outcomes = Counter()
+        for a, b in itertools.combinations(colors, 2):
+            assert (a is b) == (a == b) == naive_color_equal(a, b)
+            outcomes[a is b] += 1
+        assert outcomes[True] and outcomes[False]
+        for cs in colors:
+            assert pickle.loads(pickle.dumps(cs)) is cs
+            assert copy.copy(cs) is cs and copy.deepcopy(cs) is cs
+            assert hash(cs) == hash((cs.name, cs.kind, cs.members, cs.components))
+
     def test_pickle_drops_the_cached_hash(self):
         cs = self.chain(2)
-        hash(cs)
-        assert "_hash" not in cs.__getstate__()
         back = pickle.loads(pickle.dumps(cs))
-        assert back == cs and hash(back) == hash(cs) and back.depth == 2
+        assert back is cs and hash(back) == hash(cs) and back.depth == 2
 
 
 # ---------------------------------------------------------------------------

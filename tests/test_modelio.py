@@ -15,6 +15,7 @@ from roleflow import (
     VersionMismatch,
     canonical_net_text,
     decompose,
+    diff_models,
     evolve,
     go,
     parse_model,
@@ -139,6 +140,20 @@ class TestParseModel:
             assert task.colorsets[f"D{k - 1}"] is deep and len(task.colorsets) == k + 1
             assert validate_model(evolved).empty
             assert synthesize(evolved).agent_ids == ("agent1", "agent2")
+
+    def test_adapting_an_agent_with_a_place_of_a_shared_chain_color(self):
+        # the place's color is compared by identity, not by its 2^k-long descriptor
+        k = MAX_COLOR_DEPTH
+        org = parse_model(shared_product_chain(ORG1_TEXT, k) + f"place deep : D{k - 1}\n").model
+        mam = decompose(org, {"A": "agent1", "B": "agent2"})
+        assert "deep" in mam.agents["agent1"].task.places
+        request = parse_scenario(
+            "colorset Tok = int\nat 2 adapt { rpP agent1 pass proc pass2(n:Tok) -> (o:Tok) { o = n } }\n"
+        ).scenario.triggers[0].request
+        with deadline(20):
+            evolved, impact = evolve(mam, request)
+            assert diff_models(mam, evolved) == ("agent agent1: procedure pass replaced by pass2",)
+        assert impact.per_agent == {"agent1": "preserving", "agent2": "preserving"}
 
     def test_unicode_decimal_digits_are_ints(self):
         # '٣' (ARABIC-INDIC DIGIT THREE) is a decimal digit, read as 3

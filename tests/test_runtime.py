@@ -14,6 +14,7 @@ from roleflow import (
     Context,
     Delivered,
     Expr,
+    ImpactMismatch,
     InputArc,
     Marking,
     Multiset,
@@ -47,7 +48,7 @@ from roleflow import (
     TraceEntry,
     write_context,
 )
-from roleflow.adaptation import AdaptationRequest, modify_agent, rp_p, rp_t
+from roleflow.adaptation import AdaptationRequest, PlanImpact, modify_agent, rp_p, rp_t
 from roleflow.modelio import read_context, render_trace
 import roleflow.runtime as runtime_mod
 
@@ -491,6 +492,29 @@ class TestResumeContext:
         assert report.final_markings["agent1"] == Marking()
         assert report.final_markings["agent2"] == marking_of(hold=[2])
         assert report.adaptations == (("agent agent2: task replaced",),)
+
+    @pytest.mark.parametrize("from_bytes", [False, True])
+    def test_a_made_up_preserving_impact_needs_each_marked_place(self, mam1, from_bytes):
+        """A preserving impact for an agent whose new task lacks or re-colors
+        a marked place is refused; a missing empty place is no obstacle."""
+        ctx = save_context(synthesize(mam1))  # agent1 holds in_ {1}; agent2's out_ is empty
+        if from_bytes:
+            ctx = read_context(write_context(ctx))
+        preserving = PlanImpact({"agent1": "preserving", "agent2": "preserving"})
+
+        def bare(aid, *places):
+            """mam1 with the agent's task reduced to `places`."""
+            parts = mam1.agents[aid].task.parts()
+            parts.update(places=list(places), transitions=[], arcs=[], procedures=[])
+            parts["colorsets"] += [p.colorset for p in places]
+            return evolve_chain(mam1, [rp_t(aid, Net(**parts))])[0]
+
+        for places in ((), (Place("in_", ColorSet("Txt", "text")),)):
+            with pytest.raises(ImpactMismatch, match="^agent agent1 classified preserving .* place 'in_' missing or re-colored"):
+                resume_context(synthesize(bare("agent1", *places)), ctx, preserving)
+        resumed = resume_context(synthesize(bare("agent2")), ctx, preserving)
+        assert resumed.states["agent1"].marking == marking_of(in_=[1])
+        assert resumed.states["agent2"].marking == Marking()
 
 
 class TestAdaptiveLoop:
@@ -1098,7 +1122,7 @@ class TestAdaptationCost:
         for agents in (20, 80):
             adapted = self.counted_run(monkeypatch, agents, adapt=True)
             plain = self.counted_run(monkeypatch, agents, adapt=False)
-            # only the agent whose task changed goes through the marking bytes
-            assert (adapted["save_marking"], adapted["restore_marking"]) == (1, 1)
+            # a live context goes through no marking bytes, not even for the changed agent
+            assert (adapted["save_marking"], adapted["restore_marking"]) == (0, 0)
             extra[agents] = adapted["_resolve"] - plain["_resolve"]
         assert extra[20] == extra[80] <= 2
