@@ -829,6 +829,20 @@ def type_check_net(net: Net) -> ValidationReport:
     return report
 
 
+def inherit_type_report(net: Net, source: Net) -> None:
+    """Record `source`'s clean report as the report of `net`, a net built
+    from `source`'s objects, so `type_check_net(net)` does not run the check.
+
+    The caller answers for the derivation: every rule the check applies to
+    `net` must follow from `source` passing it. A `source` whose report is
+    not empty raises `InvalidModel`, since its entries are not `net`'s.
+    """
+    report = type_check_net(source)
+    if not report.empty:
+        raise InvalidModel(f"net {source.id} fails its type check; {net.id} cannot inherit its report")
+    net._type_report = report
+
+
 def _type_check(net: Net) -> ValidationReport:
     out: list[Violation] = []
 

@@ -29,6 +29,7 @@ from .cpn import (
     Transition,
     Value,
     analyze_expr,
+    inherit_type_report,
     type_check_net,
 )
 from .errors import (
@@ -107,7 +108,21 @@ class MultiAgentModel:
 
 
 def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
-    """Derive a multi-agent model from an organization under a total role assignment."""
+    """Derive a multi-agent model from an organization under a total role assignment.
+
+    Each agent comes with the organization's verdict: its task gets the
+    global net's clean type report and the agent its `_AgentChecks`, with
+    no entries, so validating the model checks no agent again. It holds
+    because an agent's places, procedures, color sets, variables, guards
+    and kept arcs are the global net's own objects, and what is new follows
+    from the global check and the grouping below. A receive variable is
+    the label of an arc in the procedure's signature, and the place color
+    matches the parameter color; the other arcs feed the other inputs once.
+    A send message is `Expr.var` of a result whose color is the channel's,
+    and the other arcs route the other results once. Each role, sensor and
+    effector belongs to the agent that `assignment` and the single writer
+    and reader of each channel give it.
+    """
     report = validate_organization(org)
     if not report.empty:
         raise IncoherentOrganization("organization fails validation", report)
@@ -167,6 +182,8 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
     for role, aid in assignment.items():
         roles_of[aid].add(role)
 
+    colorsets = [(n, net.colorsets[n]) for n in sorted(net.colorsets)]
+    variables = [(n, net.variables[n]) for n in sorted(net.variables)]
     agents: dict[str, AgentModel] = {}
     for aid in agent_ids:
         transitions = []
@@ -193,15 +210,17 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             transitions.append(
                 Transition(t.id, t.role, t.procedure, guard=t.guard, event=event)
             )
+        procedures = [(p, net.procedures[p]) for p in sorted(proc_names)]
         task = Net(
             aid,
             colorsets=list(net.colorsets.values()),
             variables=list(net.variables.values()),
             places=places_of[aid],
             transitions=transitions,
-            procedures=[net.procedures[p] for p in sorted(proc_names)],
+            procedures=[proc for _, proc in procedures],
             arcs=arcs,
         )
+        inherit_type_report(task, net)
         agents[aid] = AgentModel(
             id=aid,
             roles=frozenset(roles_of[aid]),
@@ -209,6 +228,17 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             effectors=frozenset(effectors),
             task=task,
         )
+        _AgentChecks(
+            aid,
+            channels=tuple((n, channels[n]) for n in sorted(sensors | effectors)),
+            head=(),
+            tail=(),
+            places=[p.id for p in places_of[aid]],
+            transitions=tids_of[aid],
+            procedures=procedures,
+            colorsets=colorsets,
+            variables=variables,
+        ).keep(agents[aid])
     return MultiAgentModel(org.id, dict(assignment), agents, channels)
 
 
@@ -358,24 +388,45 @@ class _AgentChecks:
     cross-agent tables are built from. It all depends only on the agent
     object, the key it is filed under, and the Channel object (or absence)
     behind each channel name the agent uses, listed in `channels`.
+    `run` computes them; `decompose` builds the ones its agents carry.
     """
 
     __slots__ = ("aid", "channels", "head", "tail", "places", "transitions",
                  "procedures", "colorsets", "variables")
 
-    def __init__(self, aid: str, agent: AgentModel, channels: Mapping[str, Channel]):
+    def __init__(self, aid, channels, head, tail, places, transitions, procedures, colorsets, variables):
+        self.aid = aid
+        self.channels = channels
+        self.head = head
+        self.tail = tail
+        self.places = places
+        self.transitions = transitions
+        self.procedures = procedures
+        self.colorsets = colorsets
+        self.variables = variables
+
+    @classmethod
+    def run(cls, aid: str, agent: AgentModel, channels: Mapping[str, Channel]) -> "_AgentChecks":
+        """Every check of the agent, with the key lists read off its task."""
         task = agent.task
         names = set(agent.sensors | agent.effectors)
         names.update(t.event.channel for t in task.transitions.values() if t.event is not None)
-        self.aid = aid
-        self.channels = tuple((n, channels.get(n)) for n in sorted(names))
-        self.head = type_check_net(task).entries
-        self.tail = tuple(_local_checks(aid, agent, channels))
-        self.places = sorted(task.places)
-        self.transitions = sorted(task.transitions)
-        self.procedures = [(n, task.procedures[n]) for n in sorted(task.procedures)]
-        self.colorsets = [(n, task.colorsets[n]) for n in sorted(task.colorsets)]
-        self.variables = [(n, task.variables[n]) for n in sorted(task.variables)]
+        return cls(
+            aid,
+            tuple((n, channels.get(n)) for n in sorted(names)),
+            type_check_net(task).entries,
+            tuple(_local_checks(aid, agent, channels)),
+            sorted(task.places),
+            sorted(task.transitions),
+            [(n, task.procedures[n]) for n in sorted(task.procedures)],
+            [(n, task.colorsets[n]) for n in sorted(task.colorsets)],
+            [(n, task.variables[n]) for n in sorted(task.variables)],
+        )
+
+    def keep(self, agent: AgentModel) -> "_AgentChecks":
+        """These checks, kept on the agent object for `of` to reuse."""
+        object.__setattr__(agent, "_checks", self)
+        return self
 
     @staticmethod
     def of(aid: str, agent: AgentModel, channels: Mapping[str, Channel]) -> "_AgentChecks":
@@ -386,8 +437,7 @@ class _AgentChecks:
             or checks.aid != aid
             or any(channels.get(n) is not ch for n, ch in checks.channels)
         ):
-            checks = _AgentChecks(aid, agent, channels)
-            object.__setattr__(agent, "_checks", checks)
+            checks = _AgentChecks.run(aid, agent, channels).keep(agent)
         return checks
 
 
@@ -582,7 +632,7 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
         if checks.head or checks.tail:
             return None
         # the key lists depend only on the task, so the old agent's checks hold them
-        was = getattr(old, "_checks", None) or _AgentChecks(aid, old, mam.channels)
+        was = getattr(old, "_checks", None) or _AgentChecks.run(aid, old, mam.channels)
         if checks.places != was.places:
             places = _owners(places, was.places, checks.places, aid, mam.channels)
         if checks.transitions != was.transitions:

@@ -738,6 +738,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
             ts.next()
             step_tok = ts.expect("int", what="a step number")
             at_step = int(step_tok.text)
+            if at_step < 0:
+                raise ModelSyntaxError(step_tok.line, step_tok.col, "a non-negative trigger step")
             if triggers and at_step <= triggers[-1].at_step:
                 raise ModelSyntaxError(step_tok.line, step_tok.col, "an increasing trigger step (non-increasing step)")
             ts.expect("ident", "adapt", what="'adapt'")
@@ -890,6 +892,7 @@ def read_context(data: bytes) -> Context:
     markings: list = []
     mailboxes: list = []
     bus: list = []
+    agent_ids: set[str] = set()
     current_agent: Optional[str] = None
     in_marking = False
     marking_lines: list[str] = []
@@ -929,10 +932,15 @@ def read_context(data: bytes) -> Context:
             current_agent = rest.strip()
             if not current_agent:
                 raise FormatError("agent line without an id")
+            if current_agent in agent_ids:
+                raise FormatError(f"second agent section for '{current_agent}'")
+            agent_ids.add(current_agent)
             mailboxes.append((current_agent, []))
         elif head == "marking-begin":
             if current_agent is None:
                 raise FormatError("marking outside an agent section")
+            if markings and markings[-1][0] == current_agent:
+                raise FormatError(f"second marking for agent '{current_agent}'")
             marking_lines = []
             in_marking = True
         elif head == "mail":
@@ -958,10 +966,14 @@ def read_context(data: bytes) -> Context:
 
 
 def _int_field(text: str, what: str) -> int:
+    """A non-negative integer written the way `write_context` writes it."""
     try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise FormatError(f"bad {what} value {text!r}") from exc
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0 or str(n) != text:
+        raise FormatError(f"bad {what} value {text!r}")
+    return n
 
 
 # --------------------------------------------------------------------------

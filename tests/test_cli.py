@@ -202,6 +202,29 @@ class TestRun:
         assert code == 2
         assert "rejected" in err
 
+    def test_negative_trigger_step_exits_3(self, capsys, tmp_path):
+        scn = tmp_path / "neg.scn"
+        scn.write_text((MODELS / "org1_adapt.scn").read_text().replace("at 2 adapt", "at -1 adapt"))
+        for cmd in ("run", "adapt"):
+            code, out, err = run(capsys, cmd, MODELS / "org1.org", scn)
+            assert code == 3 and out == ""
+            assert "expected a non-negative trigger step" in err
+
+    @pytest.mark.parametrize("edit", ["steps", "agent"])
+    def test_resume_from_a_context_write_context_never_writes_exits_3(self, capsys, tmp_path, edit):
+        ctx = tmp_path / "snap.ctx"
+        base = ("run", MODELS / "org1.org", MODELS / "org1_run.scn")
+        code, _, _ = run(capsys, *base, "--checkpoint-at", 2, "--context", ctx)
+        text = ctx.read_text()
+        assert code == 0 and "steps 2\n" in text
+        if edit == "steps":
+            ctx.write_text(text.replace("steps 2\n", "steps -7\n"))
+        else:
+            ctx.write_text(text + text[text.index("agent agent2\n"):])
+        code, out, err = run(capsys, *base, "--resume-from", ctx)
+        assert code == 3 and out == ""
+        assert ("bad steps value" if edit == "steps" else "second agent section") in err
+
 
 class TestDecompose:
     def test_emit_agents_round_trip(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,14 +28,16 @@ from roleflow import (
     recompose,
     run_to_quiescence,
     synthesize,
+    type_check_net,
     validate_model,
 )
-from roleflow.decomposition import AgentModel, MultiAgentModel
-from roleflow.modelio import parse_model, serialize_model
+from roleflow import cpn
+from roleflow.decomposition import AgentModel, MultiAgentModel, _AgentChecks
+from roleflow.modelio import parse_model, parse_scenario, serialize_model
 from roleflow.runtime import Scenario
 
-from conftest import TOK, tok
-from helpers import all_assignments, gen_org
+from conftest import MODELS, TOK, tok
+from helpers import all_assignments, gen_org, naive_validate_model
 
 
 def marking_of(**tokens):
@@ -346,3 +349,72 @@ class TestDecomposeInvariants:
                 assert serialize_model(parse_model(text).model) == text
                 checked += 1
         assert checked >= 40
+
+
+class TestOrganizationVerdict:
+    """Decomposed agents carry the organization's check; nothing else does."""
+
+    @staticmethod
+    def demo_orgs():
+        for name, scn in (("org1", "org1_run"), ("devsociety", "devsociety")):
+            org = parse_model((MODELS / f"{name}.org").read_text()).model
+            yield org, parse_scenario((MODELS / f"{scn}.scn").read_text()).assignment
+
+    @staticmethod
+    def count_type_checks(monkeypatch):
+        calls = []
+        check = cpn._type_check
+        monkeypatch.setattr(cpn, "_type_check", lambda net: calls.append(net.id) or check(net))
+        return calls
+
+    def test_synthesize_checks_only_the_organization_net(self, monkeypatch):
+        calls = self.count_type_checks(monkeypatch)
+        for org, assignment in self.demo_orgs():
+            calls.clear()
+            mam = decompose(org, assignment)
+            synthesize(mam)
+            assert calls == [org.global_task.id]
+            # the same model read back from text has no organization: each agent net is checked
+            calls.clear()
+            synthesize(parse_model(serialize_model(mam)).model)
+            assert sorted(calls) == sorted(mam.agents)
+
+    def test_carried_checks_match_a_cold_check(self):
+        rng = random.Random(1414)
+        cases = list(self.demo_orgs())
+        for i in range(20):
+            org = gen_org(rng, f"vd{i}")
+            assignments = list(all_assignments(org.roles))
+            cases += [(org, a) for a in rng.sample(assignments, min(3, len(assignments)))]
+        for org, assignment in cases:
+            mam = decompose(org, assignment)
+            for aid, agent in mam.agents.items():
+                task = agent.task
+                assert type_check_net(task) == cpn._type_check(Net(**task.parts()))
+                carried = agent._checks
+                assert _AgentChecks.of(aid, agent, mam.channels) is carried
+                cold = _AgentChecks.run(aid, replace(agent, task=Net(**task.parts())), mam.channels)
+                for slot in _AgentChecks.__slots__:
+                    assert getattr(carried, slot) == getattr(cold, slot), slot
+            assert validate_model(mam) == naive_validate_model(mam)
+
+    def test_a_replaced_ill_typed_task_is_checked_again(self):
+        rng = random.Random(1515)
+        cases = list(self.demo_orgs())
+        cases += [(org, {r: "ag1" for r in org.roles}) for org in (gen_org(rng, f"it{i}") for i in range(5))]
+        for org, assignment in cases:
+            mam = decompose(org, assignment)
+            assert validate_model(mam).empty
+            aid = sorted(mam.agents)[0]
+            agent = mam.agents[aid]
+            parts = agent.task.parts()
+            parts["transitions"] = parts["transitions"] + [Transition("t_bad", sorted(agent.roles)[0], "nope")]
+            bad = MultiAgentModel(
+                mam.organization_ref,
+                mam.assignment,
+                {**mam.agents, aid: replace(agent, task=Net(**parts))},
+                mam.channels,
+            )
+            expected = naive_validate_model(bad)
+            assert not expected.empty
+            assert validate_model(bad, base=mam) == expected

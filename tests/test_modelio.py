@@ -259,6 +259,12 @@ class TestParseScenario:
         with pytest.raises(ModelSyntaxError, match="non-increasing"):
             parse_scenario(text)
 
+    def test_negative_trigger_step_rejected(self):
+        with pytest.raises(ModelSyntaxError, match="non-negative trigger step") as info:
+            parse_scenario("end quiescence\nat -1 adapt { removeAgent a }\n")
+        assert (info.value.line, info.value.col) == (2, 4)
+        assert parse_scenario("at 0 adapt { removeAgent a }\n").scenario.triggers[0].at_step == 0
+
     def test_empty_scenario(self):
         doc = parse_scenario("end quiescence\n")
         assert doc.scenario.triggers == ()
@@ -329,6 +335,26 @@ class TestContextCodec:
         monkeypatch.setattr(modelio, target, broken)
         with pytest.raises(RuntimeError, match="fault in the reader"):
             read_context(data)
+
+    @pytest.mark.parametrize("field", ["cursor", "steps"])
+    @pytest.mark.parametrize("value", ["-7", "1_0", "+1", "01", "-0", " 1", "1 ", "\u0661", "1e1", ""])
+    def test_fields_are_written_as_write_context_writes_them(self, field, value):
+        data = f"CTX1\ncursor 0\nsteps 0\n".replace(f"{field} 0", f"{field} {value}")
+        with pytest.raises(FormatError, match=f"bad {field} value"):
+            read_context(data.encode())
+
+    def test_an_agent_appears_once(self, mam1):
+        system = synthesize(mam1)
+        go(system, Scenario())
+        go(system, Scenario())  # the message now waits in agent2's mailbox
+        text = write_context(save_context(system)).decode()
+        section = text[text.index("agent agent2\n"):]
+        assert "mail mid" in section
+        with pytest.raises(FormatError, match="second agent section for 'agent2'"):
+            read_context((text + section).encode())
+        twice = text.replace("marking-end\n", "marking-end\nmarking-begin\nMRK1\nmarking-end\n", 1)
+        with pytest.raises(FormatError, match="second marking for agent 'agent1'"):
+            read_context(twice.encode())
 
     def test_equal_states_give_equal_bytes(self, mam1):
         s1, s2 = synthesize(mam1), synthesize(mam1)
