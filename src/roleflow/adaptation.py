@@ -156,38 +156,13 @@ class _Rejection(Exception):
         self.violations = violations
 
 
-def _admit_colorsets(parts: dict) -> dict:
-    """Keep the color table closed over everything the net parts reference."""
-    table = {cs.name: cs for cs in parts["colorsets"]}
-    walked = set()  # ids of the colors walked: a shared component is walked once, not once per path
-
-    def admit(cs):
-        if id(cs) in walked:
-            return
-        walked.add(id(cs))
-        if cs.name not in table:
-            table[cs.name] = cs
-        for comp in cs.components:
-            admit(comp)
-
-    for place in parts["places"]:
-        admit(place.colorset)
-    for var in parts["variables"]:
-        admit(var.colorset)
-    for proc in parts["procedures"]:
-        for _, cs in proc.inputs + proc.outputs:
-            admit(cs)
-    parts["colorsets"] = list(table.values())
-    return parts
-
-
 def _rebuild_task(task: Net, *, procedures=None, transitions=None) -> Net:
     parts = task.parts()
     if procedures is not None:
         parts["procedures"] = procedures
     if transitions is not None:
         parts["transitions"] = transitions
-    return Net(**_admit_colorsets(parts))
+    return Net(**parts)
 
 
 def _with_agent(mam: MultiAgentModel, agent: AgentModel) -> MultiAgentModel:
@@ -369,7 +344,7 @@ def _apply(mam: MultiAgentModel, op: AdaptationOp) -> MultiAgentModel:
         parts = op.task.parts()
         parts["id"] = agent.id
         parts["procedures"] = list(agent.task.procedures.values())
-        return _with_agent(mam, replace(agent, task=Net(**_admit_colorsets(parts))))
+        return _with_agent(mam, replace(agent, task=Net(**parts)))
 
     raise _Rejection([Violation("op", kind, f"unknown operation kind '{kind}'")])
 

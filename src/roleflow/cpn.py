@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    ColorClash,
     InvalidModel,
     NotEnabled,
     ProcedureFailure,
@@ -684,6 +685,9 @@ Arc = Union[InputArc, OutputArc]
 class Net:
     """An immutable net: color sets, places, procedures, role-tagged transitions, arcs.
 
+    The color table is closed: it holds every declared color and every color
+    a place, variable or procedure signature references, with their
+    components. Two different colors under one name raise `ColorClash`.
     `transition_ids` holds the transition ids in sorted order, the order the
     runtime tries them in.
     """
@@ -700,11 +704,11 @@ class Net:
         arcs: Iterable[Arc] = (),
     ):
         self.id = id
-        self.colorsets = _keyed({c.name: c for c in colorsets}, colorsets, "colorset")
         self.variables = _keyed({v.name: v for v in variables}, variables, "variable")
         self.places = _keyed({p.id: p for p in places}, places, "place")
         self.transitions = _keyed({t.id: t for t in transitions}, transitions, "transition")
         self.procedures = _keyed({p.name: p for p in procedures}, procedures, "procedure")
+        self.colorsets = _color_table(id, colorsets, self.variables, self.places, self.procedures)
         self.arcs = tuple(arcs)
         self._inputs: dict[str, tuple[InputArc, ...]] = {}
         self._outputs: dict[str, tuple[OutputArc, ...]] = {}
@@ -773,6 +777,30 @@ def _keyed(mapping, items, what):
     if len(mapping) != len(items):
         raise InvalidModel(f"duplicate {what} id in net")
     return mapping
+
+
+def _color_table(net_id, declared, variables, places, procedures) -> dict[str, ColorSet]:
+    """The net's colors by name: the declared ones and all they reference, components included."""
+    table: dict[str, ColorSet] = {}
+    todo = [*declared]
+    for v in variables.values():
+        todo.append(v.colorset)
+    for p in places.values():
+        todo.append(p.colorset)
+    for proc in procedures.values():
+        for _, cs in proc.inputs:
+            todo.append(cs)
+        for _, cs in proc.outputs:
+            todo.append(cs)
+    for cs in todo:  # the loop reaches the components it appends
+        seen = table.get(cs.name)
+        if seen is cs:  # admitted already, components included: a shared chain is walked once
+            continue
+        if seen is not None:
+            raise ColorClash(cs.name, net_id)
+        table[cs.name] = cs
+        todo += cs.components
+    return table
 
 
 class Marking:

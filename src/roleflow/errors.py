@@ -33,6 +33,14 @@ class InvalidModel(RoleflowError):
     """An operation was applied to a net or model that does not satisfy its invariants."""
 
 
+class ColorClash(InvalidModel):
+    """A net would hold two different colors under one name."""
+
+    def __init__(self, name: str, net_id: str):
+        super().__init__(f"net {net_id} has two colors named '{name}'")
+        self.name = name
+
+
 class IncoherentOrganization(RoleflowError):
     """The organization cannot be split into per-agent tasks."""
 

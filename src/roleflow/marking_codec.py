@@ -4,14 +4,16 @@ The format is versioned, line-based UTF-8: a header, then one section per
 non-empty place (sorted by id) carrying the place's full color descriptor
 and its tokens in canonical order. Equal (net, marking) pairs always
 produce byte-identical output, and a marking restores into any net whose
-identically-named places carry identical color sets.
+identically-named places carry identical color sets: a place's descriptor
+is parsed, in time linear in its line, and matched to the place's color by
+identity.
 """
 
 from __future__ import annotations
 
 from .cpn import Marking, Multiset, Net
 from .errors import FormatError, IncompatiblePlace, InvalidModel, RoleflowError, VersionMismatch
-from .textscan import parse_value_text
+from .textscan import parse_descriptor_text, parse_value_text
 
 MARKING_HEADER = "MRK1"
 
@@ -50,8 +52,13 @@ def restore_marking(data: bytes, net: Net) -> Marking:
             pid = pid.strip()
             if not pid or not descriptor:
                 raise FormatError(f"malformed place line: {ln!r}")
+            try:
+                color = parse_descriptor_text(descriptor)
+            except RoleflowError as exc:
+                raise FormatError(f"bad place descriptor in {ln!r}: {exc}") from exc
+            # interned: the parsed color is the place's color object, or another color
             place = net.places.get(pid)
-            if place is None or place.colorset.descriptor() != descriptor.strip():
+            if place is None or place.colorset is not color:
                 raise IncompatiblePlace(pid)
             if pid in places:
                 raise FormatError(f"duplicate place section '{pid}'")

@@ -34,6 +34,7 @@ from .cpn import (
 )
 from .decomposition import AgentModel, Channel, MultiAgentModel
 from .errors import (
+    ColorClash,
     FormatError,
     ModelSyntaxError,
     ResolutionError,
@@ -43,13 +44,11 @@ from .errors import (
     VersionMismatch,
 )
 from .organization import CommLink, Organization, Role
-from .runtime import Context, FinalReport, Scenario, Trigger
+from .runtime import CONTEXT_VERSION, Context, FinalReport, Scenario, Trigger
 from .textscan import (
     MAX_COLOR_DEPTH, TokenStream, parse_color_body, parse_descriptor, parse_descriptor_text,
     parse_value, parse_value_text, stream,
 )
-
-CONTEXT_HEADER = "CTX1"
 
 # how deeply calls and tuples may nest in one expression; each level costs
 # a few stack frames in parsing, checking, evaluation and comparison
@@ -384,36 +383,18 @@ class NetBuilder:
         self.arcs.append(OutputArc(tid, place.text, label))
 
     def build(self, net_id: str) -> Net:
-        table: dict[str, ColorSet] = {}
-
-        def admit(cs: ColorSet):
-            seen = table.get(cs.name)
-            if seen is cs:  # walked already: a shared component is walked once, not once per path
-                return
-            if seen is not None:  # another color under the same name
-                raise ResolutionError(cs.name)
-            table[cs.name] = cs
-            for comp in cs.components:
-                admit(comp)
-
-        for cs in self.colorsets.values():
-            admit(cs)
-        for p in self.places.values():
-            admit(p.colorset)
-        for v in self.variables.values():
-            admit(v.colorset)
-        for proc in self.procedures.values():
-            for _, cs in proc.inputs + proc.outputs:
-                admit(cs)
-        return Net(
-            net_id,
-            colorsets=list(table.values()),
-            variables=list(self.variables.values()),
-            places=list(self.places.values()),
-            transitions=list(self.transitions.values()),
-            procedures=list(self.procedures.values()),
-            arcs=self.arcs,
-        )
+        try:
+            return Net(
+                net_id,
+                colorsets=list(self.colorsets.values()),
+                variables=list(self.variables.values()),
+                places=list(self.places.values()),
+                transitions=list(self.transitions.values()),
+                procedures=list(self.procedures.values()),
+                arcs=self.arcs,
+            )
+        except ColorClash as exc:  # a color declared here shares its name with a seed color it meets
+            raise ResolutionError(exc.name) from None
 
 
 # --------------------------------------------------------------------------
@@ -699,7 +680,6 @@ class ScenarioDocument:
 def parse_scenario(text: str) -> ScenarioDocument:
     ts = stream(text)
     assignment: dict[str, str] = {}
-    colorsets: dict[str, ColorSet] = {}
     triggers: list[Trigger] = []
     max_steps = 10_000
     end_condition: tuple = ("quiescence",)
@@ -733,7 +713,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ModelSyntaxError(kind.line, kind.col, "'quiescence' or 'marked'")
         elif ts.at("ident", "colorset"):
             builder.statement(ts)
-            colorsets = builder.colorset_env()
         elif ts.at("ident", "at"):
             ts.next()
             step_tok = ts.expect("int", what="a step number")
@@ -850,7 +829,7 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
 
 
 def write_context(context: Context) -> bytes:
-    lines = [CONTEXT_HEADER, f"cursor {context.cursor}", f"steps {context.step_count}"]
+    lines = [CONTEXT_VERSION, f"cursor {context.cursor}", f"steps {context.step_count}"]
     channel_colors: dict[str, ColorSet] = {}
     for _, mailbox in context.agent_mailboxes:
         for ch, v in mailbox:
@@ -881,7 +860,7 @@ def read_context(data: bytes) -> Context:
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise FormatError("empty context data")
-    if lines[0] != CONTEXT_HEADER:
+    if lines[0] != CONTEXT_VERSION:
         if lines[0].startswith("CTX"):
             raise VersionMismatch(f"unsupported context version '{lines[0]}'")
         raise FormatError("missing context header")
@@ -956,7 +935,7 @@ def read_context(data: bytes) -> Context:
     if cursor is None or steps is None:
         raise FormatError("context missing cursor or steps")
     return Context(
-        version=CONTEXT_HEADER,
+        version=CONTEXT_VERSION,
         agent_markings=tuple(markings),
         agent_mailboxes=tuple((aid, tuple(mb)) for aid, mb in mailboxes),
         bus=tuple(bus),

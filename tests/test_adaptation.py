@@ -431,3 +431,90 @@ class TestValidationStaleness:
         report = validate_model(got)
         assert report == naive_validate_model(got)
         assert any("does not match parameter" in v.message for v in report.entries)
+
+
+# one color named like the net's Tok, but text where the net's is int
+TEXT_TOK = ColorSet("Tok", "text")
+
+
+def spare(color):
+    """A procedure no transition uses, over `color`."""
+    return ProcedureDef("spare", (("x", color),), (("y", color),), (("y", Expr.var("x")),))
+
+
+def pair_task():
+    """agent2's task receiving into a place whose color is a product of the text Tok."""
+    from roleflow import Place, ReceiveEvent, Transition
+
+    pair = ColorSet("Pair", "product", components=(TEXT_TOK, TEXT_TOK))
+    return Net(
+        "agent2",
+        places=[Place("hold", pair)],
+        transitions=[Transition("tB", "B", "inc1", event=ReceiveEvent("mid", "n"))],
+    )
+
+
+# (op kind, the model before the op, the op); each payload brings a color named
+# 'Tok' that is not the net's Tok: through a signature, a component, a task
+CLASHES = {
+    "aP": (lambda mam: mam, a_p("agent1", spare(TEXT_TOK))),
+    "rpP": (lambda mam: apply_op(mam, a_p("agent1", spare(TOK))), rp_p("agent1", "spare", spare(TEXT_TOK))),
+    "rpT": (lambda mam: mam, rp_t("agent2", pair_task())),
+}
+
+
+def assert_closed(net):
+    """Every color a place, variable or procedure signature references, components included, is the table's."""
+    todo = [p.colorset for p in net.places.values()] + [v.colorset for v in net.variables.values()]
+    for proc in net.procedures.values():
+        todo += [cs for _, cs in proc.inputs + proc.outputs]
+    for cs in todo:
+        assert net.colorsets[cs.name] is cs, (net.id, cs.name)
+        todo += cs.components
+
+
+class TestColorClash:
+    @pytest.mark.parametrize("kind", sorted(CLASHES))
+    def test_a_payload_color_named_like_a_net_color_is_rejected(self, mam1, kind):
+        from roleflow import go, save_context, write_context
+        from roleflow.runtime import Scenario, _adapt
+
+        prepare, op = CLASHES[kind]
+        mam = prepare(mam1)
+        assert op.kind == kind
+        report = validate_op(mam, op)
+        assert report == naive_validate_op(mam, op)
+        assert [(v.code, v.subject) for v in report.entries] == [(kind, op.agent_id)]
+        assert "two colors named 'Tok'" in report.entries[0].message
+
+        before = serialize_model(mam)
+        with pytest.raises(CoherenceError):
+            evolve(mam, AdaptationRequest((op,)))
+        assert serialize_model(mam) == before
+        system = synthesize(mam)
+        go(system, Scenario())
+        state = write_context(save_context(system))
+        trace, adaptations = [], []
+        with pytest.raises(CoherenceError):
+            _adapt(system, AdaptationRequest((op,)), trace, adaptations)
+        assert (trace, adaptations) == ([], [])
+        assert write_context(save_context(system)) == state and system.model is mam
+
+    def test_decompositions_and_adapted_models_are_closed_and_round_trip(self):
+        from roleflow import parse_model
+
+        rng = random.Random(15)
+        models = 0
+        for i in range(8):
+            org = gen_org(rng, f"cc{i}")
+            assert_closed(org.global_task)
+            mam = decompose(org, next(iter(all_assignments(org.roles))))
+            for _ in range(20):
+                for agent in mam.agents.values():
+                    assert_closed(agent.task)
+                assert parse_model(serialize_model(mam)).model == mam
+                models += 1
+                op = gen_random_op(rng, mam)
+                if validate_op(mam, op).empty:
+                    mam = apply_op(mam, op)
+        assert models == 160

@@ -6,9 +6,15 @@ from roleflow import parse_model
 from roleflow.cli import run_cli
 
 from conftest import GOLDEN, MODELS
-from helpers import nested_inputs
+from helpers import deadline, nested_inputs, shared_product_chain
 
 DEEP = nested_inputs((MODELS / "org1.org").read_text(), 600, 1000)
+
+# adds a procedure over a text Tok to an agent whose net's Tok is int
+CLASH_SCN = (MODELS / "org1_run.scn").read_text() + (
+    "colorset Tok = text\n"
+    "at 1 adapt { aP agent1 proc p(n:Tok) -> (o:Tok) { o = concat(n, n) } }\n"
+)
 
 
 def run(capsys, *args):
@@ -209,6 +215,30 @@ class TestRun:
             code, out, err = run(capsys, cmd, MODELS / "org1.org", scn)
             assert code == 3 and out == ""
             assert "expected a non-negative trigger step" in err
+
+    @pytest.mark.parametrize("checkpoint", [(), ("--checkpoint-at", 2)])
+    def test_a_payload_color_named_like_a_net_color_exits_2_and_writes_nothing(self, capsys, tmp_path, checkpoint):
+        scn = tmp_path / "clash.scn"
+        scn.write_text(CLASH_SCN)
+        ctx = ("--context", tmp_path / "snap.ctx") if checkpoint else ()
+        code, out, err = run(capsys, "run", MODELS / "org1.org", scn, *checkpoint, *ctx)
+        assert code == 2 and out == ""
+        assert "[aP] agent1: net agent1 has two colors named 'Tok'" in err
+        assert list(tmp_path.iterdir()) == [scn]
+
+    def test_resume_of_a_short_place_line_for_a_deep_place_exits_2_at_once(self, capsys, tmp_path):
+        org = tmp_path / "deep.org"
+        org.write_text(shared_product_chain((MODELS / "org1.org").read_text(), 32) + "place deep : D31\n")
+        ctx = tmp_path / "snap.ctx"
+        base = ("run", org, MODELS / "org1_run.scn")
+        code, _, _ = run(capsys, *base, "--checkpoint-at", 1, "--context", ctx)
+        head = "agent agent1\nmarking-begin\nMRK1\n"
+        assert code == 0 and head in ctx.read_text()
+        ctx.write_text(ctx.read_text().replace(head, head + "place deep : Tok=int\n"))
+        with deadline(20):
+            code, out, err = run(capsys, *base, "--resume-from", ctx)
+        assert code == 2 and out == ""
+        assert "agent agent1 classified preserving but marking restore failed: place 'deep'" in err
 
     @pytest.mark.parametrize("edit", ["steps", "agent"])
     def test_resume_from_a_context_write_context_never_writes_exits_3(self, capsys, tmp_path, edit):

@@ -36,6 +36,7 @@ from roleflow import (
     Transition,
     UnknownTransition,
     Value,
+    Variable,
     decompose,
     TypeMismatch,
     UnboundVariable,
@@ -396,6 +397,19 @@ def test_duplicate_ids_rejected_at_construction():
 
     with pytest.raises(InvalidModel):
         Net("dup", colorsets=[TOK], places=[Place("p", TOK), Place("p", TOK)])
+
+
+def test_net_closes_its_color_table():
+    flag = ColorSet("Flag", "enum", members=("false", "true"))
+    pair = ColorSet("Pair", "product", components=(TOK, flag))
+    proc = ProcedureDef("same", (("x", pair),), (("y", pair),), (("y", Expr.var("x")),))
+    net = Net("open", variables=[Variable("f", flag)], places=[Place("p", pair)], procedures=[proc])
+    assert net.colorsets == {"Flag": flag, "Pair": pair, "Tok": TOK}
+    assert Net("same", colorsets=[TOK, pair, TOK], places=[Place("p", pair)]).colorsets == net.colorsets
+    with pytest.raises(InvalidModel, match="two colors named 'Tok'"):
+        Net("clash", colorsets=[TOK], places=[Place("p", ColorSet("Tok", "text"))])
+    with pytest.raises(InvalidModel, match="two colors named 'Tok'"):
+        Net("clash", colorsets=[ColorSet("Tok", "text")], procedures=[proc])
 
 
 def net1_with(**parts):

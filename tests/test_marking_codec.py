@@ -12,6 +12,7 @@ from roleflow import (
     Multiset,
     Net,
     Place,
+    Value,
     VersionMismatch,
     restore_marking,
     save_marking,
@@ -19,7 +20,7 @@ from roleflow import (
 from roleflow.textscan import parse_descriptor_text, parse_value_text
 
 from conftest import TOK, tok
-from helpers import gen_net_and_marking, gen_value
+from helpers import deadline, gen_net_and_marking, gen_value
 
 
 def test_round_trip(net1):
@@ -135,3 +136,41 @@ def test_program_faults_are_not_read_as_bad_tokens(net1, monkeypatch):
     monkeypatch.setattr(marking_codec, "parse_value_text", broken)
     with pytest.raises(RuntimeError, match="fault in the reader"):
         restore_marking(data, net1)
+
+
+def chain(k, second=None):
+    """The colors D0 .. D{k-1}: Di = product(Di-1, Di-1), or product(Di-1, second) when given."""
+    colors = [TOK]
+    for i in range(k):
+        colors.append(ColorSet(f"D{i}", "product", components=(colors[-1], second or colors[-1])))
+    return colors[1:]
+
+
+class TestDeepPlace:
+    # D31 nests 32 products and its descriptor is 2^32 leaves long: nothing may render it
+    DEEP = Net("deep", places=[Place("deep", chain(32)[-1])])
+
+    @pytest.mark.parametrize("descriptor", ["Tok=int", "D31=product(D30=int,D30=int)"])
+    def test_a_short_wrong_descriptor_is_incompatible_at_once(self, descriptor):
+        with deadline(1):
+            with pytest.raises(IncompatiblePlace):
+                restore_marking(f"MRK1\nplace deep : {descriptor}\n".encode(), self.DEEP)
+
+    @pytest.mark.parametrize("descriptor", ["D31=product(", "D31=list(Tok=int)", "Tok=int extra"])
+    def test_a_malformed_descriptor_is_a_format_error(self, descriptor):
+        with deadline(1):
+            with pytest.raises(FormatError):
+                restore_marking(f"MRK1\nplace deep : {descriptor}\n".encode(), self.DEEP)
+
+    def test_the_true_descriptor_restores(self):
+        # 32 products deep too, but each shares only Tok, so its descriptor is short enough to write
+        colors = chain(32, second=TOK)
+        net = Net("deep", places=[Place("deep", colors[-1])])
+        value = tok(1)
+        for cs in colors:
+            value = Value(cs, (value, tok(2)))
+        marking = Marking({"deep": Multiset([value, value])})
+        data = save_marking(net, marking)
+        assert data.startswith(b"MRK1\nplace deep : " + colors[-1].descriptor().encode() + b"\n")
+        with deadline(1):
+            assert restore_marking(data, net) == marking

@@ -191,6 +191,17 @@ class TestSerializeModel:
             mtext = serialize_model(mam)
             assert parse_model(mtext).model == mam
 
+    def test_an_org_built_without_declared_colors_round_trips(self, org1):
+        from roleflow import ColorSet, Net, Organization, Place
+
+        # the net closes its table over the colors its places and procedures use
+        pair = ColorSet("Pair", "product", components=(org1.global_task.places["mid"].colorset,) * 2)
+        parts = org1.global_task.parts()
+        parts.update(colorsets=[], places=parts["places"] + [Place("spare", pair)])
+        org = Organization(org1.id, org1.objective, org1.roles.values(), org1.links, Net(**parts))
+        assert sorted(org.global_task.colorsets) == ["Pair", "Tok"]
+        assert parse_model(serialize_model(org)).model == org
+
     def test_canonical_net_text_is_equivalence_substrate(self, org1):
         # same structure built twice in different declaration orders
         text = canonical_net_text(org1.global_task)
@@ -287,6 +298,16 @@ class TestParseScenario:
         assert len(OP_KINDS) == 16
         fine = [k for k in OP_KINDS if k not in ("addAgent", "removeAgent", "modifyAgent")]
         assert len(fine) == 13
+
+    def test_an_agent_color_shadowing_a_component_of_a_scenario_color_is_unresolved(self):
+        text = (
+            "colorset Tok = int\n"
+            "colorset Pair = product(Tok,Tok)\n"
+            "at 1 adapt { addAgent agent3 { assumes C colorset Tok = text place p : Pair } }\n"
+        )
+        with pytest.raises(ResolutionError) as err:
+            parse_scenario(text)
+        assert err.value.name == "Tok"
 
     def test_ops_text_against_model(self, mam1):
         op_list = parse_ops_text("rP agent2 inc1; modifyAgent agent1 { }", mam1)
