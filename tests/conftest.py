@@ -21,9 +21,8 @@ from roleflow import (
     decompose,
 )
 
-from helpers import TOK, tok
+from helpers import MODELS, TOK, tok
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import random
 import signal
 import warnings
+from pathlib import Path
 
 from roleflow import (
     ColorSet,
@@ -34,11 +36,23 @@ from roleflow import (
     Transition,
     Value,
     communication_structure,
+    decompose,
+    go,
+    parse_model,
+    parse_ops_text,
+    parse_scenario,
+    read_context,
+    restore_marking,
+    save_context,
+    serialize_model,
+    synthesize,
     validate_organization,
+    write_context,
 )
 from roleflow.cpn import INT_MAX, INT_MIN
 from roleflow.errors import SaturationWarning, TypeMismatch, UnboundVariable
 
+MODELS = Path(__file__).resolve().parent.parent / "models"
 TOK = ColorSet("Tok", "int")
 
 
@@ -1192,3 +1206,106 @@ def mutate_text(rng: random.Random, text: str, edits: int = 3) -> str:
         else:
             chars[at] = rng.choice(MUTATION_ALPHABET)
     return "".join(chars)
+
+
+# ---------------------------------------------------------------------------
+# parser inputs: well-formed texts, lexical edge cases, and mutations of both
+
+
+def model_texts(rng: random.Random, count: int) -> list[str]:
+    """The demo models and scenarios, then generated organizations and their models."""
+    texts = [path.read_text() for path in sorted(MODELS.iterdir())]
+    for i in range(count):
+        org = gen_org(rng, f"lx{i}")
+        texts.append(serialize_model(org))
+        texts.append(serialize_model(decompose(org, next(iter(all_assignments(org.roles))))))
+    return texts
+
+
+LEXICAL_EDGES = [
+    "",
+    "# only a comment",
+    "a\r\n\tb",
+    "->",
+    "-",
+    "- >",
+    "-5 --5",
+    "x!y _1 9z",
+    "²",
+    "1²",
+    "-²",
+    "٣٣ -٣",
+    "é",
+    "\f",
+    '"ok \\n \\t \\" \\\\ \\r"',
+    '"unterminated',
+    '"bad \\q escape"',
+    '"backslash at the end \\',
+    '"escaped quote at the end \\"',
+    '"broken\nline"',
+]
+
+# adaptation requests against org1 decomposed as A -> agent1, B -> agent2;
+# together they use every operation keyword
+OPS_TEXTS = [
+    "rpP agent2 inc1 proc inc2(n:Tok) -> (o:Tok) { o = addK(n,2) }",
+    "rpT agent2 task {\n  place hold : Tok\n  trans tB role=B proc=inc1 recv mid n\n  out hold : o\n}",
+    "aCom c2 : Tok=int from agent1 to agent2 init { 1, 2 }; rCom mid",
+    "rpCom mid channel mid2 : P=product(Tok=int,T=text) from agent1 to agent2 init { (1,\"a\") }",
+    "aSn agent2 mid; rSn agent2 mid; aEf agent1 mid; rEf agent1 mid",
+    "rpSn agent2 mid mid2; rpEf agent1 mid mid2",
+    "aP agent1 proc p(n:Tok) -> (o:Tok) { o = addK(inc(n),3) }; rP agent2 inc1",
+    "addAgent agent3 { assumes B sensor mid place p : Tok init { 3 } proc p2(n:Tok) -> (o:Tok) { o = n }"
+    " trans t role=B proc=p2 recv mid n out p : o }",
+    "removeAgent agent3; modifyAgent agent1 { rP agent1 pass; aP agent1 proc q(n:Tok) -> (o:Tok) { o = inc(n) } }",
+]
+
+
+def codec_samples() -> tuple[list[str], list]:
+    """CTX1 texts, and (MRK1 text, task net) pairs, from three checkpoints
+    each of the org1 and devsociety runs."""
+    contexts, markings = [], []
+    for name, run_scn in (("org1", "org1_run"), ("devsociety", "devsociety")):
+        org = parse_model((MODELS / f"{name}.org").read_text()).model
+        sdoc = parse_scenario((MODELS / f"{run_scn}.scn").read_text())
+        system = synthesize(decompose(org, sdoc.assignment))
+        for _ in range(3):
+            go(system, sdoc.scenario)
+            ctx = save_context(system)
+            contexts.append(write_context(ctx).decode())
+            for aid, data in ctx.agent_markings:
+                markings.append((data.decode(), system.task(aid)))
+    return contexts, markings
+
+
+def parse_outcome_lines(per_parser: int = 500) -> list[str]:
+    """One line per input: its number, the parser, and `ok` or the exception's
+    class and message. The inputs are `per_parser` seeded mutations for each
+    of the five text parsers, then the lexical edges and the nesting caps."""
+    rng = random.Random(1616)
+    models = model_texts(rng, 4)
+    scenarios = [path.read_text() for path in sorted(MODELS.glob("*.scn"))]
+    contexts, markings = codec_samples()
+    org1 = parse_model((MODELS / "org1.org").read_text()).model
+    mam = decompose(org1, {"A": "agent1", "B": "agent2"})
+    cases = []
+    for _ in range(per_parser):
+        cases.append((parse_model, (mutate_text(rng, rng.choice(models), rng.randint(1, 4)),)))
+        cases.append((parse_scenario, (mutate_text(rng, rng.choice(scenarios), rng.randint(1, 4)),)))
+        cases.append((parse_ops_text, (mutate_text(rng, rng.choice(OPS_TEXTS), rng.randint(1, 4)), mam)))
+        cases.append((read_context, (mutate_text(rng, rng.choice(contexts), rng.randint(1, 4)).encode(),)))
+        text, task = rng.choice(markings)
+        cases.append((restore_marking, (mutate_text(rng, text, rng.randint(1, 4)).encode(), task)))
+    cases += [(parse_model, (text,)) for text in LEXICAL_EDGES]
+    nested = nested_inputs((MODELS / "org1.org").read_text(), 600, 1000)
+    cases.append((read_context, (nested.pop("context descriptor").encode(),)))
+    cases += [(parse_model, (text,)) for text in nested.values()]
+    lines = []
+    for k, (parse, args) in enumerate(cases):
+        try:
+            parse(*args)
+            outcome = "ok"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}\t{json.dumps(str(exc), ensure_ascii=False)}"
+        lines.append(f"{k}\t{parse.__name__}\t{outcome}")
+    return lines

@@ -7,6 +7,7 @@ from roleflow import (
     Expr,
     FormatError,
     ModelSyntaxError,
+    Organization,
     ProcedureDef,
     ResolutionError,
     RoleflowError,
@@ -36,18 +37,31 @@ from roleflow.runtime import TraceEntry
 from roleflow.modelio import MAX_EXPR_DEPTH, render_trace
 from roleflow.textscan import MAX_COLOR_DEPTH, tokenize
 
-from conftest import MODELS
+from conftest import GOLDEN, MODELS
 from helpers import (
+    LEXICAL_EDGES,
     all_assignments,
+    codec_samples,
     deadline,
     gen_org,
+    model_texts,
     mutate_text,
     naive_tokenize,
     nested_inputs,
+    parse_outcome_lines,
     shared_product_chain,
 )
 
 ORG1_TEXT = (MODELS / "org1.org").read_text()
+# the keyword before a declared name, and the kind `ModelDocument.locations` files it under
+_DECLARING = {
+    "role": "role",
+    "colorset": "colorset",
+    "var": "variable",
+    "place": "place",
+    "proc": "procedure",
+    "trans": "transition",
+}
 
 
 class TestParseModel:
@@ -62,6 +76,23 @@ class TestParseModel:
         assert ("place", "in_") in doc.locations
         line, col = doc.locations[("place", "in_")]
         assert line > 1 and col == len("place ") + 1  # points at the declared name
+
+    def test_locations_point_at_each_declared_name(self):
+        org = gen_org(random.Random(5), "loc")
+        texts = [(MODELS / "org1.org").read_text(), (MODELS / "devsociety.org").read_text(), serialize_model(org)]
+        texts.append(serialize_model(decompose(org, {role: f"ag_{role}" for role in org.roles})))
+        for text in texts:
+            doc = parse_model(text)
+            # a .mas text records its channels and agents, not the nets inside agent sections
+            kinds = _DECLARING if isinstance(doc.model, Organization) else {"channel": "channel", "agent": "agent"}
+            tokens = naive_tokenize(text)
+            expected = {
+                (kinds[kw.text], name.text): (name.line, name.col)
+                for kw, name in zip(tokens, tokens[1:])
+                if kw.kind == "ident" and kw.text in kinds and name.kind == "ident"
+            }
+            assert len(expected) > 2
+            assert doc.locations == expected
 
     def test_empty_input(self):
         with pytest.raises(ModelSyntaxError) as err:
@@ -400,40 +431,6 @@ def _lex(tokenizer, text):
         return (exc.line, exc.col, exc.expected)
 
 
-def _model_texts(rng, count):
-    """The demo models and scenarios, then generated organizations and their models."""
-    texts = [path.read_text() for path in sorted(MODELS.iterdir())]
-    for i in range(count):
-        org = gen_org(rng, f"lx{i}")
-        texts.append(serialize_model(org))
-        texts.append(serialize_model(decompose(org, next(iter(all_assignments(org.roles))))))
-    return texts
-
-
-LEXICAL_EDGES = [
-    "",
-    "# only a comment",
-    "a\r\n\tb",
-    "->",
-    "-",
-    "- >",
-    "-5 --5",
-    "x!y _1 9z",
-    "²",
-    "1²",
-    "-²",
-    "٣٣ -٣",
-    "é",
-    "\f",
-    '"ok \\n \\t \\" \\\\ \\r"',
-    '"unterminated',
-    '"bad \\q escape"',
-    '"backslash at the end \\',
-    '"escaped quote at the end \\"',
-    '"broken\nline"',
-]
-
-
 class TestTokenizer:
     def test_tokens_are_named_tuples(self):
         tok = tokenize("org x")[1]
@@ -442,7 +439,7 @@ class TestTokenizer:
 
     def test_matches_naive_tokenizer_on_mutated_texts(self):
         rng = random.Random(505)
-        texts = _model_texts(rng, 8)
+        texts = model_texts(rng, 8)
         inputs = list(LEXICAL_EDGES)
         for k in range(3000):
             inputs.append(mutate_text(rng, texts[k % len(texts)], rng.randint(1, 6)))
@@ -461,22 +458,27 @@ class TestTokenizer:
         }, outcomes
 
 
+class TestParseOutcomes:
+    def test_every_diagnostic_matches_the_golden(self):
+        """Each mutated input's outcome, class and message are pinned.
+
+        Regenerate with
+        `cd tests && PYTHONPATH=../src python -c "import helpers; print('\\n'.join(helpers.parse_outcome_lines()))" > golden/parse_outcomes.tsv`
+        only when a diagnostic changes on purpose.
+        """
+        golden = (GOLDEN / "parse_outcomes.tsv").read_text(encoding="utf-8").splitlines()
+        got = parse_outcome_lines()
+        assert len(got) == len(golden)
+        changed = [(want, line) for want, line in zip(golden, got) if want != line]
+        assert not changed, changed[:5]
+
+
 class TestMalformedInputFuzz:
     def test_parsers_raise_only_roleflow_errors(self):
         rng = random.Random(1212)
-        models = _model_texts(rng, 4)
+        models = model_texts(rng, 4)
         scenarios = [path.read_text() for path in sorted(MODELS.glob("*.scn"))]
-        contexts, markings = [], []
-        for name, run_scn in (("org1", "org1_run"), ("devsociety", "devsociety")):
-            org = parse_model((MODELS / f"{name}.org").read_text()).model
-            sdoc = parse_scenario((MODELS / f"{run_scn}.scn").read_text())
-            system = synthesize(decompose(org, sdoc.assignment))
-            for _ in range(3):
-                go(system, sdoc.scenario)
-                ctx = save_context(system)
-                contexts.append(write_context(ctx).decode())
-                for aid, data in ctx.agent_markings:
-                    markings.append((data.decode(), system.task(aid)))
+        contexts, markings = codec_samples()
         parsers = [
             (parse_model, lambda: mutate_text(rng, rng.choice(models), rng.randint(1, 4))),
             (parse_scenario, lambda: mutate_text(rng, rng.choice(scenarios), rng.randint(1, 4))),
