@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .cpn import Marking, Multiset, Net
 from .errors import FormatError, IncompatiblePlace, InvalidModel, RoleflowError, VersionMismatch
-from .textscan import parse_descriptor_text, parse_value_text
+from .textscan import canonical_int, parse_descriptor_text, parse_value_text
 
 MARKING_HEADER = "MRK1"
 
@@ -74,6 +74,9 @@ def restore_marking(data: bytes, net: Net) -> Marking:
                 raise FormatError(f"bad token count in {ln!r}") from exc
             if count < 1:
                 raise FormatError(f"non-positive token count in {ln!r}")
+            # `int` also reads `+2`, `02`, `1_0` and non-ASCII digits; `save_marking` writes none
+            if canonical_int(count_text) is None:
+                raise FormatError(f"bad token count in {ln!r}")
             try:
                 value = parse_value_text(value_text, net.places[current].colorset)
             except RoleflowError as exc:

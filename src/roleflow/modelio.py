@@ -9,7 +9,8 @@ equivalence checks, so ordering rules here are load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from . import adaptation as ops
@@ -36,7 +37,6 @@ from .decomposition import AgentModel, Channel, MultiAgentModel
 from .errors import (
     ColorClash,
     FormatError,
-    ModelSyntaxError,
     ResolutionError,
     RoleflowError,
     TypeMismatch,
@@ -46,8 +46,8 @@ from .errors import (
 from .organization import CommLink, Organization, Role
 from .runtime import CONTEXT_VERSION, Context, FinalReport, Scenario, Trigger
 from .textscan import (
-    MAX_COLOR_DEPTH, TokenStream, parse_color_body, parse_descriptor, parse_descriptor_text,
-    parse_value, parse_value_text, stream,
+    MAX_COLOR_DEPTH, Positions, TokenStream, canonical_int, parse_color_body, parse_descriptor,
+    parse_descriptor_text, parse_value, parse_value_text,
 )
 
 # how deeply calls and tuples may nest in one expression; each level costs
@@ -55,10 +55,17 @@ from .textscan import (
 MAX_EXPR_DEPTH = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelDocument:
     model: Union[Organization, MultiAgentModel]
-    locations: dict  # (kind, id) -> (line, col), for diagnostics
+    declared: dict  # (kind, id) -> index of the declaring name's token
+    where: Positions = field(repr=False)  # token index -> (line, col)
+
+    @cached_property
+    def locations(self) -> dict:
+        """(kind, id) -> (line, col) of the declaring name, for diagnostics;
+        worked out on first read."""
+        return {key: self.where(at) for key, at in self.declared.items()}
 
 
 # --------------------------------------------------------------------------
@@ -84,25 +91,26 @@ def parse_expr(
     expected: Optional[ColorSet],
     depth: int = 0,
 ) -> Expr:
-    tok = _within_depth(ts, depth)
-    if tok.kind == "int":
-        ts.next()
+    at = _within_depth(ts, depth)
+    kind = ts.kinds[at]
+    if kind == "int":
+        text = ts.next()
         if expected is None or expected.kind != "int":
-            raise ModelSyntaxError(tok.line, tok.col, "an integer in an int-colored context")
-        return Expr.lit(Value(expected, int(tok.text)))
-    if tok.kind == "string":
-        ts.next()
+            raise ts.error("an integer in an int-colored context", at)
+        return Expr.lit(Value(expected, int(text)))
+    if kind == "string":
+        text = ts.next()
         if expected is None or expected.kind != "text":
-            raise ModelSyntaxError(tok.line, tok.col, "text in a text-colored context")
-        return Expr.lit(Value(expected, tok.text))
+            raise ts.error("text in a text-colored context", at)
+        return Expr.lit(Value(expected, text))
     if ts.at("punct", "("):
         ts.next()
         if ts.accept("punct", ")"):
             if expected is None or expected.kind != "unit":
-                raise ModelSyntaxError(tok.line, tok.col, "'()' in a unit-colored context")
+                raise ts.error("'()' in a unit-colored context", at)
             return Expr.lit(Value(expected, None))
         if expected is None or expected.kind != "product":
-            raise ModelSyntaxError(tok.line, tok.col, "a tuple in a product-colored context")
+            raise ts.error("a tuple in a product-colored context", at)
         args = []
         for i, comp in enumerate(expected.components):
             if i:
@@ -110,32 +118,31 @@ def parse_expr(
             args.append(parse_expr(ts, env, colorsets, comp, depth + 1))
         ts.expect("punct", ")")
         return Expr.tup(*args)
-    name_tok = ts.expect("ident", what="an expression")
-    name = name_tok.text
+    name = ts.expect("ident", what="an expression")
     if ts.at("punct", "("):
-        return _parse_call(ts, name_tok, env, colorsets, expected, depth)
+        return _parse_call(ts, at, env, colorsets, expected, depth)
     if ts.at("punct", "."):
-        return _enum_literal(ts, name_tok, colorsets)
+        return _enum_literal(ts, at, colorsets)
     if name in env:
         return Expr.var(name)
     if expected is not None and expected.kind == "enum" and name in expected.members:
         return Expr.lit(Value(expected, name))
-    raise ResolutionError(name, name_tok.line, name_tok.col)
+    raise ResolutionError(name, *ts.where(at))
 
 
-def _within_depth(ts, depth: int):
-    """The next token, unless it starts an expression nested past the cap."""
+def _within_depth(ts, depth: int) -> int:
+    """The next token's index, unless it starts an expression nested past the cap."""
     if depth > MAX_EXPR_DEPTH:
-        ts.fail(f"an expression with at most {MAX_EXPR_DEPTH} nested calls and tuples")
-    return ts.peek()
+        raise ts.error(f"an expression with at most {MAX_EXPR_DEPTH} nested calls and tuples")
+    return ts.pos
 
 
-def _parse_call(ts, name_tok, env, colorsets, expected, depth) -> Expr:
+def _parse_call(ts, name_at, env, colorsets, expected, depth) -> Expr:
     """A builtin call shaped by its table entry; the parser knows no operand's color."""
-    name = name_tok.text
+    name = ts.texts[name_at]
     builtin = BUILTINS.get(name)
     if builtin is None:
-        raise ModelSyntaxError(name_tok.line, name_tok.col, "a builtin function name")
+        raise ts.error("a builtin function name", name_at)
     ts.expect("punct", "(")
     args = []
     for i, context in enumerate(builtin.contexts):
@@ -147,7 +154,7 @@ def _parse_call(ts, name_tok, env, colorsets, expected, depth) -> Expr:
         try:
             ctx = expected if context is None else context(name, expected, (None,) * i)
         except TypeMismatch:  # only a pair's components can lack a context
-            raise ModelSyntaxError(name_tok.line, name_tok.col, f"{name} in a pair-colored context") from None
+            raise ts.error(f"{name} in a pair-colored context", name_at) from None
         args.append(parse_expr(ts, env, colorsets, ctx, depth + 1))
     constants = []
     for _ in range(len(args), builtin.arity):
@@ -155,48 +162,50 @@ def _parse_call(ts, name_tok, env, colorsets, expected, depth) -> Expr:
         constants.append(ts.expect("int", what="an integer constant"))
     ts.expect("punct", ")")
     if constants and (expected is None or expected.kind != "int"):
-        raise ModelSyntaxError(name_tok.line, name_tok.col, f"{name} in an int-colored context")
-    return Expr.call(name, *args, *(Expr.lit(Value(expected, int(k.text))) for k in constants))
+        raise ts.error(f"{name} in an int-colored context", name_at)
+    return Expr.call(name, *args, *(Expr.lit(Value(expected, int(k))) for k in constants))
 
 
 def parse_expr_inferred(ts, env, colorsets, depth: int = 0) -> Expr:
     """Parse where the color must come from the expression itself (vars, projections)."""
-    tok = _within_depth(ts, depth)
-    if tok.kind != "ident":
-        raise ModelSyntaxError(tok.line, tok.col, "an expression with inferable color")
-    ts.next()
+    at = _within_depth(ts, depth)
+    if ts.kinds[at] != "ident":
+        raise ts.error("an expression with inferable color", at)
+    name = ts.next()
     if ts.at("punct", "("):
-        builtin = BUILTINS.get(tok.text)
+        builtin = BUILTINS.get(name)
         # a one-operand builtin takes its color from that operand
         if builtin is None or builtin.arity != 1:
-            raise ModelSyntaxError(tok.line, tok.col, "an expression with inferable color")
+            raise ts.error("an expression with inferable color", at)
         ts.next()
         arg = parse_expr_inferred(ts, env, colorsets, depth + 1)
         ts.expect("punct", ")")
-        return Expr.call(tok.text, arg)
+        return Expr.call(name, arg)
     if ts.at("punct", "."):
-        return _enum_literal(ts, tok, colorsets)
-    if tok.text in env:
-        return Expr.var(tok.text)
-    raise ResolutionError(tok.text, tok.line, tok.col)
+        return _enum_literal(ts, at, colorsets)
+    if name in env:
+        return Expr.var(name)
+    raise ResolutionError(name, *ts.where(at))
 
 
-def _enum_literal(ts, name_tok, colorsets) -> Expr:
-    """`Enum.member`, read from the '.' after the enum's name."""
+def _enum_literal(ts, name_at, colorsets) -> Expr:
+    """`Enum.member`, read from the '.' after the enum's name at token `name_at`."""
+    name = ts.texts[name_at]
     ts.expect("punct", ".")
-    member = ts.expect("ident", what="an enum member").text
-    cs = colorsets.get(name_tok.text)
+    member = ts.expect("ident", what="an enum member")
+    cs = colorsets.get(name)
     if cs is None:
-        raise ResolutionError(name_tok.text, name_tok.line, name_tok.col)
+        raise ResolutionError(name, *ts.where(name_at))
     if cs.kind != "enum" or member not in cs.members:
-        raise ModelSyntaxError(name_tok.line, name_tok.col, f"a member of enum {name_tok.text}")
+        raise ts.error(f"a member of enum {name}", name_at)
     return Expr.lit(Value(cs, member))
 
 
 # --------------------------------------------------------------------------
 # net fragments (shared by organization docs, agent sections, task blocks)
-
-_FRAGMENT_KEYWORDS = ("colorset", "var", "place", "proc", "trans", "in", "out")
+#
+# A statement method gets the stream after its keyword and the keyword's
+# token index; declarations record the index of the declared name's token.
 
 
 class NetBuilder:
@@ -211,12 +220,15 @@ class NetBuilder:
         self.current: Optional[str] = None
         self.allow_procs = allow_procs
         self.allow_events = allow_events
-        self.locations: dict = {}
+        self.declared: dict = {}  # (kind, name) -> token index of the name
 
-    def lookup_colorset(self, tok) -> ColorSet:
-        cs = self.colorsets.get(tok.text) or self.seed_colorsets.get(tok.text)
+    def read_colorset(self, ts) -> ColorSet:
+        """A color set name, resolved."""
+        at = ts.pos
+        name = ts.expect("ident", what="a color set name")
+        cs = self.colorsets.get(name) or self.seed_colorsets.get(name)
         if cs is None:
-            raise ResolutionError(tok.text, tok.line, tok.col)
+            raise ResolutionError(name, *ts.where(at))
         return cs
 
     def colorset_env(self) -> dict[str, ColorSet]:
@@ -226,55 +238,56 @@ class NetBuilder:
 
     def statement(self, ts: TokenStream) -> bool:
         """Consume one fragment statement; False when the next token is not ours."""
-        tok = ts.peek()
-        if tok.kind != "ident" or tok.text not in _FRAGMENT_KEYWORDS:
+        at = ts.pos
+        stmt = _STATEMENTS.get(ts.texts[at]) if ts.kinds[at] == "ident" else None
+        if stmt is None:
             return False
-        keyword = ts.next().text
-        getattr(self, f"_stmt_{keyword}")(ts, tok)
+        ts.next()
+        stmt(self, ts, at)
         return True
 
-    def _declare(self, kind: str, name_tok, table: dict, item):
-        if name_tok.text in table:
-            raise ModelSyntaxError(name_tok.line, name_tok.col, f"a fresh {kind} name")
-        table[name_tok.text] = item
-        self.locations[(kind, name_tok.text)] = (name_tok.line, name_tok.col)
+    def _declare(self, kind: str, ts, at: int, table: dict, item):
+        name = ts.texts[at]
+        if name in table:
+            raise ts.error(f"a fresh {kind} name", at)
+        table[name] = item
+        self.declared[(kind, name)] = at
 
     def _stmt_colorset(self, ts, kw):
+        at = ts.pos
         name = ts.expect("ident", what="a color set name")
         ts.expect("punct", "=")
-        cs = parse_color_body(
-            ts, name.text, lambda ts: self.lookup_colorset(ts.expect("ident", what="a color set name"))
-        )
+        cs = parse_color_body(ts, name, self.read_colorset)
         if cs.depth > MAX_COLOR_DEPTH:
-            expected = f"a color set with at most {MAX_COLOR_DEPTH} nested products"
-            raise ModelSyntaxError(name.line, name.col, expected)
-        self._declare("colorset", name, self.colorsets, cs)
+            raise ts.error(f"a color set with at most {MAX_COLOR_DEPTH} nested products", at)
+        self._declare("colorset", ts, at, self.colorsets, cs)
 
     def _stmt_var(self, ts, kw):
+        at = ts.pos
         name = ts.expect("ident", what="a variable name")
         ts.expect("punct", ":")
-        cs = self.lookup_colorset(ts.expect("ident", what="a color set name"))
-        self._declare("variable", name, self.variables, Variable(name.text, cs))
+        cs = self.read_colorset(ts)
+        self._declare("variable", ts, at, self.variables, Variable(name, cs))
 
     def _stmt_place(self, ts, kw):
+        at = ts.pos
         name = ts.expect("ident", what="a place name")
         ts.expect("punct", ":")
-        cs = self.lookup_colorset(ts.expect("ident", what="a color set name"))
+        cs = self.read_colorset(ts)
         initial = Multiset()
         if ts.at("ident", "init"):
             ts.next()
             initial = Multiset(_value_list(ts, cs))
-        self._declare("place", name, self.places, Place(name.text, cs, initial))
+        self._declare("place", ts, at, self.places, Place(name, cs, initial))
 
     def _params(self, ts) -> tuple:
         ts.expect("punct", "(")
         out = []
         if not ts.at("punct", ")"):
             while True:
-                pname = ts.expect("ident", what="a parameter name").text
+                pname = ts.expect("ident", what="a parameter name")
                 ts.expect("punct", ":")
-                cs = self.lookup_colorset(ts.expect("ident", what="a color set name"))
-                out.append((pname, cs))
+                out.append((pname, self.read_colorset(ts)))
                 if not ts.accept("punct", ","):
                     break
         ts.expect("punct", ")")
@@ -282,37 +295,40 @@ class NetBuilder:
 
     def _stmt_proc(self, ts, kw):
         if not self.allow_procs:
-            raise ModelSyntaxError(kw.line, kw.col, "no procedure declarations in this block")
-        name = ts.expect("ident", what="a procedure name")
-        proc = self.parse_procedure_tail(ts, name)
-        self._declare("procedure", name, self.procedures, proc)
+            raise ts.error("no procedure declarations in this block", kw)
+        at = ts.pos
+        ts.expect("ident", what="a procedure name")
+        proc = self.parse_procedure_tail(ts, at)
+        self._declare("procedure", ts, at, self.procedures, proc)
 
-    def parse_procedure_tail(self, ts, name_tok) -> ProcedureDef:
+    def parse_procedure_tail(self, ts, name_at: int) -> ProcedureDef:
         inputs = self._params(ts)
         ts.expect("arrow")
         outputs = self._params(ts)
         env = dict(inputs)
         if len(env) != len(inputs):
-            raise ModelSyntaxError(name_tok.line, name_tok.col, "distinct parameter names")
+            raise ts.error("distinct parameter names", name_at)
         ts.expect("punct", "{")
         rules: dict[str, Expr] = {}
         out_colors = dict(outputs)
         while not ts.at("punct", "}"):
-            rname_tok = ts.expect("ident", what="an output name")
-            if rname_tok.text not in out_colors:
-                raise ModelSyntaxError(rname_tok.line, rname_tok.col, "a declared output name")
-            if rname_tok.text in rules:
-                raise ModelSyntaxError(rname_tok.line, rname_tok.col, "a single rule per output")
+            rule_at = ts.pos
+            rname = ts.expect("ident", what="an output name")
+            if rname not in out_colors:
+                raise ts.error("a declared output name", rule_at)
+            if rname in rules:
+                raise ts.error("a single rule per output", rule_at)
             ts.expect("punct", "=")
-            rules[rname_tok.text] = parse_expr(ts, env, self.colorset_env(), out_colors[rname_tok.text])
+            rules[rname] = parse_expr(ts, env, self.colorset_env(), out_colors[rname])
             if not ts.accept("punct", ";"):
                 break
-        close = ts.expect("punct", "}")
+        close_at = ts.pos
+        ts.expect("punct", "}")
         missing = [r for r, _ in outputs if r not in rules]
         if missing:
-            raise ModelSyntaxError(close.line, close.col, f"a rule for output '{missing[0]}'")
+            raise ts.error(f"a rule for output '{missing[0]}'", close_at)
         body = tuple((r, rules[r]) for r, _ in outputs)
-        return ProcedureDef(name_tok.text, inputs, outputs, body)
+        return ProcedureDef(ts.texts[name_at], inputs, outputs, body)
 
     def _expr_env(self, proc: Optional[ProcedureDef], with_outputs=False) -> dict:
         env = {v.name: v.colorset for v in self.variables.values()}
@@ -323,64 +339,65 @@ class NetBuilder:
         return env
 
     def _stmt_trans(self, ts, kw):
+        at = ts.pos
         name = ts.expect("ident", what="a transition name")
         ts.expect("ident", "role", what="'role'")
         ts.expect("punct", "=")
-        role = ts.expect("ident", what="a role name").text
+        role = ts.expect("ident", what="a role name")
         ts.expect("ident", "proc", what="'proc'")
         ts.expect("punct", "=")
-        proc_tok = ts.expect("ident", what="a procedure name")
-        proc_name = proc_tok.text
+        proc_at = ts.pos
+        proc_name = ts.expect("ident", what="a procedure name")
         proc = self.procedures.get(proc_name)
         if proc is None and self.allow_procs:
             # task blocks reference knowledge injected later; here it must exist
-            raise ResolutionError(proc_name, proc_tok.line, proc_tok.col)
+            raise ResolutionError(proc_name, *ts.where(proc_at))
         guard = None
         event = None
         if ts.at("ident", "guard"):
             ts.next()
             guard = parse_expr(ts, self._expr_env(proc), self.colorset_env(), None)
         if ts.at("ident", "recv") or ts.at("ident", "send"):
-            ev_tok = ts.next()
+            event_at = ts.pos
+            direction = ts.next()
             if not self.allow_events:
-                raise ModelSyntaxError(ev_tok.line, ev_tok.col, "no events in this net")
-            channel = ts.expect("ident", what="a channel name").text
-            if ev_tok.text == "recv":
-                var = ts.expect("ident", what="a bound variable name").text
-                event = ReceiveEvent(channel, var)
+                raise ts.error("no events in this net", event_at)
+            channel = ts.expect("ident", what="a channel name")
+            if direction == "recv":
+                event = ReceiveEvent(channel, ts.expect("ident", what="a bound variable name"))
             else:
                 ts.expect("punct", "=")
                 message = parse_expr(
                     ts, self._expr_env(proc, with_outputs=True), self.colorset_env(), None
                 )
                 event = SendEvent(channel, message)
-        self._declare(
-            "transition", name, self.transitions, Transition(name.text, role, proc_name, guard, event)
-        )
-        self.current = name.text
+        self._declare("transition", ts, at, self.transitions, Transition(name, role, proc_name, guard, event))
+        self.current = name
 
-    def _require_current(self, kw) -> str:
+    def _require_current(self, ts, kw) -> str:
         if self.current is None:
-            raise ModelSyntaxError(kw.line, kw.col, "a preceding trans declaration")
+            raise ts.error("a preceding trans declaration", kw)
         return self.current
 
-    def _stmt_in(self, ts, kw):
-        tid = self._require_current(kw)
+    def _read_place(self, ts) -> str:
+        """A declared place's name."""
+        at = ts.pos
         place = ts.expect("ident", what="a place name")
-        if place.text not in self.places:
-            raise ResolutionError(place.text, place.line, place.col)
+        if place not in self.places:
+            raise ResolutionError(place, *ts.where(at))
+        return place
+
+    def _stmt_in(self, ts, kw):
+        tid = self._require_current(ts, kw)
+        place = self._read_place(ts)
         ts.expect("punct", ":")
-        label = ts.expect("ident", what="a parameter name").text
-        self.arcs.append(InputArc(place.text, tid, label))
+        self.arcs.append(InputArc(place, tid, ts.expect("ident", what="a parameter name")))
 
     def _stmt_out(self, ts, kw):
-        tid = self._require_current(kw)
-        place = ts.expect("ident", what="a place name")
-        if place.text not in self.places:
-            raise ResolutionError(place.text, place.line, place.col)
+        tid = self._require_current(ts, kw)
+        place = self._read_place(ts)
         ts.expect("punct", ":")
-        label = ts.expect("ident", what="a result name").text
-        self.arcs.append(OutputArc(tid, place.text, label))
+        self.arcs.append(OutputArc(tid, place, ts.expect("ident", what="a result name")))
 
     def build(self, net_id: str) -> Net:
         try:
@@ -395,6 +412,12 @@ class NetBuilder:
             )
         except ColorClash as exc:  # a color declared here shares its name with a seed color it meets
             raise ResolutionError(exc.name) from None
+
+
+# a fragment statement's keyword -> the NetBuilder method that reads the rest
+_STATEMENTS = {
+    kw: getattr(NetBuilder, f"_stmt_{kw}") for kw in ("colorset", "var", "place", "proc", "trans", "in", "out")
+}
 
 
 # --------------------------------------------------------------------------
@@ -525,69 +548,72 @@ def _serialize_mas(mam: MultiAgentModel) -> str:
 
 
 def parse_model(text: str) -> ModelDocument:
-    ts = stream(text)
-    head = ts.peek()
+    ts = TokenStream(text)
     if ts.at("ident", "org"):
         return _parse_org(ts)
     if ts.at("ident", "mas"):
         return _parse_mas(ts)
-    raise ModelSyntaxError(head.line, head.col, "'org' or 'mas'")
+    raise ts.error("'org' or 'mas'")
 
 
 def _parse_org(ts: TokenStream) -> ModelDocument:
     ts.expect("ident", "org")
-    org_id = ts.expect("ident", what="an organization id").text
+    org_id = ts.expect("ident", what="an organization id")
     objective = ""
     roles: dict[str, Role] = {}
     links: list[CommLink] = []
     builder = NetBuilder()
-    locations: dict = {}
+    declared: dict = {}
 
     while not ts.at("eof"):
-        tok = ts.peek()
+        # net statements first: they are nearly all of an organization's lines
+        if builder.statement(ts):
+            continue
+        at = ts.pos
         if ts.at("ident", "objective"):
             ts.next()
-            objective = ts.expect("string", what="a quoted objective").text
+            objective = ts.expect("string", what="a quoted objective")
         elif ts.at("ident", "role"):
             ts.next()
+            name_at = ts.pos
             name = ts.expect("ident", what="a role id")
             desc = ts.accept("string")
-            if name.text in roles:
-                raise ModelSyntaxError(name.line, name.col, "a fresh role id")
-            roles[name.text] = Role(name.text, desc.text if desc else "")
-            locations[("role", name.text)] = (name.line, name.col)
+            if name in roles:
+                raise ts.error("a fresh role id", name_at)
+            roles[name] = Role(name, desc or "")
+            declared[("role", name)] = name_at
         elif ts.at("ident", "comm"):
             ts.next()
+            src_at = ts.pos
             src = ts.expect("ident", what="a role id")
             ts.expect("arrow")
+            dst_at = ts.pos
             dst = ts.expect("ident", what="a role id")
-            for end in (src, dst):
-                if end.text not in roles:
-                    raise ResolutionError(end.text, end.line, end.col)
-            links.append(CommLink(src.text, dst.text))
-        elif builder.statement(ts):
-            continue
+            for end, end_at in ((src, src_at), (dst, dst_at)):
+                if end not in roles:
+                    raise ResolutionError(end, *ts.where(end_at))
+            links.append(CommLink(src, dst))
         else:
-            raise ModelSyntaxError(tok.line, tok.col, "an organization declaration")
+            raise ts.error("an organization declaration", at)
 
     net = builder.build(org_id)
-    locations.update(builder.locations)
+    declared.update(builder.declared)
     org = Organization(org_id, objective, roles, links, net)
-    return ModelDocument(org, locations)
+    return ModelDocument(org, declared, ts.where)
 
 
-def _parse_channel_tail(ts, name_tok) -> Channel:
+def _parse_channel_tail(ts, name: str) -> Channel:
     ts.expect("punct", ":")
     cs = parse_descriptor(ts)
     ts.expect("ident", "from", what="'from'")
-    producer = ts.expect("ident", what="an agent id").text
+    producer = ts.expect("ident", what="an agent id")
     ts.expect("ident", "to", what="'to'")
-    consumer = ts.expect("ident", what="an agent id").text
+    consumer = ts.expect("ident", what="an agent id")
     initial: tuple[Value, ...] = ()
     if ts.at("ident", "init"):
         ts.next()
         initial = tuple(_value_list(ts, cs))
-    return Channel(name_tok.text, cs, producer, consumer, initial)
+    return Channel(name, cs, producer, consumer, initial)
 
 
 def _value_list(ts, cs: ColorSet) -> list[Value]:
@@ -602,23 +628,18 @@ def _value_list(ts, cs: ColorSet) -> list[Value]:
     return values
 
 
-_AGENT_KEYWORDS = ("assumes", "sensor", "effector")
-
-
 def _parse_agent_section(ts, agent_id: str, seed_colorsets=None) -> AgentModel:
     roles: set[str] = set()
     sensors: set[str] = set()
     effectors: set[str] = set()
+    sections = {"assumes": roles, "sensor": sensors, "effector": effectors}
     builder = NetBuilder(seed_colorsets, allow_events=True)
     while not ts.at("eof"):
-        tok = ts.peek()
-        if tok.kind == "ident" and tok.text in _AGENT_KEYWORDS:
+        section = sections.get(ts.texts[ts.pos]) if ts.kinds[ts.pos] == "ident" else None
+        if section is not None:
             ts.next()
-            name = ts.expect("ident", what="an identifier").text
-            {"assumes": roles, "sensor": sensors, "effector": effectors}[tok.text].add(name)
-        elif tok.kind == "ident" and tok.text in _FRAGMENT_KEYWORDS:
-            builder.statement(ts)
-        else:
+            section.add(ts.expect("ident", what="an identifier"))
+        elif not builder.statement(ts):
             break
     return AgentModel(
         id=agent_id,
@@ -631,39 +652,40 @@ def _parse_agent_section(ts, agent_id: str, seed_colorsets=None) -> AgentModel:
 
 def _parse_mas(ts: TokenStream) -> ModelDocument:
     ts.expect("ident", "mas")
-    ref = ts.expect("ident", what="an organization reference").text
+    ref = ts.expect("ident", what="an organization reference")
     assignment: dict[str, str] = {}
     channels: dict[str, Channel] = {}
     agents: dict[str, AgentModel] = {}
-    locations: dict = {}
+    declared: dict = {}
 
     while not ts.at("eof"):
-        tok = ts.peek()
+        at = ts.pos
         if ts.at("ident", "assign"):
             ts.next()
-            role = ts.expect("ident", what="a role id").text
+            role = ts.expect("ident", what="a role id")
             ts.expect("arrow")
-            agent = ts.expect("ident", what="an agent id").text
-            assignment[role] = agent
+            assignment[role] = ts.expect("ident", what="an agent id")
         elif ts.at("ident", "channel"):
             ts.next()
+            name_at = ts.pos
             name = ts.expect("ident", what="a channel id")
-            if name.text in channels:
-                raise ModelSyntaxError(name.line, name.col, "a fresh channel id")
-            channels[name.text] = _parse_channel_tail(ts, name)
-            locations[("channel", name.text)] = (name.line, name.col)
+            if name in channels:
+                raise ts.error("a fresh channel id", name_at)
+            channels[name] = _parse_channel_tail(ts, name)
+            declared[("channel", name)] = name_at
         elif ts.at("ident", "agent"):
             ts.next()
+            name_at = ts.pos
             name = ts.expect("ident", what="an agent id")
-            if name.text in agents:
-                raise ModelSyntaxError(name.line, name.col, "a fresh agent id")
-            agents[name.text] = _parse_agent_section(ts, name.text)
-            locations[("agent", name.text)] = (name.line, name.col)
+            if name in agents:
+                raise ts.error("a fresh agent id", name_at)
+            agents[name] = _parse_agent_section(ts, name)
+            declared[("agent", name)] = name_at
         else:
-            raise ModelSyntaxError(tok.line, tok.col, "a model declaration")
+            raise ts.error("a model declaration", at)
 
     mam = MultiAgentModel(ref, assignment, agents, channels)
-    return ModelDocument(mam, locations)
+    return ModelDocument(mam, declared, ts.where)
 
 
 # --------------------------------------------------------------------------
@@ -678,7 +700,7 @@ class ScenarioDocument:
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
-    ts = stream(text)
+    ts = TokenStream(text)
     assignment: dict[str, str] = {}
     triggers: list[Trigger] = []
     max_steps = 10_000
@@ -686,41 +708,41 @@ def parse_scenario(text: str) -> ScenarioDocument:
     builder = NetBuilder()
 
     while not ts.at("eof"):
-        tok = ts.peek()
+        at = ts.pos
         if ts.at("ident", "assign"):
             ts.next()
-            role = ts.expect("ident", what="a role id").text
+            role = ts.expect("ident", what="a role id")
             ts.expect("arrow")
-            agent = ts.expect("ident", what="an agent id").text
-            assignment[role] = agent
+            assignment[role] = ts.expect("ident", what="an agent id")
         elif ts.at("ident", "budget"):
             ts.next()
-            n = ts.expect("int", what="a step budget")
-            max_steps = int(n.text)
+            budget_at = ts.pos
+            max_steps = int(ts.expect("int", what="a step budget"))
             if max_steps < 1:
-                raise ModelSyntaxError(n.line, n.col, "a positive budget")
+                raise ts.error("a positive budget", budget_at)
         elif ts.at("ident", "end"):
             ts.next()
+            kind_at = ts.pos
             kind = ts.expect("ident", what="'quiescence' or 'marked'")
-            if kind.text == "quiescence":
+            if kind == "quiescence":
                 end_condition = ("quiescence",)
-            elif kind.text == "marked":
-                agent = ts.expect("ident", what="an agent id").text
+            elif kind == "marked":
+                agent = ts.expect("ident", what="an agent id")
                 ts.expect("punct", ".")
-                place = ts.expect("ident", what="a place id").text
+                place = ts.expect("ident", what="a place id")
                 end_condition = ("marked", agent, place)
             else:
-                raise ModelSyntaxError(kind.line, kind.col, "'quiescence' or 'marked'")
+                raise ts.error("'quiescence' or 'marked'", kind_at)
         elif ts.at("ident", "colorset"):
             builder.statement(ts)
         elif ts.at("ident", "at"):
             ts.next()
-            step_tok = ts.expect("int", what="a step number")
-            at_step = int(step_tok.text)
+            step_at = ts.pos
+            at_step = int(ts.expect("int", what="a step number"))
             if at_step < 0:
-                raise ModelSyntaxError(step_tok.line, step_tok.col, "a non-negative trigger step")
+                raise ts.error("a non-negative trigger step", step_at)
             if triggers and at_step <= triggers[-1].at_step:
-                raise ModelSyntaxError(step_tok.line, step_tok.col, "an increasing trigger step (non-increasing step)")
+                raise ts.error("an increasing trigger step (non-increasing step)", step_at)
             ts.expect("ident", "adapt", what="'adapt'")
             ts.expect("punct", "{")
             op_list = _parse_ops(ts, builder.colorset_env())
@@ -729,7 +751,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 Trigger(at_step, AdaptationRequest(tuple(op_list), reason=f"trigger at {at_step}"))
             )
         else:
-            raise ModelSyntaxError(tok.line, tok.col, "a scenario declaration")
+            raise ts.error("a scenario declaration", at)
 
     scenario = Scenario(tuple(triggers), max_steps, end_condition)
     return ScenarioDocument(assignment, scenario, builder.colorset_env())
@@ -751,33 +773,33 @@ def parse_ops_text(text: str, model: MultiAgentModel) -> list[AdaptationOp]:
             colorsets.setdefault(name, cs)
     for cid in sorted(model.channels):
         colorsets.setdefault(model.channels[cid].colorset.name, model.channels[cid].colorset)
-    ts = stream(text)
+    ts = TokenStream(text)
     op_list = _parse_ops(ts, colorsets)
     ts.expect("eof", what="end of the request")
     return op_list
 
 
 def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
-    tok = ts.peek()
-    if tok.kind != "ident":
-        raise ModelSyntaxError(tok.line, tok.col, "an operation keyword")
-    if tok.text not in OP_KINDS:
-        raise UnknownOp(f"unknown operation keyword '{tok.text}' ({tok.line}:{tok.col})")
-    kind = ts.next().text
+    at = ts.pos
+    if ts.kinds[at] != "ident":
+        raise ts.error("an operation keyword")
+    kind = ts.texts[at]
+    if kind not in OP_KINDS:
+        line, col = ts.where(at)
+        raise UnknownOp(f"unknown operation keyword '{kind}' ({line}:{col})")
+    ts.next()
 
     def ident(what):
-        return ts.expect("ident", what=what).text
+        return ts.expect("ident", what=what)
 
     if kind == "aCom":
-        name = ts.expect("ident", what="a channel id")
-        return ops.a_com(_parse_channel_tail(ts, name))
+        return ops.a_com(_parse_channel_tail(ts, ident("a channel id")))
     if kind == "rCom":
         return ops.r_com(ident("a channel id"))
     if kind == "rpCom":
         old = ident("a channel id")
         ts.expect("ident", "channel", what="'channel'")
-        name = ts.expect("ident", what="a channel id")
-        return ops.rp_com(old, _parse_channel_tail(ts, name))
+        return ops.rp_com(old, _parse_channel_tail(ts, ident("a channel id")))
     if kind in ("aSn", "rSn", "aEf", "rEf"):
         agent = ident("an agent id")
         channel = ident("a channel id")
@@ -792,9 +814,10 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
         agent = ident("an agent id")
         old = ident("a procedure name") if kind == "rpP" else ""
         ts.expect("ident", "proc", what="'proc'")
-        name = ts.expect("ident", what="a procedure name")
+        name_at = ts.pos
+        ident("a procedure name")
         helper = NetBuilder(colorsets)
-        proc = helper.parse_procedure_tail(ts, name)
+        proc = helper.parse_procedure_tail(ts, name_at)
         return ops.a_p(agent, proc) if kind == "aP" else ops.rp_p(agent, old, proc)
     if kind == "rP":
         agent = ident("an agent id")
@@ -809,9 +832,9 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
         ts.expect("punct", "}")
         return ops.rp_t(agent, builder.build(agent))
     if kind == "addAgent":
-        name = ts.expect("ident", what="an agent id")
+        name = ident("an agent id")
         ts.expect("punct", "{")
-        agent = _parse_agent_section(ts, name.text, seed_colorsets=colorsets)
+        agent = _parse_agent_section(ts, name, seed_colorsets=colorsets)
         ts.expect("punct", "}")
         return ops.add_agent(agent)
     if kind == "removeAgent":
@@ -868,6 +891,7 @@ def read_context(data: bytes) -> Context:
     cursor: Optional[int] = None
     steps: Optional[int] = None
     channel_colors: dict[str, ColorSet] = {}
+    parsed: dict[str, ColorSet] = {}  # descriptor text -> its (interned) color
     markings: list = []
     mailboxes: list = []
     bus: list = []
@@ -903,10 +927,14 @@ def read_context(data: bytes) -> Context:
             steps = _int_field(rest, "steps")
         elif head == "channel":
             ch, _, descriptor = rest.partition(" : ")
-            try:
-                channel_colors[ch.strip()] = parse_descriptor_text(descriptor.strip())
-            except RoleflowError as exc:
-                raise FormatError(f"bad channel descriptor: {exc}") from exc
+            descriptor = descriptor.strip()
+            cs = parsed.get(descriptor)
+            if cs is None:
+                try:
+                    cs = parsed[descriptor] = parse_descriptor_text(descriptor)
+                except RoleflowError as exc:
+                    raise FormatError(f"bad channel descriptor: {exc}") from exc
+            channel_colors[ch.strip()] = cs
         elif head == "agent":
             current_agent = rest.strip()
             if not current_agent:
@@ -946,11 +974,8 @@ def read_context(data: bytes) -> Context:
 
 def _int_field(text: str, what: str) -> int:
     """A non-negative integer written the way `write_context` writes it."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0 or str(n) != text:
+    n = canonical_int(text)
+    if n is None or n < 0:
         raise FormatError(f"bad {what} value {text!r}")
     return n
 

@@ -8,6 +8,9 @@ with backslash escapes, and identifiers that may carry a trailing '!'.
 from __future__ import annotations
 
 import re
+import string
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .cpn import ColorSet, Value, value_of
@@ -17,24 +20,33 @@ from .errors import ModelSyntaxError
 # costs a few stack frames wherever colors are parsed or rendered
 MAX_COLOR_DEPTH = 32
 
-# One alternative per lexical class; a match is one token, one newline, or
-# one run of blanks or a comment. Blanks and comments are alternatives of
-# their own rather than a prefix of the token match: a prefix would let
-# backtracking hand a blank or a comment's last character to `bad`.
+# One alternative per lexical class. Blank runs, newlines and comments are
+# alternatives without a group, so `findall` gives '' for them; every token,
+# and every character that starts none, is the one group. Blanks and comments
+# are alternatives of their own rather than a prefix of the token match: a
+# prefix would let backtracking hand a blank or a comment's last character to
+# the last alternative, the character that starts no token.
 # `\d` is the Unicode category Nd, exactly what `int()` accepts.
 _LEXEME = re.compile(
     r"""
-    (?P<blank>[ \t\r]+|\#[^\n]*)
-    |(?P<newline>\n)
-    |(?P<ident>[A-Za-z_][A-Za-z0-9_!]*)
-    |(?P<punct>[(){},;:=.])
-    |(?P<arrow>->)
-    |(?P<int>-?\d+)
-    |(?P<string>"[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*")
-    |(?P<bad>.)
+    [ \t\r\n]+|\#[^\n]*
+    |(
+        [A-Za-z_][A-Za-z0-9_!]*
+        |[(){},;:=.]
+        |->
+        |-?\d+
+        |"[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*"
+        |.
+    )
     """,
     re.VERBOSE,
 )
+# a token's kind by its first character; '"', '-' and every other character
+# fall to `_kind_of`
+_KIND_OF_FIRST = dict.fromkeys(string.ascii_letters + "_", "ident")
+_KIND_OF_FIRST.update(dict.fromkeys("(){},;:=.", "punct"))
+_KIND_OF_FIRST.update(dict.fromkeys(string.digits, "int"))
+_first_char = itemgetter(0)
 # the valid start of a string body; the character that ends it names the error
 _STRING_PREFIX = re.compile(r'(?:[^"\\\n]|\\["\\nrt])*')
 _ESCAPE = re.compile(r"\\(.)")
@@ -54,6 +66,19 @@ def _unescape(body: str) -> str:
     return _ESCAPE.sub(lambda m: _UNESCAPES[m.group(1)], body)
 
 
+def _kind_of(lexeme: str) -> str:
+    """The kind of a lexeme whose first character is not in `_KIND_OF_FIRST`;
+    "bad" for a character that starts no token."""
+    ch = lexeme[0]
+    if ch == '"':
+        return "string" if len(lexeme) > 1 else "bad"
+    if ch == "-":
+        if lexeme == "->":
+            return "arrow"
+        return "int" if len(lexeme) > 1 else "bad"
+    return "int" if ch.isdecimal() else "bad"
+
+
 def _lex_error(text: str, i: int, line: int, col: int) -> ModelSyntaxError:
     """The error for a character at offset i that starts no token."""
     ch = text[i]
@@ -69,98 +94,126 @@ def _lex_error(text: str, i: int, line: int, col: int) -> ModelSyntaxError:
     return ModelSyntaxError(line, col, "a valid escape")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    # `_make` builds the tuple directly; `Token(...)` goes through a Python-level __new__
-    make = Token._make
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "blank":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        start = m.start()
-        if kind == "string":
-            append(make((kind, _unescape(text[start + 1 : m.end() - 1]), line, start - line_start + 1)))
-        elif kind == "bad":
-            raise _lex_error(text, start, line, start - line_start + 1)
-        else:
-            append(make((kind, m.group(), line, start - line_start + 1)))
-    append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+class Positions:
+    """(line, col) of each token of one text, by token index; the end of the
+    text is the index after the last token. The table is built in one pass
+    the first time a position is asked for."""
+
+    __slots__ = ("text", "_starts", "_line_starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._starts: list[int] | None = None
+
+    def offset(self, index: int) -> int:
+        if self._starts is None:
+            text = self.text
+            self._starts = [m.start() for m in _LEXEME.finditer(text) if m.lastindex]
+            self._starts.append(len(text))
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        return self._starts[index]
+
+    def __call__(self, index: int) -> tuple[int, int]:
+        start = self.offset(index)
+        line = bisect_right(self._line_starts, start)
+        return line, start - self._line_starts[line - 1] + 1
 
 
 class TokenStream:
-    """A cursor over a token list that ends with the "eof" token, which it never passes."""
+    """A cursor over one text's tokens, held as two parallel lists, `kinds`
+    and `texts`, that end with the "eof" token, which the cursor never
+    passes. A token is named by its index; `where(i)` gives its (line, col).
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
+    The whole text is lexed here, so a lexical error anywhere is raised
+    before any parsing."""
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
-        return self._tokens[self._pos]
+    __slots__ = ("kinds", "texts", "pos", "where")
 
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
+    def __init__(self, text: str):
+        texts = list(filter(None, _LEXEME.findall(text)))
+        kinds = list(map(_KIND_OF_FIRST.get, map(_first_char, texts)))
+        self.where = Positions(text)
+        i = -1
+        for _ in range(kinds.count(None)):
+            i = kinds.index(None, i + 1)
+            kind = kinds[i] = _kind_of(texts[i])
+            if kind == "string":
+                texts[i] = _unescape(texts[i][1:-1])
+            elif kind == "bad":
+                raise _lex_error(text, self.where.offset(i), *self.where(i))
+        kinds.append("eof")
+        texts.append("")
+        self.kinds = kinds
+        self.texts = texts
+        self.pos = 0
+
+    def next(self) -> str:
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return self.texts[i]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self._tokens[self._pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+        i = self.pos
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self._tokens[self._pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def accept(self, kind: str, text: str | None = None) -> str | None:
+        i = self.pos
+        got = self.texts[i]
+        if self.kinds[i] != kind or (text is not None and got != text):
             return None
         if kind != "eof":
-            self._pos += 1
-        return tok
+            self.pos = i + 1
+        return got
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> str:
+        i = self.pos
+        got = self.texts[i]
+        if self.kinds[i] != kind or (text is not None and got != text):
             wanted = what or (text if text is not None else kind)
-            raise ModelSyntaxError(tok.line, tok.col, f"{wanted} (found {tok.text or tok.kind!r})")
+            raise self.error(f"{wanted} (found {got or self.kinds[i]!r})")
         if kind != "eof":
-            self._pos += 1
-        return tok
+            self.pos = i + 1
+        return got
 
-    def fail(self, expected: str):
-        tok = self._tokens[self._pos]
-        raise ModelSyntaxError(tok.line, tok.col, expected)
+    def error(self, expected: str, at: int | None = None) -> ModelSyntaxError:
+        """The syntax error at token `at`, the current token by default."""
+        return ModelSyntaxError(*self.where(self.pos if at is None else at), expected)
 
 
-def stream(text: str) -> TokenStream:
-    return TokenStream(tokenize(text))
+def tokenize(text: str) -> list[Token]:
+    """Every token of `text`, with its position, ending with "eof"."""
+    ts = TokenStream(text)
+    return [Token(kind, tok, *ts.where(i)) for i, (kind, tok) in enumerate(zip(ts.kinds, ts.texts))]
+
+
+def canonical_int(text: str) -> int | None:
+    """The integer `text` spells if it is written the way `str()` writes
+    integers: no sign but '-', no leading zero, no '_', ASCII digits only."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
 
 
 def parse_value(ts: TokenStream, colorset: ColorSet) -> Value:
     """Parse one canonical value of the given color set."""
     kind = colorset.kind
-    tok = ts.peek()
     if kind == "unit":
         ts.expect("punct", "(")
         ts.expect("punct", ")")
         return Value(colorset, None)
     if kind == "int":
-        t = ts.expect("int", what="an integer")
-        return Value(colorset, int(t.text))
+        return Value(colorset, int(ts.expect("int", what="an integer")))
     if kind == "text":
-        t = ts.expect("string", what="a quoted text value")
-        return Value(colorset, t.text)
+        return Value(colorset, ts.expect("string", what="a quoted text value"))
     if kind == "enum":
-        t = ts.expect("ident", what=f"a member of enum {colorset.name}")
-        if t.text not in colorset.members:
-            raise ModelSyntaxError(t.line, t.col, f"a member of enum {colorset.name}")
-        return Value(colorset, t.text)
+        at = ts.pos
+        member = ts.expect("ident", what=f"a member of enum {colorset.name}")
+        if member not in colorset.members:
+            raise ts.error(f"a member of enum {colorset.name}", at)
+        return Value(colorset, member)
     # product
     ts.expect("punct", "(")
     parts = []
@@ -173,7 +226,7 @@ def parse_value(ts: TokenStream, colorset: ColorSet) -> Value:
 
 
 def parse_value_text(text: str, colorset: ColorSet) -> Value:
-    ts = stream(text)
+    ts = TokenStream(text)
     v = parse_value(ts, colorset)
     ts.expect("eof", what="end of value")
     return v
@@ -182,14 +235,14 @@ def parse_value_text(text: str, colorset: ColorSet) -> Value:
 def parse_color_body(ts: TokenStream, name: str, component: Callable[[TokenStream], ColorSet]) -> ColorSet:
     """Parse the structure after `name =`: unit, int, text, enum{...} or
     product(...), whose components `component` reads."""
-    head = ts.expect("ident", what="a color kind").text
+    head = ts.expect("ident", what="a color kind")
     if head in ("unit", "int", "text"):
         return ColorSet(name, head)
     if head == "enum":
         ts.expect("punct", "{")
-        members = [ts.expect("ident", what="an enum member").text]
+        members = [ts.expect("ident", what="an enum member")]
         while ts.accept("punct", ","):
-            members.append(ts.expect("ident", what="an enum member").text)
+            members.append(ts.expect("ident", what="an enum member"))
         ts.expect("punct", "}")
         return ColorSet(name, "enum", members=tuple(members))
     if head == "product":
@@ -199,20 +252,20 @@ def parse_color_body(ts: TokenStream, name: str, component: Callable[[TokenStrea
             comps.append(component(ts))
         ts.expect("punct", ")")
         return ColorSet(name, "product", components=tuple(comps))
-    ts.fail("one of unit/int/text/enum/product")
+    raise ts.error("one of unit/int/text/enum/product")
 
 
 def parse_descriptor(ts: TokenStream, depth: int = 0) -> ColorSet:
     """Parse a self-contained descriptor: name=structure, recursively."""
     if depth > MAX_COLOR_DEPTH:
-        ts.fail(f"a color set with at most {MAX_COLOR_DEPTH} nested products")
-    name = ts.expect("ident", what="a color set name").text
+        raise ts.error(f"a color set with at most {MAX_COLOR_DEPTH} nested products")
+    name = ts.expect("ident", what="a color set name")
     ts.expect("punct", "=")
     return parse_color_body(ts, name, lambda ts: parse_descriptor(ts, depth + 1))
 
 
 def parse_descriptor_text(text: str) -> ColorSet:
-    ts = stream(text)
+    ts = TokenStream(text)
     cs = parse_descriptor(ts)
     ts.expect("eof", what="end of descriptor")
     return cs
