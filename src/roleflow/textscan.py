@@ -79,8 +79,10 @@ def _kind_of(lexeme: str) -> str:
     return "int" if ch.isdecimal() else "bad"
 
 
-def _lex_error(text: str, i: int, line: int, col: int) -> ModelSyntaxError:
-    """The error for a character at offset i that starts no token."""
+def _lex_error(where: Positions, index: int) -> ModelSyntaxError:
+    """The error for token `index`, a character that starts no token."""
+    text, i = where.text, where.offset(index)
+    line, col = where(index)
     ch = text[i]
     if ch == "-":
         return ModelSyntaxError(line, col, "a token")
@@ -140,7 +142,7 @@ class TokenStream:
             if kind == "string":
                 texts[i] = _unescape(texts[i][1:-1])
             elif kind == "bad":
-                raise _lex_error(text, self.where.offset(i), *self.where(i))
+                raise _lex_error(self.where, i)
         kinds.append("eof")
         texts.append("")
         self.kinds = kinds

@@ -240,6 +240,17 @@ class TestRun:
         assert code == 2 and out == ""
         assert "agent agent1 classified preserving but marking restore failed: place 'deep'" in err
 
+    def test_resume_from_a_context_with_a_token_count_save_marking_never_writes_exits_3(self, capsys, tmp_path):
+        ctx = tmp_path / "snap.ctx"
+        base = ("run", MODELS / "devsociety.org", MODELS / "devsociety.scn")
+        code, _, _ = run(capsys, *base, "--checkpoint-at", 3, "--context", ctx)
+        text = ctx.read_text()
+        assert code == 0 and '\ntoken 1 "r2"\n' in text
+        ctx.write_text(text.replace('\ntoken 1 "r2"\n', '\ntoken 1_0 "r2"\n'))
+        code, out, err = run(capsys, *base, "--resume-from", ctx)
+        assert code == 3 and out == ""
+        assert "bad token count in 'token 1_0 \"r2\"'" in err
+
     @pytest.mark.parametrize("edit", ["steps", "agent"])
     def test_resume_from_a_context_write_context_never_writes_exits_3(self, capsys, tmp_path, edit):
         ctx = tmp_path / "snap.ctx"

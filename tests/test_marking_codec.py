@@ -96,6 +96,25 @@ def test_garbage_line(net1):
         restore_marking(b"MRK1\nwhat is this\n", net1)
 
 
+@pytest.mark.parametrize("count", ["1_0", "+2", "٢", "02", "\t2"])
+def test_a_count_written_unlike_save_marking_is_rejected(net1, count):
+    data = save_marking(net1, Marking({"p": Multiset([tok(1), tok(1)])}))
+    assert b"\ntoken 2 1\n" in data
+    with pytest.raises(FormatError, match="^bad token count in"):
+        restore_marking(data.replace(b"token 2 ", f"token {count} ".encode()), net1)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [("x", "bad token count"), ("", "bad token count"), ("0", "non-positive token count"),
+     ("-3", "non-positive token count"), ("-0", "non-positive token count"), ("00", "non-positive token count")],
+)
+def test_a_count_rejected_by_int_keeps_its_message(net1, count, message):
+    data = f"MRK1\nplace p : Tok=int\ntoken {count} 1\n".encode()
+    with pytest.raises(FormatError, match=f"^{message} in"):
+        restore_marking(data, net1)
+
+
 def test_fuzz_round_trip_and_determinism():
     rng = random.Random(11)
     for _ in range(300):

@@ -35,7 +35,7 @@ from roleflow import modelio
 from roleflow.adaptation import OP_KINDS, AdaptationRequest, a_p
 from roleflow.runtime import TraceEntry
 from roleflow.modelio import MAX_EXPR_DEPTH, render_trace
-from roleflow.textscan import MAX_COLOR_DEPTH, tokenize
+from roleflow.textscan import MAX_COLOR_DEPTH, parse_descriptor_text, tokenize
 
 from conftest import GOLDEN, MODELS
 from helpers import (
@@ -394,6 +394,26 @@ class TestContextCodec:
         data = f"CTX1\ncursor 0\nsteps 0\n".replace(f"{field} 0", f"{field} {value}")
         with pytest.raises(FormatError, match=f"bad {field} value"):
             read_context(data.encode())
+
+    def test_each_distinct_channel_descriptor_is_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_descriptor_text(text)
+
+        monkeypatch.setattr(modelio, "parse_descriptor_text", counting)
+        lines = ["CTX1", "cursor 0", "steps 0"]
+        lines += [f"channel c{i} : {'T=text' if i % 2 else 'Tok=int'}" for i in range(6)]
+        lines += ["bus c4 7", 'bus c5 "x"']
+        ctx = read_context(("\n".join(lines) + "\n").encode())
+        assert sorted(calls) == ["T=text", "Tok=int"]
+        assert [(ch, v.canonical()) for ch, v in ctx.bus] == [("c4", "7"), ("c5", '"x"')]
+        # the table lasts one call: the next call parses `Tok=int` again, and a failure is not kept
+        for _ in range(2):
+            with pytest.raises(FormatError, match="bad channel descriptor"):
+                read_context(b"CTX1\ncursor 0\nsteps 0\nchannel c : Tok=int\nchannel d : Tok=\n")
+        assert calls[2:] == ["Tok=int", "Tok=", "Tok=int", "Tok="]
 
     def test_an_agent_appears_once(self, mam1):
         system = synthesize(mam1)
