@@ -591,7 +591,11 @@ def _analyze(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet],
 
 @dataclass(frozen=True)
 class ProcedureDef:
-    """A stateless typed function; inputs and outputs label the arcs around a transition."""
+    """A stateless typed function; inputs and outputs label the arcs around a transition.
+
+    Frozen, so its compile (`compiled_procedure`) is kept on the instance
+    and shared by every net that holds it; pickles and copies drop it.
+    """
 
     name: str
     inputs: tuple[tuple[str, ColorSet], ...]
@@ -606,6 +610,62 @@ class ProcedureDef:
 
     def output_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.outputs)
+
+    def __getstate__(self):
+        # the compile holds closures: never pickle or copy it
+        return {"name": self.name, "inputs": self.inputs, "outputs": self.outputs, "body": self.body}
+
+
+class CompiledProcedure(NamedTuple):
+    """One typed pass over a procedure's body.
+
+    `violations` are the procedure's type-check entries. `outputs` are the
+    (name, closure) pairs a plan runs, in output order, or None when an
+    output does not compile; `failure` is then the `ProcedureFailure` text.
+    """
+
+    violations: tuple[Violation, ...]
+    outputs: Optional[tuple[tuple[str, Callable], ...]]
+    failure: Optional[str]
+
+
+def compiled_procedure(proc: ProcedureDef) -> CompiledProcedure:
+    """The procedure's compile, made on first use and kept on the instance."""
+    # getattr, not `proc.__dict__`, for the reason `type_check_net` gives
+    compiled = getattr(proc, "_compiled", None)
+    if compiled is None:
+        compiled = _compile_procedure(proc)
+        object.__setattr__(proc, "_compiled", compiled)
+    return compiled
+
+
+def _compile_procedure(proc: ProcedureDef) -> CompiledProcedure:
+    out: list[Violation] = []
+    env = dict(proc.inputs)
+    if len(env) != len(proc.inputs):
+        out.append(Violation("procedure", proc.name, "duplicate input parameter names"))
+    body = dict(proc.body)
+    # only a body that defines each output once is checked further
+    checked = set(body) == set(proc.output_names()) and len(proc.body) == len(proc.outputs)
+    if not checked:
+        out.append(Violation("procedure", proc.name, "body must define each output exactly once"))
+    outputs, failure = [], None
+    for rname, rcs in proc.outputs:
+        if rname not in body:
+            failure = failure or f"procedure {proc.name}, output {rname}: {rname!r}"
+            break
+        problems, _, run = _analyze(body[rname], rcs, env, True)
+        if checked:
+            bad_vars = expr_free_vars(body[rname]) - set(env)
+            if bad_vars:
+                out.append(
+                    Violation("procedure", proc.name, f"output {rname} uses non-parameter names {sorted(bad_vars)}")
+                )
+            out += [Violation("procedure", proc.name, f"output {rname}: {p}") for p in problems]
+        if problems and failure is None:
+            failure = f"procedure {proc.name}, output {rname}: {problems[0]}"
+        outputs.append((rname, run))
+    return CompiledProcedure(tuple(out), None if failure else tuple(outputs), failure)
 
 
 @dataclass(frozen=True)
@@ -887,25 +947,7 @@ def _type_check(net: Net) -> ValidationReport:
                 break
 
     for proc in net.procedures.values():
-        env = {n: cs for n, cs in proc.inputs}
-        if len(env) != len(proc.inputs):
-            out.append(Violation("procedure", proc.name, "duplicate input parameter names"))
-        body = dict(proc.body)
-        if set(body) != set(proc.output_names()) or len(proc.body) != len(proc.outputs):
-            out.append(Violation("procedure", proc.name, "body must define each output exactly once"))
-            continue
-        for rname, rcs in proc.outputs:
-            bad_vars = expr_free_vars(body[rname]) - set(env)
-            if bad_vars:
-                out.append(
-                    Violation(
-                        "procedure",
-                        proc.name,
-                        f"output {rname} uses non-parameter names {sorted(bad_vars)}",
-                    )
-                )
-            for p in analyze_expr(body[rname], rcs, env)[0]:
-                out.append(Violation("procedure", proc.name, f"output {rname}: {p}"))
+        out += compiled_procedure(proc).violations
 
     for arc in net.arcs:
         tid = arc.transition
@@ -1141,7 +1183,6 @@ class TransitionPlan:
         if proc is None:
             raise InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
         env = dict(proc.inputs)
-        body = dict(proc.body)
         # (label, place) pairs in label order, and whether the first binding
         # is the head of each pool: no two inputs share a place, and no guard
         self.inputs = _arc_pairs(net.input_arcs(t.id))
@@ -1169,13 +1210,10 @@ class TransitionPlan:
             return guard is None or guard(binding).payload == "true"
 
         self.passes = passes
-        outputs = []
-        for name, cs in proc.outputs:
-            try:
-                outputs.append((name, compile_expr(body[name], cs, env)))
-            except (KeyError, TypeMismatch) as exc:
-                raise ProcedureFailure(f"procedure {proc.name}, output {name}: {exc}") from exc
-        self.outputs = tuple(outputs)
+        compiled = compiled_procedure(proc)
+        if compiled.failure is not None:
+            raise ProcedureFailure(compiled.failure)
+        self.outputs = compiled.outputs
         self.send = None
         if isinstance(t.event, SendEvent):
             self.send = _checked(t.event.message, None, {**env, **dict(proc.outputs)})[1]

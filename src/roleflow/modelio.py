@@ -209,7 +209,21 @@ def _enum_literal(ts, name_at, colorsets) -> Expr:
 
 
 class NetBuilder:
-    def __init__(self, seed_colorsets: Mapping[str, ColorSet] | None = None, allow_procs=True, allow_events=False):
+    """Reads net statements into one net.
+
+    `procedures` is a memo of procedure declarations, which a parse hands to
+    every builder it makes (a builder has its own by default): a declaration
+    whose tokens and colors match an earlier one yields that `ProcedureDef`
+    object, so the copies share one compile (`cpn.compiled_procedure`).
+    """
+
+    def __init__(
+        self,
+        seed_colorsets: Mapping[str, ColorSet] | None = None,
+        allow_procs=True,
+        allow_events=False,
+        procedures: dict | None = None,
+    ):
         self.seed_colorsets = dict(seed_colorsets or {})
         self.colorsets: dict[str, ColorSet] = {}
         self.variables: dict[str, Variable] = {}
@@ -221,6 +235,7 @@ class NetBuilder:
         self.allow_procs = allow_procs
         self.allow_events = allow_events
         self.declared: dict = {}  # (kind, name) -> token index of the name
+        self.memo = {} if procedures is None else procedures
 
     def read_colorset(self, ts) -> ColorSet:
         """A color set name, resolved."""
@@ -302,6 +317,35 @@ class NetBuilder:
         self._declare("procedure", ts, at, self.procedures, proc)
 
     def parse_procedure_tail(self, ts, name_at: int) -> ProcedureDef:
+        """The procedure declared from its name at token `name_at` to its '}'.
+
+        The memo key is the declaration's token kinds and texts and the
+        builder's color environment, the only other thing the parse reads;
+        interned colors compare by identity. Neither a parameter list nor an
+        expression holds a '}', so a declaration that parses ends at the
+        first '}' punctuation after its name.
+        """
+        kinds, texts = ts.kinds, ts.texts
+        try:
+            end = texts.index("}", name_at) + 1
+            while kinds[end - 1] != "punct":
+                end = texts.index("}", end) + 1
+        except ValueError:  # no '}': the parse raises
+            return self._parse_procedure_tail(ts, name_at)
+        key = (
+            tuple(kinds[name_at:end]),
+            tuple(texts[name_at:end]),
+            tuple(self.colorsets.items()),
+            tuple(self.seed_colorsets.items()),
+        )
+        proc = self.memo.get(key)
+        if proc is None:
+            proc = self.memo[key] = self._parse_procedure_tail(ts, name_at)
+        else:
+            ts.pos = end
+        return proc
+
+    def _parse_procedure_tail(self, ts, name_at: int) -> ProcedureDef:
         inputs = self._params(ts)
         ts.expect("arrow")
         outputs = self._params(ts)
@@ -311,6 +355,7 @@ class NetBuilder:
         ts.expect("punct", "{")
         rules: dict[str, Expr] = {}
         out_colors = dict(outputs)
+        colorsets = self.colorset_env()
         while not ts.at("punct", "}"):
             rule_at = ts.pos
             rname = ts.expect("ident", what="an output name")
@@ -319,7 +364,7 @@ class NetBuilder:
             if rname in rules:
                 raise ts.error("a single rule per output", rule_at)
             ts.expect("punct", "=")
-            rules[rname] = parse_expr(ts, env, self.colorset_env(), out_colors[rname])
+            rules[rname] = parse_expr(ts, env, colorsets, out_colors[rname])
             if not ts.accept("punct", ";"):
                 break
         close_at = ts.pos
@@ -628,12 +673,12 @@ def _value_list(ts, cs: ColorSet) -> list[Value]:
     return values
 
 
-def _parse_agent_section(ts, agent_id: str, seed_colorsets=None) -> AgentModel:
+def _parse_agent_section(ts, agent_id: str, seed_colorsets=None, procedures=None) -> AgentModel:
     roles: set[str] = set()
     sensors: set[str] = set()
     effectors: set[str] = set()
     sections = {"assumes": roles, "sensor": sensors, "effector": effectors}
-    builder = NetBuilder(seed_colorsets, allow_events=True)
+    builder = NetBuilder(seed_colorsets, allow_events=True, procedures=procedures)
     while not ts.at("eof"):
         section = sections.get(ts.texts[ts.pos]) if ts.kinds[ts.pos] == "ident" else None
         if section is not None:
@@ -657,6 +702,7 @@ def _parse_mas(ts: TokenStream) -> ModelDocument:
     channels: dict[str, Channel] = {}
     agents: dict[str, AgentModel] = {}
     declared: dict = {}
+    procedures: dict = {}  # every agent section's procedure memo
 
     while not ts.at("eof"):
         at = ts.pos
@@ -679,7 +725,7 @@ def _parse_mas(ts: TokenStream) -> ModelDocument:
             name = ts.expect("ident", what="an agent id")
             if name in agents:
                 raise ts.error("a fresh agent id", name_at)
-            agents[name] = _parse_agent_section(ts, name)
+            agents[name] = _parse_agent_section(ts, name, procedures=procedures)
             declared[("agent", name)] = name_at
         else:
             raise ts.error("a model declaration", at)
@@ -706,6 +752,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     max_steps = 10_000
     end_condition: tuple = ("quiescence",)
     builder = NetBuilder()
+    procedures: dict = {}  # the procedure memo of every operation payload
 
     while not ts.at("eof"):
         at = ts.pos
@@ -745,7 +792,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ts.error("an increasing trigger step (non-increasing step)", step_at)
             ts.expect("ident", "adapt", what="'adapt'")
             ts.expect("punct", "{")
-            op_list = _parse_ops(ts, builder.colorset_env())
+            op_list = _parse_ops(ts, builder.colorset_env(), procedures)
             ts.expect("punct", "}")
             triggers.append(
                 Trigger(at_step, AdaptationRequest(tuple(op_list), reason=f"trigger at {at_step}"))
@@ -757,10 +804,10 @@ def parse_scenario(text: str) -> ScenarioDocument:
     return ScenarioDocument(assignment, scenario, builder.colorset_env())
 
 
-def _parse_ops(ts: TokenStream, colorsets: Mapping[str, ColorSet]) -> list[AdaptationOp]:
+def _parse_ops(ts: TokenStream, colorsets: Mapping[str, ColorSet], procedures: dict) -> list[AdaptationOp]:
     out = []
     while not ts.at("punct", "}") and not ts.at("eof"):
-        out.append(_parse_one_op(ts, colorsets))
+        out.append(_parse_one_op(ts, colorsets, procedures))
         ts.accept("punct", ";")
     return out
 
@@ -774,12 +821,12 @@ def parse_ops_text(text: str, model: MultiAgentModel) -> list[AdaptationOp]:
     for cid in sorted(model.channels):
         colorsets.setdefault(model.channels[cid].colorset.name, model.channels[cid].colorset)
     ts = TokenStream(text)
-    op_list = _parse_ops(ts, colorsets)
+    op_list = _parse_ops(ts, colorsets, {})
     ts.expect("eof", what="end of the request")
     return op_list
 
 
-def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
+def _parse_one_op(ts: TokenStream, colorsets, procedures: dict) -> AdaptationOp:
     at = ts.pos
     if ts.kinds[at] != "ident":
         raise ts.error("an operation keyword")
@@ -816,7 +863,7 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
         ts.expect("ident", "proc", what="'proc'")
         name_at = ts.pos
         ident("a procedure name")
-        helper = NetBuilder(colorsets)
+        helper = NetBuilder(colorsets, procedures=procedures)
         proc = helper.parse_procedure_tail(ts, name_at)
         return ops.a_p(agent, proc) if kind == "aP" else ops.rp_p(agent, old, proc)
     if kind == "rP":
@@ -834,7 +881,7 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
     if kind == "addAgent":
         name = ident("an agent id")
         ts.expect("punct", "{")
-        agent = _parse_agent_section(ts, name, seed_colorsets=colorsets)
+        agent = _parse_agent_section(ts, name, seed_colorsets=colorsets, procedures=procedures)
         ts.expect("punct", "}")
         return ops.add_agent(agent)
     if kind == "removeAgent":
@@ -842,7 +889,7 @@ def _parse_one_op(ts: TokenStream, colorsets) -> AdaptationOp:
     # modifyAgent
     agent = ident("an agent id")
     ts.expect("punct", "{")
-    nested = _parse_ops(ts, colorsets)
+    nested = _parse_ops(ts, colorsets, procedures)
     ts.expect("punct", "}")
     return ops.modify_agent(agent, nested)
 

@@ -199,15 +199,22 @@ def canonical_int(text: str) -> int | None:
     return n if str(n) == text else None
 
 
-def parse_value(ts: TokenStream, colorset: ColorSet) -> Value:
-    """Parse one canonical value of the given color set."""
+def parse_value(ts: TokenStream, colorset: ColorSet, canonical: bool = False) -> Value:
+    """Parse one value of the given color set. Model text may write an
+    integer any way `int()` reads it; with `canonical`, only the way
+    `Value.canonical()` writes it, as the persisted formats do."""
     kind = colorset.kind
     if kind == "unit":
         ts.expect("punct", "(")
         ts.expect("punct", ")")
         return Value(colorset, None)
     if kind == "int":
-        return Value(colorset, int(ts.expect("int", what="an integer")))
+        at = ts.pos
+        text = ts.expect("int", what="an integer")
+        n = canonical_int(text) if canonical else int(text)
+        if n is None:
+            raise ts.error(f"a canonical integer (found {text!r})", at)
+        return Value(colorset, n)
     if kind == "text":
         return Value(colorset, ts.expect("string", what="a quoted text value"))
     if kind == "enum":
@@ -222,14 +229,16 @@ def parse_value(ts: TokenStream, colorset: ColorSet) -> Value:
     for idx, comp in enumerate(colorset.components):
         if idx:
             ts.expect("punct", ",")
-        parts.append(parse_value(ts, comp))
+        parts.append(parse_value(ts, comp, canonical))
     ts.expect("punct", ")")
     return value_of(colorset, tuple(parts))
 
 
 def parse_value_text(text: str, colorset: ColorSet) -> Value:
+    """One value of a persisted format (`MRK1` tokens, `CTX1` messages),
+    written canonically."""
     ts = TokenStream(text)
-    v = parse_value(ts, colorset)
+    v = parse_value(ts, colorset, canonical=True)
     ts.expect("eof", what="end of value")
     return v
 

@@ -810,13 +810,23 @@ def gen_random_op(rng: random.Random, mam):
 # oracle: model validation with nothing remembered
 
 
+def cold_net(net):
+    """A copy of the net in which the net and each procedure are new objects, so
+    nothing a check or a compile kept on the originals carries over."""
+    from dataclasses import replace
+
+    parts = net.parts()
+    parts["procedures"] = [replace(proc) for proc in parts["procedures"]]
+    return Net(**parts)
+
+
 def cold_model(mam):
-    """A copy of the model in which every Net, agent and the model itself are new objects."""
+    """A copy of the model in which every Net, procedure, agent and the model itself are new objects."""
     from dataclasses import replace
 
     from roleflow import MultiAgentModel
 
-    agents = {aid: replace(a, task=Net(**a.task.parts())) for aid, a in mam.agents.items()}
+    agents = {aid: replace(a, task=cold_net(a.task)) for aid, a in mam.agents.items()}
     return MultiAgentModel(mam.organization_ref, mam.assignment, agents, dict(mam.channels))
 
 

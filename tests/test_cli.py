@@ -251,6 +251,17 @@ class TestRun:
         assert code == 3 and out == ""
         assert "bad token count in 'token 1_0 \"r2\"'" in err
 
+    @pytest.mark.parametrize("value", ["007", "-0", "٣"])
+    def test_resume_from_a_message_value_write_context_never_writes_exits_3(self, capsys, tmp_path, value):
+        ctx = tmp_path / "snap.ctx"
+        base = ("run", MODELS / "org1.org", MODELS / "org1_run.scn")
+        code, _, _ = run(capsys, *base, "--checkpoint-at", 1, "--context", ctx)
+        assert code == 0 and "bus mid 1\n" in ctx.read_text()
+        ctx.write_text(ctx.read_text().replace("bus mid 1\n", f"bus mid {value}\n"), encoding="utf-8")
+        code, out, err = run(capsys, *base, "--resume-from", ctx)
+        assert code == 3 and out == ""
+        assert "bad bus value" in err and "canonical integer" in err
+
     @pytest.mark.parametrize("edit", ["steps", "agent"])
     def test_resume_from_a_context_write_context_never_writes_exits_3(self, capsys, tmp_path, edit):
         ctx = tmp_path / "snap.ctx"

@@ -52,7 +52,7 @@ from roleflow import (
     synthesize,
     type_check_net,
 )
-from roleflow.cpn import transition_plans
+from roleflow.cpn import TransitionPlan, compiled_procedure, transition_plans
 from roleflow.runtime import QuiescentPass
 
 from conftest import MODELS, TOK, build_net1, tok
@@ -61,6 +61,7 @@ from helpers import (
     accounting_fire,
     all_assignments,
     brute_force_bindings,
+    cold_net,
     deadline,
     gen_bounded_net,
     gen_colorset,
@@ -737,6 +738,82 @@ class TestTransitionPlans:
         marking = marking_of(net1, p=[4])
         binding = transition_plans(back)["t"].first_binding(marking, ())
         assert transition_plans(back)["t"].fire(marking, binding) == plans["t"].fire(marking, binding)
+
+
+class TestSharedProcedureCompile:
+    """A procedure is compiled once and every net that holds it shares the compile."""
+
+    # each ill-typed body, and what a plan for it gives: the `ProcedureFailure`
+    # text, or the names of its compiled outputs
+    ILL_TYPED_BODIES = {
+        "text-literal": (
+            (("out", Expr.lit(Value(TXT, "x"))),),
+            "procedure inc1, output out: literal of color Txt where Tok needed",
+        ),
+        "unbound": ((("out", Expr.call("inc", Expr.var("zz"))),), "procedure inc1, output out: unbound variable 'zz'"),
+        "missing": ((), "procedure inc1, output out: 'out'"),
+        "extra": ((("out", Expr.var("n")), ("spare", Expr.var("n"))), ("out",)),
+    }
+
+    @pytest.mark.parametrize("body", [body for body, _ in ILL_TYPED_BODIES.values()], ids=ILL_TYPED_BODIES.keys())
+    def test_a_shared_ill_typed_procedure_is_in_both_reports(self, body):
+        proc = INC1(body)
+        first = net1_with(procedures=[proc])
+        second = Net(**{**first.parts(), "id": "net2"})
+        entries = [type_check_net(net).entries for net in (first, second)]
+        compiled = proc._compiled
+        assert entries[0] == entries[1] == type_check_net(cold_net(second)).entries
+        assert [v for v in entries[0] if v.code == "procedure"] == list(compiled.violations) != []
+        assert compiled_procedure(proc) is compiled
+
+    @pytest.mark.parametrize("body, plan", ILL_TYPED_BODIES.values(), ids=ILL_TYPED_BODIES.keys())
+    def test_a_plan_raises_the_same_failure_with_or_without_a_check_first(self, body, plan):
+        for check_first in (False, True):
+            net = net1_with(procedures=[INC1(body)])
+            if check_first:
+                type_check_net(net)
+            try:
+                got = tuple(name for name, _ in TransitionPlan(net, "t").outputs)
+            except ProcedureFailure as exc:
+                got = str(exc)
+            assert got == plan
+
+    def test_pickles_and_copies_drop_the_compile(self, net1):
+        proc = net1.procedures["inc1"]
+        transition_plans(net1)
+        assert proc._compiled.outputs is transition_plans(net1)["t"].outputs
+        for back in (pickle.loads(pickle.dumps(proc)), copy.deepcopy(proc), copy.copy(proc)):
+            assert back == proc and hash(back) == hash(proc)
+            assert getattr(back, "_compiled", None) is None
+        net = pickle.loads(pickle.dumps(net1))
+        assert net == net1 and getattr(net.procedures["inc1"], "_compiled", None) is None
+        assert fire(net, net.initial_marking(), "t", {"n": tok(1)}) == fire(net1, net1.initial_marking(), "t", {"n": tok(1)})
+
+    def test_plans_of_agents_sharing_procedures_match_the_oracle(self):
+        """Decompositions of one organization hold its procedure objects, and
+        each agent's plans run the organization's compile."""
+        rng = random.Random(817)
+        fired = shared = 0
+        for i in range(12):
+            org = gen_org(rng, f"sp{i}")
+            holders = Counter()
+            for assignment in all_assignments(org.roles):
+                system = synthesize(decompose(org, assignment))
+                for aid in system.agent_ids:
+                    task = system.task(aid)
+                    for tid, plan in transition_plans(task).items():
+                        proc = task.procedures[task.transitions[tid].procedure]
+                        assert proc is org.global_task.procedures[proc.name]
+                        assert plan.outputs is compiled_procedure(proc).outputs
+                        holders[proc.name] += 1
+                for _ in range(50):
+                    for aid in system.agent_ids:
+                        state = system.states[aid]
+                        fired += assert_plans_match_oracle(system.task(aid), state.marking, tuple(state._mailbox))
+                    if isinstance(go(system, Scenario()), QuiescentPass):
+                        break
+            shared += any(n > 1 for n in holders.values())
+        assert fired > 50 and shared > 5
 
 
 def build_loop_net():

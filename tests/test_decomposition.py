@@ -37,7 +37,7 @@ from roleflow.modelio import parse_model, parse_scenario, serialize_model
 from roleflow.runtime import Scenario
 
 from conftest import MODELS, TOK, tok
-from helpers import all_assignments, gen_org, naive_validate_model
+from helpers import all_assignments, cold_net, gen_org, naive_validate_model
 
 
 def marking_of(**tokens):
@@ -390,10 +390,10 @@ class TestOrganizationVerdict:
             mam = decompose(org, assignment)
             for aid, agent in mam.agents.items():
                 task = agent.task
-                assert type_check_net(task) == cpn._type_check(Net(**task.parts()))
+                assert type_check_net(task) == cpn._type_check(cold_net(task))
                 carried = agent._checks
                 assert _AgentChecks.of(aid, agent, mam.channels) is carried
-                cold = _AgentChecks.run(aid, replace(agent, task=Net(**task.parts())), mam.channels)
+                cold = _AgentChecks.run(aid, replace(agent, task=cold_net(task)), mam.channels)
                 for slot in _AgentChecks.__slots__:
                     assert getattr(carried, slot) == getattr(cold, slot), slot
             assert validate_model(mam) == naive_validate_model(mam)

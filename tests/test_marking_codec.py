@@ -9,6 +9,7 @@ from roleflow import (
     FormatError,
     IncompatiblePlace,
     Marking,
+    ModelSyntaxError,
     Multiset,
     Net,
     Place,
@@ -113,6 +114,21 @@ def test_a_count_rejected_by_int_keeps_its_message(net1, count, message):
     data = f"MRK1\nplace p : Tok=int\ntoken {count} 1\n".encode()
     with pytest.raises(FormatError, match=f"^{message} in"):
         restore_marking(data, net1)
+
+
+@pytest.mark.parametrize("value", ["007", "-0", "00", "٣", "-١"])
+def test_a_value_written_unlike_save_marking_is_rejected(net1, value):
+    data = save_marking(net1, Marking({"p": Multiset([tok(7)])}))
+    assert b"\ntoken 1 7\n" in data
+    with pytest.raises(FormatError, match="^bad token value in .*expected a canonical integer"):
+        restore_marking(data.replace(b"token 1 7", f"token 1 {value}".encode()), net1)
+
+
+def test_a_product_component_written_unlike_save_marking_is_rejected():
+    pair = ColorSet("Pair", "product", components=(TOK, TOK))
+    assert parse_value_text("(1,-2)", pair).canonical() == "(1,-2)"
+    with pytest.raises(ModelSyntaxError, match="canonical integer"):
+        parse_value_text("(1,02)", pair)
 
 
 def test_fuzz_round_trip_and_determinism():

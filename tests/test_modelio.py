@@ -192,6 +192,76 @@ class TestParseModel:
         assert doc.model == parse_model(ORG1_TEXT.replace("init { 1 }", "init { 3 }")).model
 
 
+BUMP_MAS = """\
+mas o
+agent agent1
+colorset Tok = {0}
+place p : Tok
+proc bump(n:Tok) -> (o:Tok) {{ o = inc(n) }}
+agent agent2
+colorset Tok = {1}
+place q : Tok
+proc bump(n:Tok)->(o:Tok){{o=inc(n)}}
+"""
+
+
+class TestProcedureMemo:
+    """One parse reads each distinct procedure declaration once."""
+
+    @staticmethod
+    def bumps(text):
+        agents = parse_model(text).model.agents
+        return agents["agent1"].task.procedures["bump"], agents["agent2"].task.procedures["bump"]
+
+    def test_a_repeated_declaration_under_the_same_colors_is_one_object(self):
+        first, second = self.bumps(BUMP_MAS.format("int", "int"))
+        assert first is second
+        # another parse keeps no memo of this one
+        assert self.bumps(BUMP_MAS.format("int", "int"))[0] is not first
+
+    def test_under_another_color_of_the_same_name_it_is_another_object(self):
+        first, second = self.bumps(BUMP_MAS.format("int", "text"))
+        assert first is not second and first != second
+        assert first.signature() != second.signature()
+        assert [cs.kind for _, cs in first.inputs + second.inputs] == ["int", "text"]
+
+    def test_a_brace_in_a_text_literal_does_not_end_the_declaration(self):
+        text = BUMP_MAS.format("text", "text").replace("inc(n)", 'concat(n,"}")')
+        first, second = self.bumps(text)
+        assert first is second and modelio.render_expr(first.body[0][1]) == 'concat(n,"}")'
+        other = text.replace('"}")', '"}x")', 1)
+        assert [modelio.render_expr(p.body[0][1]) for p in self.bumps(other)] == ['concat(n,"}x")', 'concat(n,"}")']
+
+    def test_a_repeated_name_in_one_agent_is_still_rejected_at_its_own_token(self):
+        text = BUMP_MAS.format("int", "int").replace("agent agent2\ncolorset Tok = int\n", "")
+        with pytest.raises(ModelSyntaxError, match="expected a fresh procedure name") as err:
+            parse_model(text)
+        assert (err.value.line, err.value.col) == (7, 6)
+
+    def test_scenario_payloads_share_a_repeated_declaration(self):
+        decl = "proc inc2(n:Tok) -> (o:Tok) { o = addK(n,2) }"
+        doc = parse_scenario(f"colorset Tok = int\nat 1 adapt {{ rpP a1 inc1 {decl} }}\nat 2 adapt {{ aP a2 {decl} }}\n")
+        first, second = (t.request.ops[0].procedure for t in doc.scenario.triggers)
+        assert first is second
+
+    def test_decompositions_round_trip_through_the_memo(self):
+        rng = random.Random(1717)
+        for i in range(25):
+            org = gen_org(rng, f"pm{i}")
+            for assignment in list(all_assignments(org.roles))[:3]:
+                text = serialize_model(decompose(org, assignment))
+                mam = parse_model(text).model
+                assert serialize_model(mam) == text
+        # the relay workload's shape: every agent declares the same procedure
+        relay = "mas r\n" + "".join(
+            f"agent a{k}\ncolorset Tok = int\nplace p{k} : Tok\nproc hop(n:Tok) -> (o:Tok) {{ o = inc(n) }}\n"
+            for k in range(4)
+        )
+        mam = parse_model(relay).model
+        assert len({id(a.task.procedures["hop"]) for a in mam.agents.values()}) == 1
+        assert serialize_model(mam) == serialize_model(parse_model(serialize_model(mam)).model)
+
+
 class TestSerializeModel:
     def test_byte_determinism(self, org1):
         assert serialize_model(org1) == serialize_model(org1)
@@ -394,6 +464,14 @@ class TestContextCodec:
         data = f"CTX1\ncursor 0\nsteps 0\n".replace(f"{field} 0", f"{field} {value}")
         with pytest.raises(FormatError, match=f"bad {field} value"):
             read_context(data.encode())
+
+    @pytest.mark.parametrize("line", ["bus", "mail"])
+    @pytest.mark.parametrize("value", ["007", "-0", "٣"])
+    def test_messages_are_written_as_write_context_writes_them(self, line, value):
+        data = f"CTX1\ncursor 0\nsteps 0\nchannel c : Tok=int\nagent a\n{line} c {value}\n"
+        with pytest.raises(FormatError, match=f"bad {line} value: .*expected a canonical integer"):
+            read_context(data.encode())
+        assert read_context(data.replace(value, "-3").encode()) is not None
 
     def test_each_distinct_channel_descriptor_is_parsed_once(self, monkeypatch):
         calls = []
