@@ -9,6 +9,7 @@ runs are checked against an exhaustive interleaving search.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import random
@@ -37,15 +38,20 @@ from roleflow import (
     Value,
     communication_structure,
     decompose,
+    enabled_bindings,
+    fire,
     go,
     parse_model,
     parse_ops_text,
     parse_scenario,
     read_context,
     restore_marking,
+    run_to_quiescence,
     save_context,
     serialize_model,
+    step,
     synthesize,
+    type_check_net,
     validate_organization,
     write_context,
 )
@@ -1318,4 +1324,93 @@ def parse_outcome_lines(per_parser: int = 500) -> list[str]:
         except Exception as exc:
             outcome = f"{type(exc).__name__}\t{json.dumps(str(exc), ensure_ascii=False)}"
         lines.append(f"{k}\t{parse.__name__}\t{outcome}")
+    return lines
+
+
+# ---------------------------------------------------------------------------
+# seeded structural mutations, and what the type check and the checked functions make of them
+
+FLAG = ColorSet("Flag", "enum", members=("false", "true"))
+# one message on each channel the hand-made, generated and mutated nets use
+OUTCOME_MAILBOX = (("ch", tok(5)), ("ch0", tok(3)), ("ch1", tok(4)))
+
+
+def mutate_net(rng: random.Random, net: Net, edits: int) -> Net:
+    """`net` after `edits` seeded structural edits: an arc dropped or relabelled,
+    the procedures of two transitions swapped, a guard from `gen_untyped_expr`,
+    or a receive or send event added."""
+    parts = net.parts()
+    arcs = parts["arcs"]
+    transitions = {t.id: t for t in parts["transitions"]}
+    names = {a.label for a in arcs}
+    for proc in parts["procedures"]:
+        names.update(proc.input_names() + proc.output_names())
+    labels = sorted(names) + ["zz"]
+    for _ in range(edits):
+        edit = rng.choice(("drop", "relabel", "swap", "guard", "receive", "send"))
+        if edit in ("drop", "relabel"):
+            if arcs:
+                arc = arcs.pop(rng.randrange(len(arcs)))
+                if edit == "relabel":
+                    arcs.append(dataclasses.replace(arc, label=rng.choice(labels)))
+            continue
+        t = transitions[rng.choice(sorted(transitions))]
+        if edit == "swap":
+            other = transitions[rng.choice(sorted(transitions))]
+            transitions[t.id] = dataclasses.replace(t, procedure=other.procedure)
+            transitions[other.id] = dataclasses.replace(transitions[other.id], procedure=t.procedure)
+        elif edit == "guard":
+            transitions[t.id] = dataclasses.replace(t, guard=gen_untyped_expr(rng, [TOK, FLAG]))
+        elif edit == "receive":
+            transitions[t.id] = dataclasses.replace(t, event=ReceiveEvent(rng.choice(("ch0", "ch1")), rng.choice(labels)))
+        else:
+            message = Expr.var(rng.choice(labels)) if rng.random() < 0.7 else gen_untyped_expr(rng, [TOK, FLAG])
+            transitions[t.id] = dataclasses.replace(t, event=SendEvent("ch0", message))
+    parts["transitions"] = list(transitions.values())
+    return Net(**parts)
+
+
+def _outcome(call):
+    try:
+        call()
+        return "ok"
+    except Exception as exc:
+        return f"{type(exc).__name__} {json.dumps(str(exc), ensure_ascii=False)}"
+
+
+def type_check_outcome_lines(named_nets, mutations: int = 150) -> list[str]:
+    """One line per net: its number, its name, its rendered type report, then
+    the outcome (`ok`, or the exception's class and message) of
+    `enabled_bindings` and `fire` on each transition, of `step` and of
+    `run_to_quiescence`. `fire` gets the first enabled binding, else none.
+
+    The nets are `named_nets` ((name, net) pairs, run from their initial
+    marking), then `mutations` seeded mutations each of a `gen_bounded_net`
+    net, of a `gen_org` organization's net, and of the task of one of its
+    agents that has transitions.
+    """
+    rng = random.Random(1818)
+    cases = [(name, net, net.initial_marking(), OUTCOME_MAILBOX) for name, net in named_nets]
+    for i in range(mutations):
+        net, marking, mailbox = gen_bounded_net(rng)
+        cases.append((f"bounded{i}", mutate_net(rng, net, rng.randint(1, 3)), marking, mailbox))
+        org = gen_org(rng, f"org{i}")
+        cases.append((f"org{i}", mutate_net(rng, org.global_task, rng.randint(1, 3)), None, OUTCOME_MAILBOX))
+        mam = decompose(org, list(all_assignments(org.roles))[-1])
+        task = rng.choice([agent.task for agent in mam.agents.values() if agent.task.transitions])
+        cases.append((f"agent{i}", mutate_net(rng, task, rng.randint(1, 3)), None, OUTCOME_MAILBOX))
+    lines = []
+    for k, (name, net, marking, mailbox) in enumerate(cases):
+        marking = net.initial_marking() if marking is None else marking
+        report = json.dumps(type_check_net(net).render(), ensure_ascii=False)
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SaturationWarning)
+            for tid in net.transition_ids:
+                found = []
+                outcomes.append(_outcome(lambda: found.extend(enabled_bindings(net, marking, tid, mailbox))))
+                outcomes.append(_outcome(lambda: fire(net, marking, tid, found[0] if found else {})))
+            outcomes.append(_outcome(lambda: step(net, marking, mailbox)))
+            outcomes.append(_outcome(lambda: run_to_quiescence(net, marking, mailbox, 20)))
+        lines.append("\t".join([str(k), name, report, *outcomes]))
     return lines

@@ -55,7 +55,7 @@ from roleflow import (
 from roleflow.cpn import TransitionPlan, compiled_procedure, transition_plans
 from roleflow.runtime import QuiescentPass
 
-from conftest import MODELS, TOK, build_net1, tok
+from conftest import GOLDEN, MODELS, TOK, build_net1, tok
 from helpers import (
     accounting_events,
     accounting_fire,
@@ -67,6 +67,7 @@ from helpers import (
     gen_colorset,
     gen_org,
     naive_color_equal,
+    type_check_outcome_lines,
 )
 
 
@@ -469,6 +470,43 @@ def test_checked_functions_on_ill_typed_nets(parts, code, outcomes):
         except RoleflowError as exc:
             got.append(type(exc))
     assert tuple(got) == (outcomes if isinstance(outcomes, tuple) else (outcomes,) * len(calls))
+
+
+# Nets with two faults, and nets whose report and checked functions part ways:
+# (id, parts that replace net1's).
+BIT = ColorSet("Bit", "enum", members=("zero", "one"))
+ILL_TYPED_TWICE = [
+    ("feed+guard", dict(arcs=[OutputArc("t", "q", "out")], transitions=[Transition("t", "R", "inc1", guard=Expr.var("n"))])),
+    ("guard+send", dict(transitions=[Transition("t", "R", "inc1", guard=Expr.var("n"), event=SendEvent("ch", Expr.var("zz")))])),
+    ("route+procedure", dict(arcs=[InputArc("p", "t", "n"), OutputArc("t", "q", "k")], procedures=[INC1((("out", Expr.lit(Value(TXT, "x"))),))])),
+    ("guard+procedure", dict(transitions=[Transition("t", "R", "inc1", guard=Expr.var("n"))], procedures=[INC1(())])),
+    ("procedure+send", dict(transitions=[Transition("t", "R", "inc1", event=SendEvent("ch", Expr.var("zz")))], procedures=[INC1(())])),
+    ("unknown-procedure+feed", dict(transitions=[Transition("t", "R", "nosuch")], arcs=[OutputArc("t", "q", "out")])),
+    ("receive+feed", dict(transitions=[Transition("t", "R", "inc1", event=ReceiveEvent("ch", "n"))])),
+    ("sent-and-routed", dict(transitions=[Transition("t", "R", "inc1", event=SendEvent("ch", Expr.var("out")))])),
+    ("guard-without-true", dict(colorsets=[TOK, BIT], transitions=[Transition("t", "R", "inc1", guard=Expr.lit(Value(BIT, "one")))])),
+]
+
+
+def outcome_nets():
+    """The hand-made nets of the type-check golden."""
+    return [(name, net1_with(**parts)) for name, parts, *_ in ILL_TYPED + ILL_TYPED_TWICE]
+
+
+def test_type_check_outcomes_match_the_golden():
+    """Each net's report and each checked function's outcome are pinned, so
+    the wording `roleflow validate` prints and which error a transition
+    with several faults raises stay as they are.
+
+    Regenerate with
+    `cd tests && PYTHONPATH=../src python -c "import helpers, test_cpn; print('\\n'.join(helpers.type_check_outcome_lines(test_cpn.outcome_nets())))" > golden/type_check_outcomes.tsv`
+    only when a report entry or an error changes on purpose.
+    """
+    golden = (GOLDEN / "type_check_outcomes.tsv").read_text(encoding="utf-8").splitlines()
+    got = type_check_outcome_lines(outcome_nets())
+    assert len(got) == len(golden)
+    changed = [(want, line) for want, line in zip(golden, got) if want != line]
+    assert not changed, changed[:5]
 
 
 def build_receive_net():
