@@ -500,7 +500,9 @@ def eval_expr(expr: Expr, binding: Mapping[str, Value], expected: ColorSet | Non
     is raised instead, as `UnboundVariable` for an unbound name and as
     `TypeMismatch` otherwise. A tuple needs an expected product color.
     """
-    _, run = _checked(expr, expected, {name: v.colorset for name, v in binding.items()})
+    problems, _, run = _analyze(expr, expected, {name: v.colorset for name, v in binding.items()}, True)
+    if problems:
+        raise _expr_error(problems[0])
     return run(binding)
 
 
@@ -528,13 +530,9 @@ def compile_expr(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorS
     return run
 
 
-def _checked(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet]):
-    """(color, closure) of an expression; its first problem is raised as
-    `UnboundVariable` when it is an unbound name, as `TypeMismatch` otherwise."""
-    problems, color, run = _analyze(expr, expected, env, True)
-    if problems:
-        raise (UnboundVariable if problems[0].startswith("unbound variable ") else TypeMismatch)(problems[0])
-    return color, run
+def _expr_error(problem: str) -> Exception:
+    """An expression problem as raised: `UnboundVariable` for an unbound name, else `TypeMismatch`."""
+    return (UnboundVariable if problem.startswith("unbound variable ") else TypeMismatch)(problem)
 
 
 def _analyze(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet], build: bool):
@@ -956,86 +954,94 @@ def _type_check(net: Net) -> ValidationReport:
         if arc.place not in net.places:
             out.append(Violation("arc", arc.place, "arc references unknown place"))
 
-    for t in sorted(net.transitions.values(), key=lambda t: t.id):
-        if not t.role:
-            out.append(Violation("role", t.id, "transition without role"))
-        proc = net.procedures.get(t.procedure)
-        if proc is None:
-            out.append(Violation("transition", t.id, f"unknown procedure '{t.procedure}'"))
-            continue
-        in_names = set(proc.input_names())
-        out_names = set(proc.output_names())
-        env = {n: cs for n, cs in proc.inputs}
-
-        in_labels = [a.label for a in net.input_arcs(t.id)]
-        if len(set(in_labels)) != len(in_labels):
-            out.append(Violation("arc-label", t.id, "duplicate input arc labels"))
-        covered_in = set(in_labels)
-        for a in net.input_arcs(t.id):
-            if a.label not in in_names:
-                out.append(Violation("arc-label", t.id, f"arc label '{a.label}' not in signature"))
-            elif a.place in net.places and net.places[a.place].colorset != env[a.label]:
-                out.append(
-                    Violation("arc-color", t.id, f"place {a.place} does not match parameter '{a.label}'")
-                )
-        if isinstance(t.event, ReceiveEvent):
-            if t.event.var not in in_names:
-                out.append(Violation("event", t.id, f"receive variable '{t.event.var}' not in signature"))
-            elif t.event.var in covered_in:
-                out.append(Violation("event", t.id, f"receive variable '{t.event.var}' also fed by an arc"))
-            covered_in |= {t.event.var}
-        if covered_in != in_names:
-            missing = sorted(in_names - covered_in)
-            if missing:
-                out.append(Violation("missing-arc", t.id, f"inputs {missing} not covered by arcs"))
-
-        out_labels = [a.label for a in net.output_arcs(t.id)]
-        if len(set(out_labels)) != len(out_labels):
-            out.append(Violation("arc-label", t.id, "duplicate output arc labels"))
-        for a in net.output_arcs(t.id):
-            if a.label not in out_names:
-                out.append(Violation("arc-label", t.id, f"arc label '{a.label}' not in signature"))
-            else:
-                rcs = dict(proc.outputs)[a.label]
-                if a.place in net.places and net.places[a.place].colorset != rcs:
-                    out.append(
-                        Violation("arc-color", t.id, f"place {a.place} does not match result '{a.label}'")
-                    )
-        uncovered = out_names - set(out_labels)
-        if isinstance(t.event, SendEvent):
-            msg = t.event.message
-            msg_env = dict(env)
-            msg_env.update({n: cs for n, cs in proc.outputs})
-            bad = expr_free_vars(msg) - set(msg_env)
-            if bad:
-                out.append(Violation("event", t.id, f"send message uses unknown names {sorted(bad)}"))
-            else:
-                for p in analyze_expr(msg, None, msg_env)[0]:
-                    out.append(Violation("event", t.id, f"send message: {p}"))
-            # keep sends invertible: the payload is exactly one unrouted result
-            if msg.kind == "var" and msg.name in out_names:
-                if msg.name in set(out_labels):
-                    out.append(Violation("event", t.id, f"sent result '{msg.name}' is also routed by an arc"))
-                if uncovered - {msg.name}:
-                    out.append(
-                        Violation("missing-arc", t.id, f"results {sorted(uncovered - {msg.name})} not covered")
-                    )
-            else:
-                out.append(Violation("event", t.id, "send message must name an unrouted output result"))
-        elif uncovered:
-            out.append(Violation("missing-arc", t.id, f"results {sorted(uncovered)} not covered by arcs"))
-
-        if t.guard is not None:
-            bad = expr_free_vars(t.guard) - in_names
-            if bad:
-                out.append(Violation("guard", t.id, f"guard uses non-parameter names {sorted(bad)}"))
-            probs, gcs = analyze_expr(t.guard, None, env)
-            for p in probs:
-                out.append(Violation("guard", t.id, f"guard: {p}"))
-            if not probs and (gcs is None or gcs.kind != "enum" or "true" not in gcs.members):
-                out.append(Violation("guard", t.id, "guard must evaluate to an enum containing member 'true'"))
-
+    for tid in net.transition_ids:
+        out += _transition_check(net, net.transitions[tid])[0]
     return report_of(out)
+
+
+def _transition_check(net: Net, t: Transition) -> tuple[list[Violation], Optional[Exception]]:
+    """One transition's report entries, in report order, and the error the
+    checked functions raise for it, or None: the first of an unknown procedure,
+    a feed fault, a route fault, a bad guard, a procedure output and a send
+    message that do not compile. Each is also reported, so plans check nothing."""
+    out = [] if t.role else [Violation("role", t.id, "transition without role")]
+    proc = net.procedures.get(t.procedure)
+    if proc is None:
+        out.append(Violation("transition", t.id, f"unknown procedure '{t.procedure}'"))
+        return out, InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
+    errors: list[Exception] = []  # in precedence order; the first is raised
+    env, results = dict(proc.inputs), dict(proc.outputs)
+
+    in_labels = [a.label for a in net.input_arcs(t.id)]
+    if len(set(in_labels)) != len(in_labels):
+        out.append(Violation("arc-label", t.id, "duplicate input arc labels"))
+    for a in net.input_arcs(t.id):
+        if a.label not in env:
+            out.append(Violation("arc-label", t.id, f"arc label '{a.label}' not in signature"))
+        elif a.place in net.places and net.places[a.place].colorset != env[a.label]:
+            out.append(Violation("arc-color", t.id, f"place {a.place} does not match parameter '{a.label}'"))
+    if isinstance(t.event, ReceiveEvent):
+        if t.event.var not in env:
+            out.append(Violation("event", t.id, f"receive variable '{t.event.var}' not in signature"))
+        elif t.event.var in in_labels:
+            out.append(Violation("event", t.id, f"receive variable '{t.event.var}' also fed by an arc"))
+    fed = in_labels + ([t.event.var] if isinstance(t.event, ReceiveEvent) else [])
+    missing = sorted(set(env) - set(fed))
+    if missing:
+        out.append(Violation("missing-arc", t.id, f"inputs {missing} not covered by arcs"))
+    if sorted(fed) != sorted(env):
+        errors.append(InvalidModel(f"transition {t.id}: arcs and receive variable must feed each input once"))
+
+    out_labels = [a.label for a in net.output_arcs(t.id)]
+    if len(set(out_labels)) != len(out_labels):
+        out.append(Violation("arc-label", t.id, "duplicate output arc labels"))
+    for a in net.output_arcs(t.id):
+        if a.label not in results:
+            out.append(Violation("arc-label", t.id, f"arc label '{a.label}' not in signature"))
+        elif a.place in net.places and net.places[a.place].colorset != results[a.label]:
+            out.append(Violation("arc-color", t.id, f"place {a.place} does not match result '{a.label}'"))
+    if not set(out_labels) <= set(results):
+        errors.append(InvalidModel(f"transition {t.id}: an output arc routes no procedure result"))
+
+    guard_out = []  # reported last, checked before the procedure
+    if t.guard is not None:
+        bad = expr_free_vars(t.guard) - set(env)
+        if bad:
+            guard_out.append(Violation("guard", t.id, f"guard uses non-parameter names {sorted(bad)}"))
+        probs, gcs = analyze_expr(t.guard, None, env)
+        guard_out += [Violation("guard", t.id, f"guard: {p}") for p in probs]
+        if probs:
+            errors.append(_expr_error(probs[0]))
+        elif gcs.kind != "enum" or "true" not in gcs.members:
+            guard_out.append(Violation("guard", t.id, "guard must evaluate to an enum containing member 'true'"))
+            if gcs.kind != "enum":
+                errors.append(TypeMismatch(f"guard of {t.id} has color {gcs.name}, not an enum"))
+    failure = compiled_procedure(proc).failure
+    if failure is not None:
+        errors.append(ProcedureFailure(failure))
+
+    uncovered = set(results) - set(out_labels)
+    if isinstance(t.event, SendEvent):
+        msg = t.event.message
+        probs = analyze_expr(msg, None, {**env, **results})[0]
+        bad = expr_free_vars(msg) - set(env) - set(results)
+        if bad:
+            out.append(Violation("event", t.id, f"send message uses unknown names {sorted(bad)}"))
+        else:
+            out += [Violation("event", t.id, f"send message: {p}") for p in probs]
+        if probs:
+            errors.append(_expr_error(probs[0]))
+        # keep sends invertible: the payload is exactly one unrouted result
+        if msg.kind == "var" and msg.name in results:
+            if msg.name in out_labels:
+                out.append(Violation("event", t.id, f"sent result '{msg.name}' is also routed by an arc"))
+            if uncovered - {msg.name}:
+                out.append(Violation("missing-arc", t.id, f"results {sorted(uncovered - {msg.name})} not covered"))
+        else:
+            out.append(Violation("event", t.id, "send message must name an unrouted output result"))
+    elif uncovered:
+        out.append(Violation("missing-arc", t.id, f"results {sorted(uncovered)} not covered by arcs"))
+    return out + guard_out, errors[0] if errors else None
 
 
 def iter_bindings(
@@ -1054,10 +1060,10 @@ def iter_bindings(
     for nets whose input arc labels are distinct, which `type_check_net`
     requires.
 
-    The bindings pass the `passes` of a `TransitionPlan` built for this call,
-    on any net: each value has its input's color, then the guard holds.
+    The transition must pass its check; the bindings then pass the `passes` of
+    a plan built for this call: each value has its input's color, then the guard holds.
     """
-    plan = TransitionPlan(net, transition_id)
+    plan = _checked_plan(net, transition_id)
     fixed = _received(plan.event, mailbox)
     if fixed is None:
         return
@@ -1135,15 +1141,15 @@ def fire(
 ) -> tuple[Marking, list[Union[SentMessage, ReceivedMessage]]]:
     """Fire one transition under a binding, returning the new marking and events.
 
-    The checks stand in front of a `TransitionPlan` built for this call, on
-    any net. The binding must cover the procedure's inputs, the marking must
+    The transition must pass its check, and a `TransitionPlan` is built for
+    this call. The binding must cover the procedure's inputs, the marking must
     hold its tokens, and the plan's `passes` must accept it: each value has
     its input's color, then the guard holds. Only then does the plan fire it.
 
     The caller owns mailbox bookkeeping: a receive binding must have been
     built from the earliest matching message, and the caller removes it.
     """
-    plan = TransitionPlan(net, transition_id)
+    plan = _checked_plan(net, transition_id)
     proc = net.procedures[net.transitions[transition_id].procedure]
     if set(binding) != set(proc.input_names()):
         raise NotEnabled(f"binding does not cover the inputs of {transition_id}")
@@ -1155,16 +1161,24 @@ def fire(
     return plan.fire(marking, binding)
 
 
+def _checked_plan(net: Net, transition_id: str) -> TransitionPlan:
+    """A plan for a checked function, built once the transition exists and passes its check."""
+    t = net.transitions.get(transition_id)
+    if t is None:
+        raise UnknownTransition(transition_id)
+    error = _transition_check(net, t)[1]
+    if error is not None:
+        raise error
+    return TransitionPlan(net, transition_id)
+
+
 class TransitionPlan:
     """How one transition finds its bindings and fires: the one firing rule.
 
     The runtime uses the plans `transition_plans` keeps for a clean net; the
-    checked functions build one per call, on any net. Building one checks
-    what the plan runs: the transition and its procedure exist, and its
-    arcs and receive variable feed each input once and route only results
-    (else `InvalidModel`); the guard, an enum, and the sent message compile
-    (else `UnboundVariable` or `TypeMismatch`); each output has a
-    well-typed body (else `ProcedureFailure`).
+    checked functions build one per call once the transition passes its
+    check. Building one checks nothing: it assembles the arcs, the guard and
+    sent message compiled by `compile_expr`, and the procedure's compile.
 
     `fire` checks neither the binding's cover nor its tokens. What no check
     of the net can prove is the color of a value it is handed (a mailbox
@@ -1176,29 +1190,16 @@ class TransitionPlan:
     __slots__ = ("inputs", "heads", "event", "passes", "outputs", "out_arcs", "send")
 
     def __init__(self, net: Net, transition_id: str):
-        t = net.transitions.get(transition_id)
-        if t is None:
-            raise UnknownTransition(transition_id)
-        proc = net.procedures.get(t.procedure)
-        if proc is None:
-            raise InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
+        t = net.transitions[transition_id]
+        proc = net.procedures[t.procedure]
         env = dict(proc.inputs)
         # (label, place) pairs in label order, and whether the first binding
         # is the head of each pool: no two inputs share a place, and no guard
         self.inputs = _arc_pairs(net.input_arcs(t.id))
         self.heads = len({pid for _, pid in self.inputs}) == len(self.inputs) and t.guard is None
         self.event = t.event
-        fed = [label for label, _ in self.inputs] + ([t.event.var] if isinstance(t.event, ReceiveEvent) else [])
-        if sorted(fed) != sorted(env):
-            raise InvalidModel(f"transition {t.id}: arcs and receive variable must feed each input once")
         self.out_arcs = _arc_pairs(net.output_arcs(t.id))
-        if not {label for label, _ in self.out_arcs} <= set(proc.output_names()):
-            raise InvalidModel(f"transition {t.id}: an output arc routes no procedure result")
-        guard = None
-        if t.guard is not None:
-            color, guard = _checked(t.guard, None, env)
-            if color.kind != "enum":
-                raise TypeMismatch(f"guard of {t.id} has color {color.name}, not an enum")
+        guard = None if t.guard is None else compile_expr(t.guard, None, env)
         colors = tuple(env.items())
 
         def passes(binding: dict) -> bool:
@@ -1210,13 +1211,10 @@ class TransitionPlan:
             return guard is None or guard(binding).payload == "true"
 
         self.passes = passes
-        compiled = compiled_procedure(proc)
-        if compiled.failure is not None:
-            raise ProcedureFailure(compiled.failure)
-        self.outputs = compiled.outputs
+        self.outputs = compiled_procedure(proc).outputs
         self.send = None
         if isinstance(t.event, SendEvent):
-            self.send = _checked(t.event.message, None, {**env, **dict(proc.outputs)})[1]
+            self.send = compile_expr(t.event.message, None, {**env, **dict(proc.outputs)})
 
     def first_binding(self, marking: Marking, mailbox: Mailbox) -> Optional[dict[str, Value]]:
         """The transition's canonically first binding, as `first_binding` finds it, or None."""

@@ -52,7 +52,8 @@ from roleflow import (
     synthesize,
     type_check_net,
 )
-from roleflow.cpn import TransitionPlan, compiled_procedure, transition_plans
+import roleflow.cpn as cpn_mod
+from roleflow.cpn import compiled_procedure, transition_plans
 from roleflow.runtime import QuiescentPass
 
 from conftest import GOLDEN, MODELS, TOK, build_net1, tok
@@ -769,6 +770,51 @@ class TestTransitionPlans:
         assert fire(unchecked, marking_of(unchecked, p=[1]), "t", {"n": tok(1)})[0] == marking_of(unchecked, q=[2])
         assert transition_plans(net1) is transition_plans(net1)
 
+    def test_plans_recheck_nothing_the_report_proved(self, monkeypatch):
+        """Plans built while the transition check raises match the oracles along
+        their runs: on the agents of decomposed organizations, which inherit
+        their reports, and on nets right after `type_check_net`."""
+        rng = random.Random(818)
+        systems = []
+        for i in range(12):
+            org = gen_org(rng, f"rc{i}")
+            systems.append(synthesize(decompose(org, rng.choice(list(all_assignments(org.roles))))))
+        runs = [gen_bounded_net(rng) for _ in range(40)]
+        runs.append((build_send_net(), Marking({"p": Multiset([flagged(1, "true"), flagged(2, "true")])}), [("ch", tok(1))] * 2))
+        for net, _, _ in runs:
+            assert type_check_net(net).empty
+
+        def refuse(net, t):
+            raise AssertionError(f"transition {t.id} of {net.id} checked again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cpn_mod, "_transition_check", refuse)
+            nets = [system.task(aid) for system in systems for aid in system.agent_ids] + [net for net, _, _ in runs]
+            plans = [transition_plans(net) for net in nets]
+            with pytest.raises(AssertionError, match="checked again"):
+                type_check_net(cold_net(runs[0][0]))
+        assert all(transition_plans(net) is built for net, built in zip(nets, plans))
+        fired = 0
+        for system in systems:
+            for _ in range(100):
+                for aid in system.agent_ids:
+                    state = system.states[aid]
+                    fired += assert_plans_match_oracle(system.task(aid), state.marking, tuple(state._mailbox))
+                if isinstance(go(system, Scenario()), QuiescentPass):
+                    break
+        for net, marking, mailbox in runs:
+            mailbox = list(mailbox)
+            for _ in range(20):
+                fired += assert_plans_match_oracle(net, marking, mailbox)
+                result = step(net, marking, mailbox)
+                if isinstance(result, StepQuiescent):
+                    break
+                marking = result.marking
+                for ev in result.events:
+                    if isinstance(ev, ReceivedMessage):
+                        mailbox.remove((ev.channel, ev.value))
+        assert fired > 100
+
     def test_pickled_net_builds_its_own_plans(self, net1):
         plans = transition_plans(net1)
         back = pickle.loads(pickle.dumps(net1))
@@ -781,8 +827,8 @@ class TestTransitionPlans:
 class TestSharedProcedureCompile:
     """A procedure is compiled once and every net that holds it shares the compile."""
 
-    # each ill-typed body, and what a plan for it gives: the `ProcedureFailure`
-    # text, or the names of its compiled outputs
+    # each ill-typed body, and what `fire` gives for it: the `ProcedureFailure`
+    # text, or, when it fires, the names of its compiled outputs
     ILL_TYPED_BODIES = {
         "text-literal": (
             (("out", Expr.lit(Value(TXT, "x"))),),
@@ -811,7 +857,8 @@ class TestSharedProcedureCompile:
             if check_first:
                 type_check_net(net)
             try:
-                got = tuple(name for name, _ in TransitionPlan(net, "t").outputs)
+                fire(net, net.initial_marking(), "t", {"n": tok(1)})
+                got = tuple(name for name, _ in compiled_procedure(net.procedures["inc1"]).outputs)
             except ProcedureFailure as exc:
                 got = str(exc)
             assert got == plan
