@@ -1379,20 +1379,20 @@ def _outcome(call):
         return f"{type(exc).__name__} {json.dumps(str(exc), ensure_ascii=False)}"
 
 
-def type_check_outcome_lines(named_nets, mutations: int = 150) -> list[str]:
+def type_check_outcome_lines(named_nets) -> list[str]:
     """One line per net: its number, its name, its rendered type report, then
     the outcome (`ok`, or the exception's class and message) of
     `enabled_bindings` and `fire` on each transition, of `step` and of
     `run_to_quiescence`. `fire` gets the first enabled binding, else none.
 
     The nets are `named_nets` ((name, net) pairs, run from their initial
-    marking), then `mutations` seeded mutations each of a `gen_bounded_net`
+    marking), then 150 seeded mutations each of a `gen_bounded_net`
     net, of a `gen_org` organization's net, and of the task of one of its
     agents that has transitions.
     """
     rng = random.Random(1818)
     cases = [(name, net, net.initial_marking(), OUTCOME_MAILBOX) for name, net in named_nets]
-    for i in range(mutations):
+    for i in range(150):
         net, marking, mailbox = gen_bounded_net(rng)
         cases.append((f"bounded{i}", mutate_net(rng, net, rng.randint(1, 3)), marking, mailbox))
         org = gen_org(rng, f"org{i}")
