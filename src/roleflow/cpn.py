@@ -1061,7 +1061,7 @@ def iter_bindings(
     requires.
 
     The transition must pass its check; the bindings then pass the `passes` of
-    a plan built for this call: each value has its input's color, then the guard holds.
+    its plan (see `_checked_plan`): each value has its input's color, then the guard holds.
     """
     plan = _checked_plan(net, transition_id)
     fixed = _received(plan.event, mailbox)
@@ -1141,10 +1141,10 @@ def fire(
 ) -> tuple[Marking, list[Union[SentMessage, ReceivedMessage]]]:
     """Fire one transition under a binding, returning the new marking and events.
 
-    The transition must pass its check, and a `TransitionPlan` is built for
-    this call. The binding must cover the procedure's inputs, the marking must
-    hold its tokens, and the plan's `passes` must accept it: each value has
-    its input's color, then the guard holds. Only then does the plan fire it.
+    The transition must pass its check (see `_checked_plan`). The binding
+    must cover the procedure's inputs, the marking must hold its tokens,
+    and the plan's `passes` must accept it: each value has its input's
+    color, then the guard holds. Only then does the plan fire it.
 
     The caller owns mailbox bookkeeping: a receive binding must have been
     built from the earliest matching message, and the caller removes it.
@@ -1162,10 +1162,12 @@ def fire(
 
 
 def _checked_plan(net: Net, transition_id: str) -> TransitionPlan:
-    """A plan for a checked function, built once the transition exists and passes its check."""
+    """The checked functions' plan: the kept one on a clean net, else built once the transition passes."""
     t = net.transitions.get(transition_id)
     if t is None:
         raise UnknownTransition(transition_id)
+    if type_check_net(net).empty:
+        return transition_plans(net)[transition_id]
     error = _transition_check(net, t)[1]
     if error is not None:
         raise error
@@ -1175,10 +1177,10 @@ def _checked_plan(net: Net, transition_id: str) -> TransitionPlan:
 class TransitionPlan:
     """How one transition finds its bindings and fires: the one firing rule.
 
-    The runtime uses the plans `transition_plans` keeps for a clean net; the
-    checked functions build one per call once the transition passes its
-    check. Building one checks nothing: it assembles the arcs, the guard and
-    sent message compiled by `compile_expr`, and the procedure's compile.
+    The runtime, and the checked functions on a clean net, use the plans
+    `transition_plans` keeps; on any other net a checked function builds one
+    per call. Building one checks nothing: it assembles the arcs, the guard
+    and sent message compiled by `compile_expr`, and the procedure's compile.
 
     `fire` checks neither the binding's cover nor its tokens. What no check
     of the net can prove is the color of a value it is handed (a mailbox

@@ -354,8 +354,12 @@ def marking_compatible(old_task: Net, new_task: Net) -> bool:
 def changed_keys(old: Mapping, new: Mapping) -> list:
     """The sorted keys whose value is not the same object in both mappings.
 
-    Absent counts as a value of its own.
+    Absent counts as a value of its own. When both mappings hold the same
+    keys in the same order (a request that only replaced values), the values
+    are paired by position and compared at C level.
     """
+    if len(old) == len(new) and list(old) == list(new):
+        return sorted(compress(old, map(operator.is_not, old.values(), new.values())))
     return sorted(k for k in old.keys() | new.keys() if old.get(k, _ABSENT) is not new.get(k, _ABSENT))
 
 
@@ -680,11 +684,16 @@ def _definitions(table: dict, old_entries, new_entries):
     return table
 
 
-def synthesize(mam: MultiAgentModel):
-    """Build a runnable system: fresh markings, channel-preloaded mailboxes."""
+def synthesize(mam: MultiAgentModel, *, fresh: bool = True):
+    """Build a runnable system: fresh markings, channel-preloaded mailboxes.
+
+    With `fresh=False` the system has its model and task columns but no
+    agent states yet; it is only for `runtime.resume_context` to fill, so
+    an adaptation builds each new state once.
+    """
     report = validate_model(mam)
     if not report.empty:
         raise CoherenceError("model fails validation", report)
     from . import runtime
 
-    return runtime.RunnableSystem.fresh(mam)
+    return runtime.RunnableSystem.fresh(mam) if fresh else runtime.RunnableSystem(mam, None, [])

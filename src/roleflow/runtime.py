@@ -23,6 +23,8 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_not, itemgetter, methodcaller, ne
 from typing import Callable, NamedTuple, Optional, Union
 
 from .adaptation import AdaptationRequest, PlanImpact, diff_models, evolve
@@ -61,10 +63,12 @@ class AgentState:
 
     Receive takes the earliest message per channel. A state belongs to the
     `RunnableSystem` built with it, which keeps the agent's first firing
-    until the state changes. Adaptation never moves a state: the new system
-    gets states of its own, and an agent it carries over shares only the
-    immutable `Marking` (see `resume_context`), so the system adapted away
-    keeps its states as they were.
+    until the state changes; the system hands each state its ready set and
+    agent index when it builds it. Adaptation never moves a state: the new
+    system gets states of its own, and an agent it carries over shares only
+    the immutable `Marking` and a copy of its mailbox (see
+    `resume_context`), so the system adapted away keeps its states as they
+    were.
 
     Write contract: edits through `states[aid].marking` and
     `states[aid].mailbox` are seen. Assigning either attribute, or reading
@@ -76,11 +80,13 @@ class AgentState:
 
     __slots__ = ("_marking", "_mailbox", "_ready_set", "_index")
 
-    def __init__(self, marking: Marking, mailbox: list):
+    def __init__(
+        self, marking: Marking, mailbox: list, ready_set: Optional[_ReadySet] = None, index: int = -1
+    ):
         self._marking = marking
         self._mailbox = mailbox
-        self._ready_set: Optional[_ReadySet] = None  # set by the owning system
-        self._index = -1
+        self._ready_set = ready_set  # the owning system's
+        self._index = index
 
     @property
     def marking(self) -> Marking:
@@ -132,10 +138,14 @@ class _ReadySet:
 
     __slots__ = ("firing", "ready", "dirty")
 
-    def __init__(self, n: int):
-        self.firing: list = [_DIRTY] * n  # index -> first firing, None, or _DIRTY
-        self.ready: list[int] = []  # sorted indices of clean agents that can fire
-        self.dirty: list[int] = list(range(n))  # sorted indices of dirty agents
+    def __init__(self, firing: list, ready: list, dirty: list):
+        self.firing = firing  # index -> first firing, None, or _DIRTY
+        self.ready = ready  # sorted indices of clean agents that can fire
+        self.dirty = dirty  # sorted indices of dirty agents
+
+    @classmethod
+    def all_dirty(cls, n: int) -> "_ReadySet":
+        return cls([_DIRTY] * n, [], list(range(n)))
 
     def touch(self, index: int) -> None:
         """Mark an agent dirty: its state changed, so its first firing may have."""
@@ -147,11 +157,17 @@ class _ReadySet:
         self.firing[index] = _DIRTY
         insort(self.dirty, index)
 
-    def refile(self) -> None:
-        """Rebuild `ready` and `dirty` after entries of `firing` were set directly."""
-        firing = self.firing
-        self.ready = [i for i, f in enumerate(firing) if f is not None and f is not _DIRTY]
-        self.dirty = [i for i, f in enumerate(firing) if f is _DIRTY]
+    def file(self, index: int, entry) -> None:
+        """Set an agent's entry (a first firing, None, or _DIRTY) and file its index to match."""
+        self.touch(index)
+        if entry is not _DIRTY:
+            del self.dirty[bisect_left(self.dirty, index)]
+            self.firing[index] = entry
+            if entry is not None:
+                insort(self.ready, index)
+
+
+_TASK = attrgetter("task")
 
 
 class RunnableSystem:
@@ -164,31 +180,51 @@ class RunnableSystem:
     """
 
     def __init__(self, model: MultiAgentModel, states, bus, cursor=0, step_count=0):
+        """A system over `states` (agent id -> AgentState), which become its own.
+
+        With `states` None the system has no agent states until `_install`
+        gives them, as `fresh` and `resume_context` do.
+        """
         self.model = model
         self.agent_ids: tuple[str, ...] = tuple(sorted(model.agents))
-        self.states: dict[str, AgentState] = states
-        # the same tasks and states by agent index, fixed like the model
-        self._tasks = tuple([model.agents[aid].task for aid in self.agent_ids])
-        self._states = tuple([states[aid] for aid in self.agent_ids])
+        # the tasks by agent index, fixed like the model
+        self._tasks = tuple(map(_TASK, map(model.agents.__getitem__, self.agent_ids)))
         self.bus: list = bus  # FIFO of (channel id, Value) not yet delivered
         self.cursor = cursor
         self.step_count = step_count
         self.trigger_cursor = 0
         self.warnings: list[str] = []
-        self._ready_set = _ReadySet(len(self.agent_ids))
-        for index, state in enumerate(self._states):
-            state._ready_set = self._ready_set
-            state._index = index
+        if states is not None:
+            ready_set = _ReadySet.all_dirty(len(self.agent_ids))
+            ordered = tuple(map(states.__getitem__, self.agent_ids))
+            for index, state in enumerate(ordered):
+                state._ready_set, state._index = ready_set, index
+            self.states: dict[str, AgentState] = states
+            self._states, self._ready_set = ordered, ready_set
+
+    def _install(self, markings, mailboxes, ready_set: _ReadySet) -> None:
+        """Give the system a new `AgentState` per agent index, built from the
+        columns: one `Marking` and one mailbox list per index, and the ready
+        set whose entries hold for them."""
+        indices = range(len(self.agent_ids))
+        states = tuple(map(AgentState, markings, mailboxes, repeat(ready_set), indices))
+        self.states = dict(zip(self.agent_ids, states))
+        self._states, self._ready_set = states, ready_set
 
     @classmethod
     def fresh(cls, model: MultiAgentModel) -> "RunnableSystem":
-        agents, channels = model.agents, model.channels
-        states = {aid: AgentState(agent.task.initial_marking(), []) for aid, agent in agents.items()}
+        """Every agent at its task's initial marking, with its channels' initial messages."""
+        system = cls(model, None, [])
+        ids, channels = system.agent_ids, model.channels
+        index = dict(zip(ids, range(len(ids))))
+        mailboxes = [[] for _ in ids]
         for cid in sorted(cid for cid, ch in channels.items() if ch.initial):
             ch = channels[cid]
-            for v in sorted(ch.initial, key=lambda v: v.sort_key()):
-                states[ch.consumer].mailbox.append((cid, v))
-        return cls(model, states, bus=[])
+            initial = sorted(ch.initial, key=lambda v: v.sort_key())
+            mailboxes[index[ch.consumer]].extend((cid, v) for v in initial)
+        markings = list(map(methodcaller("initial_marking"), system._tasks))
+        system._install(markings, mailboxes, _ReadySet.all_dirty(len(ids)))
+        return system
 
     def task(self, agent_id: str):
         return self.model.agents[agent_id].task
@@ -451,7 +487,10 @@ class _Live(NamedTuple):
     agent_ids: tuple
     tasks: tuple
     markings: tuple  # Marking objects, immutable
+    mails: tuple  # each mailbox as a tuple of (channel id, Value)
     entries: tuple  # ready-set entries: a first firing, None, or _DIRTY
+    ready: tuple  # the ready set's sorted `ready` and `dirty` indices
+    dirty: tuple
 
 
 class Context:
@@ -463,19 +502,20 @@ class Context:
     `write_context` see only these and `version`, `cursor` and `step_count`.
 
     A context taken by `save_context` also keeps, per agent, the task, the
-    live `Marking` (immutable) and the agent's ready-set entry, so that
-    `resume_context` can carry each agent over without encoding it.
-    Its marking bytes are encoded on first use of `agent_markings`, and they
-    are the bytes an eager encoding would have given. A context read from
-    bytes has no live part.
+    live `Marking` (immutable) and the agent's ready-set entry, and the
+    ready set's index lists, so that `resume_context` can carry each agent
+    over without encoding it. Its marking bytes are encoded on first use of
+    `agent_markings`, and they are the bytes an eager encoding would have
+    given; `agent_mailboxes` pairs each agent with its mailbox on first use
+    too. A context read from bytes has no live part.
     """
 
-    __slots__ = ("version", "_agent_markings", "agent_mailboxes", "bus", "cursor", "step_count", "_live")
+    __slots__ = ("version", "_agent_markings", "_agent_mailboxes", "bus", "cursor", "step_count", "_live")
 
     def __init__(
         self, version, agent_markings, agent_mailboxes, bus, cursor, step_count, *, live=None
     ):
-        # immutable, like the frozen dataclass it replaces; only the lazy bytes are filled in later
+        # immutable, like the frozen dataclass it replaces; only the lazy fields are filled in later
         for name, value in zip(
             self.__slots__, (version, agent_markings, agent_mailboxes, bus, cursor, step_count, live)
         ):
@@ -494,6 +534,13 @@ class Context:
             )
             object.__setattr__(self, "_agent_markings", markings)
         return self._agent_markings
+
+    @property
+    def agent_mailboxes(self) -> tuple:
+        if self._agent_mailboxes is None:
+            live = self._live
+            object.__setattr__(self, "_agent_mailboxes", tuple(zip(live.agent_ids, live.mails)))
+        return self._agent_mailboxes
 
     def _fields(self) -> tuple:
         return (self.version, self.agent_markings, self.agent_mailboxes, self.bus, self.cursor, self.step_count)
@@ -515,21 +562,30 @@ class Context:
         return "Context(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields())) + ")"
 
 
+_MARKING, _MAILBOX = attrgetter("_marking"), attrgetter("_mailbox")
+
+
 def save_context(system: RunnableSystem) -> Context:
-    """The system's state and control flow; nothing is encoded until asked for."""
-    ids, states = system.agent_ids, system._states
+    """The system's state and control flow; nothing is encoded until asked for.
+
+    Each field is one column copy made at C level, whatever the agent count.
+    """
+    states, ready_set = system._states, system._ready_set
     return Context(
         CONTEXT_VERSION,
         None,
-        tuple(zip(ids, [tuple(state._mailbox) for state in states])),
+        None,
         tuple(system.bus),
         system.cursor,
         system.step_count,
         live=_Live(
-            ids,
+            system.agent_ids,
             system._tasks,
-            tuple([state._marking for state in states]),
-            tuple(system._ready_set.firing),
+            tuple(map(_MARKING, states)),
+            tuple(map(tuple, map(_MAILBOX, states))),
+            tuple(ready_set.firing),
+            tuple(ready_set.ready),
+            tuple(ready_set.dirty),
         ),
     )
 
@@ -537,9 +593,11 @@ def save_context(system: RunnableSystem) -> Context:
 def resume_context(
     new_system: RunnableSystem, context: Context, impact: PlanImpact
 ) -> RunnableSystem:
-    """Restore saved state into a freshly synthesized system, honoring plan impact.
+    """Restore saved state into a synthesized system, honoring plan impact.
 
-    Per agent of the new system:
+    The system gets new agent states, built from one column per field (see
+    `RunnableSystem._install`); states it had from `synthesize` are
+    replaced. Per agent of the new system:
 
     - A plan-modifying agent restarts fresh: its task's initial marking and
       an empty mailbox.
@@ -552,6 +610,13 @@ def resume_context(
     - From a context read from bytes, `restore_marking` decodes each
       marking into the new task, and every agent starts dirty.
 
+    When the new system has the saved agent ids, a context from
+    `save_context` is carried over by column: an agent with the same task
+    object, a preserving impact and no message on a deleted channel costs a
+    new state object and its share of the column copies, and only the other
+    agents are looked at one by one. Added or removed agents, or a context
+    read from bytes, look at every agent.
+
     Messages in flight on deleted channels are dropped with a warning too.
 
     A context read from bytes types each message by the file's own
@@ -562,36 +627,50 @@ def resume_context(
     """
     if context.version != CONTEXT_VERSION:
         raise ContextCorrupt(f"unsupported context version '{context.version}'")
-    ids, live = new_system.agent_ids, context._live
-    # agent id -> (task, Marking, ready-set entry); a context read from
-    # bytes has no task, and MRK1 bytes in place of the Marking
-    if live is None:
-        saved = {aid: (None, data, _DIRTY) for aid, data in context.agent_markings}
+    ids, tasks, live = new_system.agent_ids, new_system._tasks, context._live
+    n = len(ids)
+    channels, kind_of = new_system.model.channels, impact.per_agent.get
+    # by index of the new system: `mails` holds each saved mailbox, `redo`
+    # the agents looked at one by one, and `olds` their saved (task,
+    # Marking, ready-set entry), or None for an agent the context lacks
+    if live is not None and live.agent_ids == ids:
+        # agent i is the saved agent i: each column is taken as saved, and
+        # only an agent with another task object or impact, or with mail on
+        # a deleted channel, is looked at again
+        markings, mails = list(live.markings), live.mails
+        ready_set = _ReadySet(list(live.entries), list(live.ready), list(live.dirty))
+        redo = set(compress(range(n), map(is_not, live.tasks, tasks)))
+        redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
+        if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(mails))):
+            redo.update(compress(range(n), mails))
+        redo = sorted(redo)
+        olds = {i: (live.tasks[i], markings[i], live.entries[i]) for i in redo}
     else:
-        saved = dict(zip(live.agent_ids, zip(live.tasks, live.markings, live.entries)))
-    olds = map(saved.get, ids)
-    mails = map(dict(context.agent_mailboxes).get, ids)
-    channels = new_system.model.channels
-    warnings, firing = new_system.warnings, new_system._ready_set.firing
+        # a context read from bytes has no task, and MRK1 bytes in place of the Marking
+        if live is None:
+            saved = {aid: (None, data, _DIRTY) for aid, data in context.agent_markings}
+        else:
+            saved = dict(zip(live.agent_ids, zip(live.tasks, live.markings, live.entries)))
+        olds = list(map(saved.get, ids))
+        mails = list(map(dict(context.agent_mailboxes).get, ids, repeat(())))
+        markings = [None] * n
+        ready_set = _ReadySet.all_dirty(n)
+        redo = range(n)
+    mailboxes = list(map(list, mails))
+    warnings = new_system.warnings
 
-    # one row per agent of the new system, in index order
-    columns = zip(
-        ids,
-        map(impact.per_agent.get, ids),
-        new_system._states,
-        new_system._tasks,
-        olds,
-        mails,
-    )
-    for index, (aid, kind, state, task, old, mail) in enumerate(columns):
+    for index in redo:
+        aid, task = ids[index], tasks[index]
+        kind = kind_of(aid)
         if kind is None:
             raise ImpactMismatch(f"no impact classification for agent {aid}")
         if kind != "preserving":
-            state._marking, state._mailbox, firing[index] = task.initial_marking(), [], _DIRTY
+            markings[index], mailboxes[index] = task.initial_marking(), []
+            ready_set.touch(index)
             continue
-        if old is None:
+        if olds[index] is None:
             raise ImpactMismatch(f"agent {aid} is preserving but absent from the context")
-        old_task, marking, entry = old
+        old_task, marking, entry = olds[index]
         try:
             if old_task is None:  # a context read from bytes
                 marking = restore_marking(marking, task)
@@ -605,7 +684,8 @@ def resume_context(
             raise ImpactMismatch(
                 f"agent {aid} classified preserving but marking restore failed: {exc}"
             ) from exc
-        state._marking = marking
+        markings[index] = marking
+        mail = mails[index]
         if mail:
             kept = [m for m in mail if m[0] in channels]
             if live is None:
@@ -618,11 +698,9 @@ def resume_context(
                     for ch, _ in mail
                     if ch not in channels
                 )
-            state._mailbox = kept
-        elif state._mailbox:  # a channel's initial messages, put there by `fresh`
-            state._mailbox = []
-        firing[index] = entry
-    new_system._ready_set.refile()
+            mailboxes[index] = kept
+        ready_set.file(index, entry)
+    new_system._install(markings, mailboxes, ready_set)
 
     new_system.bus = []
     for ch, v in context.bus:
@@ -632,7 +710,7 @@ def resume_context(
             new_system.bus.append((ch, v))
         else:
             warnings.append(f"dropped in-flight message on deleted channel {ch}")
-    new_system.cursor = context.cursor % max(1, len(new_system.agent_ids))
+    new_system.cursor = context.cursor % max(1, n)
     new_system.step_count = context.step_count
     return new_system
 
@@ -659,8 +737,8 @@ def resume_run(context: Context, model: MultiAgentModel, scenario: Scenario) -> 
     Every agent is plan-preserving, and the scenario's triggers before the
     checkpoint's step count count as done.
     """
-    system = synthesize(model)
-    impact = PlanImpact({aid: "preserving" for aid in system.agent_ids})
+    system = synthesize(model, fresh=False)
+    impact = PlanImpact(dict.fromkeys(system.agent_ids, "preserving"))
     system = resume_context(system, context, impact)
     system.trigger_cursor = sum(1 for t in scenario.triggers if t.at_step < context.step_count)
     return system
@@ -743,19 +821,28 @@ def _run(system, scenario, step, checkpoint_at=None, checkpoint_sink=None) -> Fi
 def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     """The adaptation step: save, evolve, synthesize, resume. Order is load-bearing.
 
-    Encoding, validation and first-firing work is done only for what the
-    request changed; an agent it left alone costs a few reference copies:
+    Python-level work is done only for the agents the request replaced; an
+    agent it left alone costs one new `AgentState` and its share of column
+    copies made at C level (`map`, `zip`, `compress`, `list.copy`):
 
     - `save_context` keeps each agent's live marking, mailbox and ready-set
-      entry and encodes nothing.
+      entry as columns and encodes nothing.
+    - `evolve` and `diff_models` pair the old and new agents by position
+      when the agent ids did not change (see `changed_keys`), and look only
+      at the agents whose object differs.
     - `evolve` and `synthesize` validate the new model by checking only the
       agents the request replaced against the cross-agent tables of the old
       one; a changed channel, an added or removed agent, or any violation
       runs the full pass (see `validate_model`).
-    - `resume_context` carries every plan-preserving agent's marking over
-      by identity, and one whose task object is unchanged stays clean in
-      the new ready set. No marking goes through bytes, and a
-      plan-modifying agent still restarts fresh.
+    - `synthesize(..., fresh=False)` builds no states, and `resume_context`
+      builds each new state once, from the saved columns. A plan-preserving
+      agent whose task object is unchanged keeps its marking by identity
+      and stays clean in the new ready set, which is a copy of the old one
+      patched at the agents looked at again. No marking goes through bytes,
+      and a plan-modifying agent still restarts fresh.
+
+    An added or removed agent makes `resume_context` look at every agent,
+    and a message on a deleted channel at every agent with mail.
 
     The system adapted away is left as it was: its states, ready set, bus
     and warnings are its own. A rejected request raises before anything is
@@ -764,7 +851,7 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     context = save_context(system)
     new_model, impact = evolve(system.model, request)
     diff = diff_models(system.model, new_model)
-    new_system = synthesize(new_model)
+    new_system = synthesize(new_model, fresh=False)
     new_system.warnings = list(system.warnings)
     new_system.trigger_cursor = system.trigger_cursor
     resumed = resume_context(new_system, context, impact)

@@ -275,6 +275,29 @@ class TestRunToQuiescence:
         b = run_to_quiescence(net1, marking_of(net1, p=[3, 1, 2]), max_steps=10)
         assert [f.render() for f in a.firings] == [f.render() for f in b.firings]
 
+    def test_a_clean_net_builds_each_plan_once(self, monkeypatch, net1):
+        """The checked functions lend the plans `transition_plans` keeps, so a
+        whole run builds one plan per transition, not one per step."""
+        built = Counter()
+        real = cpn_mod.TransitionPlan.__init__
+
+        def counting(plan, net, tid):
+            built[net.id, tid] += 1
+            real(plan, net, tid)
+
+        monkeypatch.setattr(cpn_mod.TransitionPlan, "__init__", counting)
+        loop = build_loop_net()
+        result = run_to_quiescence(loop, marking_of(loop, p=[0]), max_steps=2000)
+        assert result.exhausted and len(result.firings) == 2000
+        assert result.marking == marking_of(loop, p=[2000])
+        marking = net1.initial_marking()
+        for _ in range(3):
+            first_binding(net1, marking, "t")
+            assert enabled_bindings(net1, marking, "t") == [{"n": tok(1)}]
+        assert step(net1, marking).marking == marking_of(net1, q=[2])
+        assert fire(net1, marking, "t", {"n": tok(1)})[0] == marking_of(net1, q=[2])
+        assert built == {("loop", "t"): 1, ("net1", "t"): 1}
+
 
 def assert_lazy_paths_match_oracle(net, marking, tid, mailbox=()):
     expected = brute_force_bindings(net, marking, tid, mailbox)

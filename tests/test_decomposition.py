@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roleflow import (
     CommLink,
@@ -32,7 +34,7 @@ from roleflow import (
     validate_model,
 )
 from roleflow import cpn
-from roleflow.decomposition import AgentModel, MultiAgentModel, _AgentChecks
+from roleflow.decomposition import AgentModel, MultiAgentModel, _AgentChecks, changed_keys
 from roleflow.modelio import parse_model, parse_scenario, serialize_model
 from roleflow.runtime import Scenario
 
@@ -418,3 +420,47 @@ class TestOrganizationVerdict:
             expected = naive_validate_model(bad)
             assert not expected.empty
             assert validate_model(bad, base=mam) == expected
+
+
+# ---------------------------------------------------------------------------
+# changed_keys, against its definition
+
+
+def naive_changed_keys(old, new):
+    absent = object()
+    return sorted(k for k in set(old) | set(new) if old.get(k, absent) is not new.get(k, absent))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_changed_keys_matches_its_definition(data):
+    """Kept, equal-but-distinct, other, removed and added values, with the
+    keys kept in order or shuffled: a value counts as changed unless it is
+    the same object."""
+    keys = data.draw(st.lists(st.sampled_from("abcdefgh"), unique=True), label="keys")
+    old = {k: [k] for k in keys}
+    new = {}
+    for k in keys:
+        fate = data.draw(st.sampled_from(["same", "same", "equal", "other", "removed"]), label=k)
+        if fate == "same":
+            new[k] = old[k]
+        elif fate == "equal":
+            new[k] = list(old[k])  # equal to the old value, not the same object
+        elif fate == "other":
+            new[k] = [k, k]
+    for k in data.draw(st.lists(st.sampled_from("xyz"), unique=True), label="added"):
+        new[k] = [k]
+    if data.draw(st.booleans(), label="reorder"):
+        new = {k: new[k] for k in data.draw(st.permutations(list(new)), label="order")}
+    assert changed_keys(old, new) == naive_changed_keys(old, new)
+    assert changed_keys(new, old) == naive_changed_keys(new, old)
+
+
+def test_changed_keys_in_the_same_order_and_reordered():
+    a, b, c = [1], [2], [3]
+    old = {"a": a, "b": b, "c": c}
+    assert changed_keys(old, {"a": a, "b": [2], "c": c}) == ["b"]  # equal is not the same
+    assert changed_keys(old, {"c": c, "a": a, "b": b}) == []  # reordered, every value kept
+    assert changed_keys(old, {"b": b, "a": [1], "c": c}) == ["a"]
+    assert changed_keys(old, {"a": a, "c": c}) == ["b"]
+    assert changed_keys(old, {"a": a, "b": b, "c": c, "d": c}) == ["d"]

@@ -516,6 +516,25 @@ class TestResumeContext:
         assert resumed.states["agent1"].marking == marking_of(in_=[1])
         assert resumed.states["agent2"].marking == Marking()
 
+    @pytest.mark.parametrize("from_bytes", [False, True])
+    def test_a_made_up_impact_is_honored_for_an_unchanged_agent(self, mam1, from_bytes):
+        """The model did not change, so a live context is carried by column;
+        the impact still decides, agent by agent."""
+        system = synthesize(mam1)
+        go(system, Scenario())
+        go(system, Scenario())  # tA fired, and its message waits in agent2's mailbox
+        runtime_mod._ready_actions(system)  # both agents resolved
+        ctx = save_context(system)
+        if from_bytes:
+            ctx = read_context(write_context(ctx))
+        impact = PlanImpact({"agent1": "modifying", "agent2": "preserving"})
+        resumed = resume_context(synthesize(mam1), ctx, impact)
+        assert resumed.states["agent1"].marking == marking_of(in_=[1])  # restarted
+        assert resumed.states["agent2"]._mailbox == [("mid", tok(1))]
+        assert resumed._ready_set.dirty == [0] + ([1] if from_bytes else [])
+        with pytest.raises(ImpactMismatch, match="^no impact classification for agent agent2$"):
+            resume_context(synthesize(mam1), ctx, PlanImpact({"agent1": "preserving"}))
+
 
 class TestAdaptiveLoop:
     def test_baseline(self, mam1):
@@ -938,7 +957,45 @@ def carry_over_cases():
     cases.append(demo())
     relay = decompose(relay_org(6, 4), {f"r{i}": f"a{i}" for i in range(6)})
     cases.append((relay, Scenario((Trigger(9, AdaptationRequest((rp_p("a3", "take", inc2()),))),))))
+    cases.append(mixed_relay_case())
     return cases
+
+
+def mixed_relay_case():
+    """A 40-agent relay under every kind of request `resume_context` treats
+    apart: a procedure swap (agents carried by column), a new channel whose
+    initial message a preserving consumer must not get, a removed channel
+    whose initial messages wait in a mailbox (dropped mail), an added and a
+    removed agent (shifted indices), and a task replacement that drops a
+    marked place (a fresh restart) together with a second swap."""
+    from dataclasses import replace
+
+    from roleflow import Channel, evolve
+    from roleflow.adaptation import a_com, add_agent, r_com, remove_agent
+
+    relay = decompose(relay_org(40, 3), {f"r{i}": f"a{i}" for i in range(40)})
+    side = Channel("side", TOK, "a5", "a9", initial=(tok(5), tok(6)))
+    model, _ = evolve(relay, AdaptationRequest((a_com(side),)))
+    late = Channel("late", TOK, "a12", "a20", initial=(tok(7),))
+    task = model.agents["a2"].task
+    moved = Net(
+        **{
+            **task.parts(),
+            "places": [replace(p, id="z2") if p.id == "y2" else p for p in task.places.values()],
+            "arcs": [replace(a, place="z2") if a.place == "y2" else a for a in task.arcs],
+            "procedures": [],
+        }
+    )
+    requests = [
+        (rp_p("a3", "take", inc2()),),
+        (a_com(late),),
+        (r_com("side"),),
+        (add_agent(idle_agent("a3x", looping=True)),),
+        (remove_agent("a3x"),),
+        (rp_p("a30", "hand", inc2()), rp_t("a2", moved)),
+    ]
+    triggers = tuple(Trigger(at, AdaptationRequest(ops)) for at, ops in zip((10, 25, 40, 55, 70, 85), requests))
+    return model, Scenario(triggers)
 
 
 def idle_agent(aid, looping=False):
@@ -1116,6 +1173,50 @@ class TestAdaptationCost:
             report = adaptive_loop(synthesize(relay), scenario)
         assert report.end_reason == "quiescence"
         return calls
+
+    def test_a_procedure_swap_looks_again_only_at_the_replaced_agent(self, monkeypatch):
+        """On a 160-agent relay with every agent resolved, one plan-preserving
+        swap builds no initial marking and leaves one agent to resolve; the
+        system adapted away keeps its states, ready set and warnings."""
+        from collections import Counter
+
+        agents = 160
+        relay = decompose(relay_org(agents, 2), {f"r{i}": f"a{i}" for i in range(agents)})
+        system = synthesize(relay)
+        for _ in range(50):
+            go(system, Scenario())
+        runtime_mod._ready_actions(system)  # resolves every dirty agent
+        system.warnings.append("an earlier warning")
+        states, warnings = dict(system.states), system.warnings
+        ready_set = system._ready_set
+        firing, ready = list(ready_set.firing), list(ready_set.ready)
+        assert ready_set.dirty == [] and len(ready) > 1
+
+        calls, resolved = Counter(), []
+        real_initial, real_resolve = Net.initial_marking, runtime_mod.RunnableSystem._resolve
+
+        def initial_marking(net):
+            calls["initial_marking"] += 1
+            return real_initial(net)
+
+        def resolve(sys_, index):
+            resolved.append(sys_.agent_ids[index])
+            return real_resolve(sys_, index)
+
+        with monkeypatch.context() as m:
+            m.setattr(Net, "initial_marking", initial_marking)
+            m.setattr(runtime_mod.RunnableSystem, "_resolve", resolve)
+            new = runtime_mod._adapt(system, AdaptationRequest((rp_p("a7", "take", inc2()),)), [], [])
+            assert calls["initial_marking"] == 0 and resolved == []
+            runtime_mod._ready_actions(new)
+        assert resolved == ["a7"]
+        assert new.warnings == ["an earlier warning"] and new.warnings is not warnings
+        assert len(new.states) == agents and all(new.states[aid] is not states[aid] for aid in states)
+        assert system.states == states and all(system.states[aid] is states[aid] for aid in states)
+        assert system._ready_set is ready_set and ready_set.firing == firing and ready_set.ready == ready
+        assert all(f is g for f, g in zip(ready_set.firing, firing))
+        assert system.warnings is warnings and warnings == ["an earlier warning"]
+        assert_clean_agents_match_oracle(new)
 
     def test_counts_do_not_grow_with_the_agent_count(self, monkeypatch):
         extra = {}
