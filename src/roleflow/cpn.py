@@ -1141,10 +1141,9 @@ def fire(
 ) -> tuple[Marking, list[Union[SentMessage, ReceivedMessage]]]:
     """Fire one transition under a binding, returning the new marking and events.
 
-    The transition must pass its check (see `_checked_plan`). The binding
-    must cover the procedure's inputs, the marking must hold its tokens,
-    and the plan's `passes` must accept it: each value has its input's
-    color, then the guard holds. Only then does the plan fire it.
+    The transition must pass its check (see `_checked_plan`), the binding must cover the
+    procedure's inputs, the marking must hold its tokens, and the plan's `passes` must accept
+    it: each value has its input's color, then the guard holds. Only then does the plan fire it.
 
     The caller owns mailbox bookkeeping: a receive binding must have been
     built from the earliest matching message, and the caller removes it.
@@ -1177,10 +1176,9 @@ def _checked_plan(net: Net, transition_id: str) -> TransitionPlan:
 class TransitionPlan:
     """How one transition finds its bindings and fires: the one firing rule.
 
-    The runtime, and the checked functions on a clean net, use the plans
-    `transition_plans` keeps; on any other net a checked function builds one
-    per call. Building one checks nothing: it assembles the arcs, the guard
-    and sent message compiled by `compile_expr`, and the procedure's compile.
+    The runtime, and the checked functions on a clean net, use the plans `transition_plans`
+    keeps; elsewhere a checked function builds one per call. Building one checks nothing: it
+    assembles the arcs, guard and sent message compiled by `compile_expr`, and the procedure's compile.
 
     `fire` checks neither the binding's cover nor its tokens. What no check
     of the net can prove is the color of a value it is handed (a mailbox

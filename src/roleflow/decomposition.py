@@ -356,7 +356,8 @@ def changed_keys(old: Mapping, new: Mapping) -> list:
 
     Absent counts as a value of its own. When both mappings hold the same
     keys in the same order (a request that only replaced values), the values
-    are paired by position and compared at C level.
+    are paired by position and compared at C level. Looking every key up
+    instead costs relay-adapt about 4 % of its `run_s`.
     """
     if len(old) == len(new) and list(old) == list(new):
         return sorted(compress(old, map(operator.is_not, old.values(), new.values())))
@@ -684,16 +685,15 @@ def _definitions(table: dict, old_entries, new_entries):
     return table
 
 
-def synthesize(mam: MultiAgentModel, *, fresh: bool = True):
+def synthesize(mam: MultiAgentModel, *, _stateless: bool = False):
     """Build a runnable system: fresh markings, channel-preloaded mailboxes.
 
-    With `fresh=False` the system has its model and task columns but no
-    agent states yet; it is only for `runtime.resume_context` to fill, so
-    an adaptation builds each new state once.
+    `_stateless` is private to `runtime`: its `_adapt` and `resume_run` take
+    a validated system without agent states, for `resume_context` to fill.
     """
     report = validate_model(mam)
     if not report.empty:
         raise CoherenceError("model fails validation", report)
     from . import runtime
 
-    return runtime.RunnableSystem.fresh(mam) if fresh else runtime.RunnableSystem(mam, None, [])
+    return runtime.RunnableSystem(mam, []) if _stateless else runtime.RunnableSystem.fresh(mam)

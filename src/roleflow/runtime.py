@@ -179,12 +179,10 @@ class RunnableSystem:
     is fixed for the system's life; adaptation builds a new system.
     """
 
-    def __init__(self, model: MultiAgentModel, states, bus, cursor=0, step_count=0):
-        """A system over `states` (agent id -> AgentState), which become its own.
-
-        With `states` None the system has no agent states until `_install`
-        gives them, as `fresh` and `resume_context` do.
-        """
+    def __init__(self, model: MultiAgentModel, bus, cursor=0, step_count=0):
+        """A system over `model` without agent states: `_install` gives them,
+        as `fresh` and `resume_context` do. Build a runnable one with
+        `synthesize` or `fresh`."""
         self.model = model
         self.agent_ids: tuple[str, ...] = tuple(sorted(model.agents))
         # the tasks by agent index, fixed like the model
@@ -194,13 +192,6 @@ class RunnableSystem:
         self.step_count = step_count
         self.trigger_cursor = 0
         self.warnings: list[str] = []
-        if states is not None:
-            ready_set = _ReadySet.all_dirty(len(self.agent_ids))
-            ordered = tuple(map(states.__getitem__, self.agent_ids))
-            for index, state in enumerate(ordered):
-                state._ready_set, state._index = ready_set, index
-            self.states: dict[str, AgentState] = states
-            self._states, self._ready_set = ordered, ready_set
 
     def _install(self, markings, mailboxes, ready_set: _ReadySet) -> None:
         """Give the system a new `AgentState` per agent index, built from the
@@ -208,13 +199,13 @@ class RunnableSystem:
         set whose entries hold for them."""
         indices = range(len(self.agent_ids))
         states = tuple(map(AgentState, markings, mailboxes, repeat(ready_set), indices))
-        self.states = dict(zip(self.agent_ids, states))
+        self.states: dict[str, AgentState] = dict(zip(self.agent_ids, states))
         self._states, self._ready_set = states, ready_set
 
     @classmethod
     def fresh(cls, model: MultiAgentModel) -> "RunnableSystem":
         """Every agent at its task's initial marking, with its channels' initial messages."""
-        system = cls(model, None, [])
+        system = cls(model, [])
         ids, channels = system.agent_ids, model.channels
         index = dict(zip(ids, range(len(ids))))
         mailboxes = [[] for _ in ids]
@@ -506,16 +497,15 @@ class Context:
     ready set's index lists, so that `resume_context` can carry each agent
     over without encoding it. Its marking bytes are encoded on first use of
     `agent_markings`, and they are the bytes an eager encoding would have
-    given; `agent_mailboxes` pairs each agent with its mailbox on first use
-    too. A context read from bytes has no live part.
+    given. A context read from bytes has no live part.
     """
 
-    __slots__ = ("version", "_agent_markings", "_agent_mailboxes", "bus", "cursor", "step_count", "_live")
+    __slots__ = ("version", "_agent_markings", "agent_mailboxes", "bus", "cursor", "step_count", "_live")
 
     def __init__(
         self, version, agent_markings, agent_mailboxes, bus, cursor, step_count, *, live=None
     ):
-        # immutable, like the frozen dataclass it replaces; only the lazy fields are filled in later
+        # immutable, like the frozen dataclass it replaces; only the lazy bytes are filled in later
         for name, value in zip(
             self.__slots__, (version, agent_markings, agent_mailboxes, bus, cursor, step_count, live)
         ):
@@ -534,13 +524,6 @@ class Context:
             )
             object.__setattr__(self, "_agent_markings", markings)
         return self._agent_markings
-
-    @property
-    def agent_mailboxes(self) -> tuple:
-        if self._agent_mailboxes is None:
-            live = self._live
-            object.__setattr__(self, "_agent_mailboxes", tuple(zip(live.agent_ids, live.mails)))
-        return self._agent_mailboxes
 
     def _fields(self) -> tuple:
         return (self.version, self.agent_markings, self.agent_mailboxes, self.bus, self.cursor, self.step_count)
@@ -570,19 +553,20 @@ def save_context(system: RunnableSystem) -> Context:
 
     Each field is one column copy made at C level, whatever the agent count.
     """
-    states, ready_set = system._states, system._ready_set
+    ids, states, ready_set = system.agent_ids, system._states, system._ready_set
+    mails = tuple(map(tuple, map(_MAILBOX, states)))
     return Context(
         CONTEXT_VERSION,
         None,
-        None,
+        tuple(zip(ids, mails)),
         tuple(system.bus),
         system.cursor,
         system.step_count,
         live=_Live(
-            system.agent_ids,
+            ids,
             system._tasks,
             tuple(map(_MARKING, states)),
-            tuple(map(tuple, map(_MAILBOX, states))),
+            mails,
             tuple(ready_set.firing),
             tuple(ready_set.ready),
             tuple(ready_set.dirty),
@@ -737,7 +721,7 @@ def resume_run(context: Context, model: MultiAgentModel, scenario: Scenario) -> 
     Every agent is plan-preserving, and the scenario's triggers before the
     checkpoint's step count count as done.
     """
-    system = synthesize(model, fresh=False)
+    system = synthesize(model, _stateless=True)
     impact = PlanImpact(dict.fromkeys(system.agent_ids, "preserving"))
     system = resume_context(system, context, impact)
     system.trigger_cursor = sum(1 for t in scenario.triggers if t.at_step < context.step_count)
@@ -834,12 +818,12 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
       agents the request replaced against the cross-agent tables of the old
       one; a changed channel, an added or removed agent, or any violation
       runs the full pass (see `validate_model`).
-    - `synthesize(..., fresh=False)` builds no states, and `resume_context`
-      builds each new state once, from the saved columns. A plan-preserving
-      agent whose task object is unchanged keeps its marking by identity
-      and stays clean in the new ready set, which is a copy of the old one
-      patched at the agents looked at again. No marking goes through bytes,
-      and a plan-modifying agent still restarts fresh.
+    - `synthesize` builds the new system without agent states, and
+      `resume_context` builds each once, from the saved columns. A
+      plan-preserving agent whose task object is unchanged keeps its
+      marking by identity and stays clean in the new ready set, which is a
+      copy of the old one patched at the agents looked at again. No marking
+      goes through bytes, and a plan-modifying agent still restarts fresh.
 
     An added or removed agent makes `resume_context` look at every agent,
     and a message on a deleted channel at every agent with mail.
@@ -851,7 +835,7 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     context = save_context(system)
     new_model, impact = evolve(system.model, request)
     diff = diff_models(system.model, new_model)
-    new_system = synthesize(new_model, fresh=False)
+    new_system = synthesize(new_model, _stateless=True)
     new_system.warnings = list(system.warnings)
     new_system.trigger_cursor = system.trigger_cursor
     resumed = resume_context(new_system, context, impact)

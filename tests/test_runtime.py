@@ -188,14 +188,12 @@ def rebuilt(system):
     Mailboxes are read through save_context: reading `state.mailbox` would
     make `system` check the agent again and so hide an edit it missed.
     """
-    mailboxes = dict(save_context(system).agent_mailboxes)
-    states = {
-        aid: runtime_mod.AgentState(st.marking, list(mailboxes[aid]))
-        for aid, st in system.states.items()
-    }
-    return runtime_mod.RunnableSystem(
-        system.model, states, list(system.bus), system.cursor, system.step_count
-    )
+    saved = dict(save_context(system).agent_mailboxes)
+    new = runtime_mod.RunnableSystem(system.model, list(system.bus), system.cursor, system.step_count)
+    markings = [system.states[aid].marking for aid in new.agent_ids]
+    mailboxes = [list(saved[aid]) for aid in new.agent_ids]
+    new._install(markings, mailboxes, runtime_mod._ReadySet.all_dirty(len(new.agent_ids)))
+    return new
 
 
 def edited_after_quiescence(mam, edit):
