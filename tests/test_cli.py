@@ -23,6 +23,25 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+# (model, scenario, checkpoint steps); the org1 runs end before step 3
+CHECKPOINTS = [
+    ("org1", "org1_run", (1, 2)),
+    ("org1", "org1_adapt", (1, 2)),
+    ("org1", "org1_replace_task", (1, 2)),
+    ("devsociety", "devsociety", (1, 2, 3, 5)),
+]
+
+
+def write_checkpoints(directory: Path) -> None:
+    """Write the context and `.model` sidecar of each run in CHECKPOINTS
+    into `directory`, as `<scenario>.k<K>.ctx` and `<scenario>.k<K>.ctx.model`."""
+    for model, scenario, steps in CHECKPOINTS:
+        for k in steps:
+            ctx = directory / f"{scenario}.k{k}.ctx"
+            args = ["run", MODELS / f"{model}.org", MODELS / f"{scenario}.scn", "--checkpoint-at", k, "--context", ctx]
+            assert run_cli([str(a) for a in args]) == 0
+
+
 class TestValidate:
     def test_ok(self, capsys):
         code, out, _ = run(capsys, "validate", MODELS / "org1.org")
@@ -128,6 +147,22 @@ class TestRun:
         Path(str(ctx) + ".model").write_text(DEEP["channel descriptor"])
         code, _, err = run(capsys, *args)
         assert code == 3 and "nested products" in err
+
+    def test_checkpoint_bytes_match_the_golden(self, capsys, tmp_path):
+        """Each checkpoint's context and model sidecar are pinned byte for
+        byte, so a change to how a system is saved, adapted or resumed that
+        alters what a checkpoint holds fails here.
+
+        Regenerate with
+        `cd tests && PYTHONPATH=../src python -c "import test_cli; test_cli.write_checkpoints(test_cli.GOLDEN / 'checkpoints')" > /dev/null`
+        only when a context's contents change on purpose.
+        """
+        write_checkpoints(tmp_path)
+        capsys.readouterr()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(p.name for p in (GOLDEN / "checkpoints").iterdir())
+        changed = [n for n in names if (tmp_path / n).read_bytes() != (GOLDEN / "checkpoints" / n).read_bytes()]
+        assert not changed
 
     @pytest.mark.parametrize("where", ["bus", "mail"])
     def test_resume_from_mis_colored_message_exits_2(self, capsys, tmp_path, where):
