@@ -508,9 +508,9 @@ class _Validated:
     channel objects by key, in dict order, the report, and, for a clean
     report, the cross-agent tables.
 
-    Two snapshots are the same when their keys and objects compare equal.
-    Tuple comparison tries identity first, so unchanged objects cost no
-    `__eq__` call; an equal but distinct object validates the same way.
+    Two snapshots have the same channels when their keys and objects compare
+    equal. Tuple comparison tries identity first, so unchanged objects cost
+    no `__eq__` call; an equal but distinct object validates the same way.
     """
 
     __slots__ = ("agent_ids", "agents", "channel_ids", "channels", "report", "tables")
@@ -526,9 +526,6 @@ class _Validated:
     def same_channels(self, other: "_Validated") -> bool:
         return self.channel_ids == other.channel_ids and self.channels == other.channels
 
-    def same(self, other: "_Validated") -> bool:
-        return self.agent_ids == other.agent_ids and self.agents == other.agents and self.same_channels(other)
-
 
 def validate_model(mam: MultiAgentModel, base: MultiAgentModel = None) -> ValidationReport:
     """Full coherence check of a multi-agent model.
@@ -540,22 +537,20 @@ def validate_model(mam: MultiAgentModel, base: MultiAgentModel = None) -> Valida
 
     - Each agent's own checks are kept on its AgentModel (see `_AgentChecks`).
     - The model remembers the agent and channel objects it was validated
-      with, so validating it again unchanged returns the same report at once.
-      An edit in place replaces an object and so is checked again.
-    - A model that validated clean also keeps its cross-agent tables (see
-      `_Tables`). When this model, or `base` (the model it was derived from),
-      was last validated clean with the same channel objects and the same
-      agent ids, and this model differs from it only in replaced agents, only
-      those agents are checked against the tables. Any entry that check
-      finds, any agent filed under another id, and any change to the channels
-      or the agent ids runs the full pass instead, so the report keeps its
-      order. No model keeps a reference to `base`.
+      with. A model that validated clean also keeps its cross-agent tables
+      (see `_Tables`). When this model, or `base` (the model it was derived
+      from), was last validated clean with the same channel objects and the
+      same agent ids, and this model differs from it only in replaced
+      agents, only those agents are checked against the tables, and the
+      clean report is returned. So an unchanged clean model is not checked
+      again, and an edit in place replaces an object and so is checked
+      again. Any entry that check finds, any agent filed under another id,
+      and any change to the channels or the agent ids runs the full pass
+      instead, so the report keeps its order; a model with violations runs
+      it every time. No model keeps a reference to `base`.
     """
     seen = _Validated(mam)
-    memo = getattr(mam, "_validated", None)
-    if memo is not None and memo.same(seen):
-        return memo.report
-    for prior in (memo, getattr(base, "_validated", None)):
+    for prior in (getattr(mam, "_validated", None), getattr(base, "_validated", None)):
         if prior is not None and prior.tables is not None:
             seen.tables = _replace_agents(mam, seen, prior)
             if seen.tables is not None:

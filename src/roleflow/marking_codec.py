@@ -43,7 +43,7 @@ def restore_marking(data: bytes, net: Net) -> Marking:
             raise VersionMismatch(f"unsupported marking version '{lines[0]}'")
         raise FormatError("missing marking header")
 
-    places: dict[str, Multiset] = {}
+    places: dict[str, dict] = {}  # place id -> value -> count
     current: str | None = None
     for ln in lines[1:]:
         head, _, rest = ln.partition(" ")
@@ -62,7 +62,7 @@ def restore_marking(data: bytes, net: Net) -> Marking:
                 raise IncompatiblePlace(pid)
             if pid in places:
                 raise FormatError(f"duplicate place section '{pid}'")
-            places[pid] = Multiset()
+            places[pid] = {}
             current = pid
         elif head == "token":
             if current is None:
@@ -81,7 +81,8 @@ def restore_marking(data: bytes, net: Net) -> Marking:
                 value = parse_value_text(value_text, net.places[current].colorset)
             except RoleflowError as exc:
                 raise FormatError(f"bad token value in {ln!r}: {exc}") from exc
-            places[current] = places[current].plus([value] * count)
+            counts = places[current]
+            counts[value] = counts.get(value, 0) + count
         else:
             raise FormatError(f"unexpected line: {ln!r}")
-    return Marking(places)
+    return Marking({pid: Multiset.from_counts(counts) for pid, counts in places.items()})

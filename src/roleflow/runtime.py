@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_not, itemgetter, methodcaller, ne
+from operator import attrgetter, is_, is_not, itemgetter, methodcaller, ne
 from typing import Callable, NamedTuple, Optional, Union
 
 from .adaptation import AdaptationRequest, PlanImpact, diff_models, evolve
@@ -126,26 +126,31 @@ class AgentState:
 
 
 # An agent whose state changed since its first firing was last computed.
-_DIRTY = object()
+# False, so that like None it is not true: only a first firing is.
+_DIRTY = False
+
+# The task `resume_context` sees for an agent the context lacks.
+_ABSENT = object()
 
 
 class _ReadySet:
     """Which agents of one system can fire, by index into its sorted agent ids.
 
-    Each `AgentState` points here, not to its system, so a system dropped
-    after an adaptation is freed at once instead of by the cycle collector.
+    It is built from one entry per agent: a first firing, a (transition,
+    binding) tuple and the only true entry; None for an agent that cannot
+    fire; or `_DIRTY`. Each
+    `AgentState` points here, not to its system, so a system dropped after
+    an adaptation is freed at once instead of by the cycle collector.
     """
 
     __slots__ = ("firing", "ready", "dirty")
 
-    def __init__(self, firing: list, ready: list, dirty: list):
+    def __init__(self, firing: list):
+        indices = range(len(firing))
         self.firing = firing  # index -> first firing, None, or _DIRTY
-        self.ready = ready  # sorted indices of clean agents that can fire
-        self.dirty = dirty  # sorted indices of dirty agents
-
-    @classmethod
-    def all_dirty(cls, n: int) -> "_ReadySet":
-        return cls([_DIRTY] * n, [], list(range(n)))
+        # sorted indices of clean agents that can fire, and of dirty agents
+        self.ready = list(compress(indices, firing))
+        self.dirty = list(compress(indices, map(is_, firing, repeat(_DIRTY))))
 
     def touch(self, index: int) -> None:
         """Mark an agent dirty: its state changed, so its first firing may have."""
@@ -156,15 +161,6 @@ class _ReadySet:
             del self.ready[bisect_left(self.ready, index)]
         self.firing[index] = _DIRTY
         insort(self.dirty, index)
-
-    def file(self, index: int, entry) -> None:
-        """Set an agent's entry (a first firing, None, or _DIRTY) and file its index to match."""
-        self.touch(index)
-        if entry is not _DIRTY:
-            del self.dirty[bisect_left(self.dirty, index)]
-            self.firing[index] = entry
-            if entry is not None:
-                insort(self.ready, index)
 
 
 _TASK = attrgetter("task")
@@ -214,7 +210,7 @@ class RunnableSystem:
             initial = sorted(ch.initial, key=lambda v: v.sort_key())
             mailboxes[index[ch.consumer]].extend((cid, v) for v in initial)
         markings = list(map(methodcaller("initial_marking"), system._tasks))
-        system._install(markings, mailboxes, _ReadySet.all_dirty(len(ids)))
+        system._install(markings, mailboxes, _ReadySet([_DIRTY] * len(ids)))
         return system
 
     def task(self, agent_id: str):
@@ -472,16 +468,17 @@ def _end_reason(system: RunnableSystem, scenario: Scenario) -> Optional[str]:
 
 
 class _Live(NamedTuple):
-    """What `save_context` keeps of a live system besides the public fields,
-    one column per item, in agent id order."""
+    """A context's agents as one column per item, in agent id order.
+
+    `save_context` keeps these of a live system besides the public fields;
+    `Context._columns` gives them for any context.
+    """
 
     agent_ids: tuple
-    tasks: tuple
-    markings: tuple  # Marking objects, immutable
+    tasks: tuple  # None for a context read from bytes
+    markings: tuple  # Marking objects, immutable, or MRK1 bytes
     mails: tuple  # each mailbox as a tuple of (channel id, Value)
     entries: tuple  # ready-set entries: a first firing, None, or _DIRTY
-    ready: tuple  # the ready set's sorted `ready` and `dirty` indices
-    dirty: tuple
 
 
 class Context:
@@ -493,11 +490,11 @@ class Context:
     `write_context` see only these and `version`, `cursor` and `step_count`.
 
     A context taken by `save_context` also keeps, per agent, the task, the
-    live `Marking` (immutable) and the agent's ready-set entry, and the
-    ready set's index lists, so that `resume_context` can carry each agent
-    over without encoding it. Its marking bytes are encoded on first use of
-    `agent_markings`, and they are the bytes an eager encoding would have
-    given. A context read from bytes has no live part.
+    live `Marking` (immutable) and the agent's ready-set entry, so that
+    `resume_context` can carry each agent over without encoding it. Its
+    marking bytes are encoded on first use of `agent_markings`, and they are
+    the bytes an eager encoding would have given. A context read from bytes
+    has no live part; `_columns` views it in the same columns.
     """
 
     __slots__ = ("version", "_agent_markings", "agent_mailboxes", "bus", "cursor", "step_count", "_live")
@@ -524,6 +521,17 @@ class Context:
             )
             object.__setattr__(self, "_agent_markings", markings)
         return self._agent_markings
+
+    def _columns(self) -> _Live:
+        """The agents as columns: the live part, or for a context read from
+        bytes, the ids of `agent_markings` with no task, the MRK1 bytes in
+        place of each `Marking`, the mailboxes and every entry `_DIRTY`."""
+        if self._live is not None:
+            return self._live
+        ids = tuple(map(itemgetter(0), self._agent_markings))
+        mails = tuple(map(dict(self.agent_mailboxes).get, ids, repeat(())))
+        n = len(ids)
+        return _Live(ids, (None,) * n, tuple(map(itemgetter(1), self._agent_markings)), mails, (_DIRTY,) * n)
 
     def _fields(self) -> tuple:
         return (self.version, self.agent_markings, self.agent_mailboxes, self.bus, self.cursor, self.step_count)
@@ -553,7 +561,7 @@ def save_context(system: RunnableSystem) -> Context:
 
     Each field is one column copy made at C level, whatever the agent count.
     """
-    ids, states, ready_set = system.agent_ids, system._states, system._ready_set
+    ids, states = system.agent_ids, system._states
     mails = tuple(map(tuple, map(_MAILBOX, states)))
     return Context(
         CONTEXT_VERSION,
@@ -567,9 +575,7 @@ def save_context(system: RunnableSystem) -> Context:
             system._tasks,
             tuple(map(_MARKING, states)),
             mails,
-            tuple(ready_set.firing),
-            tuple(ready_set.ready),
-            tuple(ready_set.dirty),
+            tuple(system._ready_set.firing),
         ),
     )
 
@@ -594,12 +600,12 @@ def resume_context(
     - From a context read from bytes, `restore_marking` decodes each
       marking into the new task, and every agent starts dirty.
 
-    When the new system has the saved agent ids, a context from
-    `save_context` is carried over by column: an agent with the same task
-    object, a preserving impact and no message on a deleted channel costs a
-    new state object and its share of the column copies, and only the other
-    agents are looked at one by one. Added or removed agents, or a context
-    read from bytes, look at every agent.
+    Every context is carried over by column (see `Context._columns`),
+    aligned to the new system's agents by id. Only an agent with another
+    task object than the context saw (every agent of a context read from
+    bytes, and an added agent), a non-preserving impact, or mail on a
+    deleted channel is looked at one by one; any other agent costs a new
+    state object and its share of the column copies.
 
     Messages in flight on deleted channels are dropped with a warning too.
 
@@ -611,50 +617,38 @@ def resume_context(
     """
     if context.version != CONTEXT_VERSION:
         raise ContextCorrupt(f"unsupported context version '{context.version}'")
-    ids, tasks, live = new_system.agent_ids, new_system._tasks, context._live
+    ids, tasks, saved = new_system.agent_ids, new_system._tasks, context._columns()
     n = len(ids)
     channels, kind_of = new_system.model.channels, impact.per_agent.get
-    # by index of the new system: `mails` holds each saved mailbox, `redo`
-    # the agents looked at one by one, and `olds` their saved (task,
-    # Marking, ready-set entry), or None for an agent the context lacks
-    if live is not None and live.agent_ids == ids:
-        # agent i is the saved agent i: each column is taken as saved, and
-        # only an agent with another task object or impact, or with mail on
-        # a deleted channel, is looked at again
-        markings, mails = list(live.markings), live.mails
-        ready_set = _ReadySet(list(live.entries), list(live.ready), list(live.dirty))
-        redo = set(compress(range(n), map(is_not, live.tasks, tasks)))
-        redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
-        if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(mails))):
-            redo.update(compress(range(n), mails))
-        redo = sorted(redo)
-        olds = {i: (live.tasks[i], markings[i], live.entries[i]) for i in redo}
-    else:
-        # a context read from bytes has no task, and MRK1 bytes in place of the Marking
-        if live is None:
-            saved = {aid: (None, data, _DIRTY) for aid, data in context.agent_markings}
-        else:
-            saved = dict(zip(live.agent_ids, zip(live.tasks, live.markings, live.entries)))
-        olds = list(map(saved.get, ids))
-        mails = list(map(dict(context.agent_mailboxes).get, ids, repeat(())))
-        markings = [None] * n
-        ready_set = _ReadySet.all_dirty(n)
-        redo = range(n)
+    # Unchanged ids need no alignment, and mapping them anyway made a
+    # relay-adapt run about 7 % slower. Otherwise each column gets a pad at
+    # position -1, so an agent the context lacks gets an _ABSENT task, no
+    # marking or mail, and a dirty entry.
+    if saved.agent_ids != ids:
+        position = dict(zip(saved.agent_ids, range(len(saved.agent_ids))))
+        at = list(map(position.get, ids, repeat(-1)))
+        pads = (_ABSENT, None, (), _DIRTY)
+        saved = _Live(ids, *(tuple(map((*column, pad).__getitem__, at)) for column, pad in zip(saved[1:], pads)))
+    old_tasks, mails = saved.tasks, saved.mails
+    markings, entries = list(saved.markings), list(saved.entries)
+    redo = set(compress(range(n), map(is_not, old_tasks, tasks)))
+    redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
+    if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(mails))):
+        redo.update(compress(range(n), mails))
     mailboxes = list(map(list, mails))
     warnings = new_system.warnings
 
-    for index in redo:
+    for index in sorted(redo):
         aid, task = ids[index], tasks[index]
         kind = kind_of(aid)
         if kind is None:
             raise ImpactMismatch(f"no impact classification for agent {aid}")
         if kind != "preserving":
-            markings[index], mailboxes[index] = task.initial_marking(), []
-            ready_set.touch(index)
+            markings[index], mailboxes[index], entries[index] = task.initial_marking(), [], _DIRTY
             continue
-        if olds[index] is None:
+        old_task, marking, entry = old_tasks[index], markings[index], entries[index]
+        if old_task is _ABSENT:
             raise ImpactMismatch(f"agent {aid} is preserving but absent from the context")
-        old_task, marking, entry = olds[index]
         try:
             if old_task is None:  # a context read from bytes
                 marking = restore_marking(marking, task)
@@ -672,7 +666,7 @@ def resume_context(
         mail = mails[index]
         if mail:
             kept = [m for m in mail if m[0] in channels]
-            if live is None:
+            if old_task is None:
                 for ch, v in kept:
                     _check_message_color(new_system.model, ch, v)
             if len(kept) != len(mail):
@@ -683,13 +677,13 @@ def resume_context(
                     if ch not in channels
                 )
             mailboxes[index] = kept
-        ready_set.file(index, entry)
-    new_system._install(markings, mailboxes, ready_set)
+        entries[index] = entry
+    new_system._install(markings, mailboxes, _ReadySet(entries))
 
     new_system.bus = []
     for ch, v in context.bus:
         if ch in channels or ch == ADAPT_CHANNEL:
-            if live is None and ch in channels:
+            if context._live is None and ch in channels:
                 _check_message_color(new_system.model, ch, v)
             new_system.bus.append((ch, v))
         else:
@@ -819,14 +813,15 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
       one; a changed channel, an added or removed agent, or any violation
       runs the full pass (see `validate_model`).
     - `synthesize` builds the new system without agent states, and
-      `resume_context` builds each once, from the saved columns. A
-      plan-preserving agent whose task object is unchanged keeps its
-      marking by identity and stays clean in the new ready set, which is a
-      copy of the old one patched at the agents looked at again. No marking
-      goes through bytes, and a plan-modifying agent still restarts fresh.
+      `resume_context` builds each once, from the saved columns aligned to
+      the new agents by id. A plan-preserving agent whose task object is
+      unchanged keeps its marking by identity and its ready-set entry, so
+      it stays clean in the new ready set, which is built from the entries.
+      No marking goes through bytes, and a plan-modifying agent, an added
+      one among them, still restarts fresh.
 
-    An added or removed agent makes `resume_context` look at every agent,
-    and a message on a deleted channel at every agent with mail.
+    A message on a deleted channel makes `resume_context` look at every
+    agent with mail.
 
     The system adapted away is left as it was: its states, ready set, bus
     and warnings are its own. A rejected request raises before anything is

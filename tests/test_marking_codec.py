@@ -116,6 +116,18 @@ def test_a_count_rejected_by_int_keeps_its_message(net1, count, message):
         restore_marking(data, net1)
 
 
+def test_many_values_and_a_large_count_restore_line_by_line(net1):
+    """Each token line adds its count to its place once, so neither a place
+    of many distinct values nor a count of a million costs more than its line."""
+    m = Marking({"p": Multiset.from_counts({tok(i): 1 + i % 3 for i in range(6400)})})
+    data = save_marking(net1, m)
+    restored = restore_marking(data, net1)
+    assert restored == m and save_marking(net1, restored) == data
+    for tokens in (b"token 1000000 7\n", b"token 999999 7\ntoken 1 7\n"):
+        restored = restore_marking(b"MRK1\nplace p : Tok=int\n" + tokens, net1)
+        assert restored.get("p").items() == [(tok(7), 10**6)]
+
+
 @pytest.mark.parametrize("value", ["007", "-0", "00", "٣", "-١"])
 def test_a_value_written_unlike_save_marking_is_rejected(net1, value):
     data = save_marking(net1, Marking({"p": Multiset([tok(7)])}))

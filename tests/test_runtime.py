@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def rebuilt(system):
     new = runtime_mod.RunnableSystem(system.model, list(system.bus), system.cursor, system.step_count)
     markings = [system.states[aid].marking for aid in new.agent_ids]
     mailboxes = [list(saved[aid]) for aid in new.agent_ids]
-    new._install(markings, mailboxes, runtime_mod._ReadySet.all_dirty(len(new.agent_ids)))
+    new._install(markings, mailboxes, runtime_mod._ReadySet([runtime_mod._DIRTY] * len(new.agent_ids)))
     return new
 
 
@@ -765,7 +766,7 @@ class TestForeignValues:
         assert impact.per_agent["agent2"] == "modifying"
         assert resume_context(synthesize(modified), ctx, impact).states["agent2"].mailbox == []
         ctx = self.context_with(synthesize(mam1))
-        mailboxes = ctx.agent_mailboxes + (("ghost", (bad,)),)
+        mailboxes = (("a_ghost", (bad,)),) + ctx.agent_mailboxes + (("ghost", (bad,)),)
         ghost = Context(ctx.version, ctx.agent_markings, mailboxes, ctx.bus, ctx.cursor, ctx.step_count)
         assert adaptive_loop(resume_run(ghost, mam1, Scenario()), Scenario()).end_reason == "quiescence"
 
@@ -1144,10 +1145,13 @@ class TestCarryOver:
 
 
 class TestAdaptationCost:
-    """One procedure swap costs the same work on a relay of 20 agents as on one of 80."""
+    """One procedure swap, or one added agent, costs the same work on a relay
+    of 20 agents as on one of 80."""
 
     @staticmethod
-    def counted_run(monkeypatch, agents, adapt):
+    def counted_run(monkeypatch, agents, ops=()):
+        """Calls of the marking codec and of `_resolve` in a run, and the lines
+        `resume_context` executes: the Python-level work it does agent by agent."""
         from collections import Counter
 
         calls = Counter()
@@ -1159,16 +1163,27 @@ class TestAdaptationCost:
 
             return call
 
+        def count_line(frame, event, arg):
+            calls["resume_context lines"] += event == "line"
+            return count_line
+
+        def trace_resume(frame, event, arg):
+            return count_line if frame.f_code is runtime_mod.resume_context.__code__ else None
+
         relay = decompose(relay_org(agents, 2), {f"r{i}": f"a{i}" for i in range(agents)})
-        request = AdaptationRequest((rp_p("a1", "take", inc2()),))
-        scenario = Scenario((Trigger(6, request),) if adapt else ())
+        scenario = Scenario((Trigger(6, AdaptationRequest(ops)),) if ops else ())
         with monkeypatch.context() as m:
             for name in ("save_marking", "restore_marking"):
                 m.setattr(runtime_mod, name, counting(name, getattr(runtime_mod, name)))
             m.setattr(
                 runtime_mod.RunnableSystem, "_resolve", counting("_resolve", runtime_mod.RunnableSystem._resolve)
             )
-            report = adaptive_loop(synthesize(relay), scenario)
+            previous = sys.gettrace()
+            sys.settrace(trace_resume)
+            try:
+                report = adaptive_loop(synthesize(relay), scenario)
+            finally:
+                sys.settrace(previous)
         assert report.end_reason == "quiescence"
         return calls
 
@@ -1217,11 +1232,48 @@ class TestAdaptationCost:
         assert_clean_agents_match_oracle(new)
 
     def test_counts_do_not_grow_with_the_agent_count(self, monkeypatch):
-        extra = {}
-        for agents in (20, 80):
-            adapted = self.counted_run(monkeypatch, agents, adapt=True)
-            plain = self.counted_run(monkeypatch, agents, adapt=False)
-            # a live context goes through no marking bytes, not even for the changed agent
-            assert (adapted["save_marking"], adapted["restore_marking"]) == (0, 0)
-            extra[agents] = adapted["_resolve"] - plain["_resolve"]
-        assert extra[20] == extra[80] <= 2
+        from roleflow.adaptation import add_agent
+
+        for ops in ((rp_p("a1", "take", inc2()),), (add_agent(idle_agent("a1x")),)):
+            extra, lines = {}, {}
+            for agents in (20, 80):
+                adapted = self.counted_run(monkeypatch, agents, ops)
+                plain = self.counted_run(monkeypatch, agents)
+                # a live context goes through no marking bytes, not even for the changed agent
+                assert (adapted["save_marking"], adapted["restore_marking"]) == (0, 0)
+                extra[agents] = adapted["_resolve"] - plain["_resolve"]
+                lines[agents] = adapted["resume_context lines"]
+            assert extra[20] == extra[80] <= 2, ops
+            assert lines[20] == lines[80] > 0, ops
+
+    def test_an_added_or_removed_agent_looks_again_only_at_the_added_one(self, monkeypatch):
+        """On a 160-agent relay with every agent resolved, adding an agent
+        with no channels leaves only that agent to resolve, and removing it
+        again leaves none: the other agents keep their ready-set entries
+        under their shifted indices."""
+        from roleflow.adaptation import add_agent, remove_agent
+
+        agents = 160
+        relay = decompose(relay_org(agents, 2), {f"r{i}": f"a{i}" for i in range(agents)})
+        system = synthesize(relay)
+        for _ in range(50):
+            go(system, Scenario())
+        runtime_mod._ready_actions(system)  # resolves every dirty agent
+        assert system._ready_set.dirty == []
+
+        resolved, real_resolve = [], runtime_mod.RunnableSystem._resolve
+
+        def resolve(sys_, index):
+            resolved.append(sys_.agent_ids[index])
+            return real_resolve(sys_, index)
+
+        with monkeypatch.context() as m:
+            m.setattr(runtime_mod.RunnableSystem, "_resolve", resolve)
+            for op, looked_at in ((add_agent(idle_agent("a7x")), ["a7x"]), (remove_agent("a7x"), [])):
+                system = runtime_mod._adapt(system, AdaptationRequest((op,)), [], [])
+                assert resolved == []
+                assert_clean_agents_match_oracle(system)
+                runtime_mod._ready_actions(system)
+                assert resolved == looked_at
+                resolved.clear()
+        assert len(system.agent_ids) == agents
