@@ -138,9 +138,9 @@ class _ReadySet:
 
     It is built from one entry per agent: a first firing, a (transition,
     binding) tuple and the only true entry; None for an agent that cannot
-    fire; or `_DIRTY`. Each
-    `AgentState` points here, not to its system, so a system dropped after
-    an adaptation is freed at once instead of by the cycle collector.
+    fire; or `_DIRTY`. Each `AgentState` points here, not to its system, so
+    a system dropped after an adaptation is freed at once instead of by the
+    cycle collector.
     """
 
     __slots__ = ("firing", "ready", "dirty")
