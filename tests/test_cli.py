@@ -1,3 +1,6 @@
+import io
+import runpy
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,45 @@ def write_checkpoints(directory: Path) -> None:
             ctx = directory / f"{scenario}.k{k}.ctx"
             args = ["run", MODELS / f"{model}.org", MODELS / f"{scenario}.scn", "--checkpoint-at", k, "--context", ctx]
             assert run_cli([str(a) for a in args]) == 0
+
+
+# (model, scenario) pairs whose decompose, recompose-check and adapt outputs are pinned
+DEMOS = [
+    ("org1", "org1_run"),
+    ("org1", "org1_adapt"),
+    ("org1", "org1_replace_task"),
+    ("devsociety", "devsociety"),
+]
+
+
+def write_cli_outputs(directory: Path) -> None:
+    """Write what the CLI makes of each pair in DEMOS into `directory`:
+    `decompose.<scenario>/` holds the `--emit-agents` files, and
+    `recompose-check.<scenario>.out` and `adapt.<scenario>.out` hold the
+    exit code, the standard output and the standard error. `relay_adapt.trace`
+    and `relay_adapt.report` are the trace and report of `roleflow run` on
+    the benchmark's 40-agent relay-adapt workload of seed 1."""
+    for model, scenario in DEMOS:
+        files = (MODELS / f"{model}.org", MODELS / f"{scenario}.scn")
+        assert run_cli(["decompose", *map(str, files), "--emit-agents", str(directory / f"decompose.{scenario}")]) == 0
+        for command in ("recompose-check", "adapt"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run_cli([command, *map(str, files)])
+            text = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+            (directory / f"{command}.{scenario}.out").write_text(text, encoding="utf-8")
+    gen = runpy.run_path(str(MODELS.parent / "perfbench" / "gen.py"))
+    workload = gen["relay_adapt"](1, agents=40)
+    org, scn = directory / "relay_adapt.org", directory / "relay_adapt.scn"
+    org.write_text(workload.org_text, encoding="utf-8")
+    scn.write_text(workload.scn_text, encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run_cli(["run", str(org), str(scn), "--trace", str(directory / "relay_adapt.trace")])
+    assert code == 0
+    (directory / "relay_adapt.report").write_text(out.getvalue(), encoding="utf-8")
+    org.unlink()
+    scn.unlink()
 
 
 class TestValidate:
@@ -363,3 +405,20 @@ class TestAdapt:
         )
         code, _, err = run(capsys, "adapt", MODELS / "org1.org", scn)
         assert code == 2
+
+
+def test_cli_outputs_match_the_golden(capsys, tmp_path):
+    """What `decompose --emit-agents`, `recompose-check`, `adapt` and `run`
+    make of the demo models and a 40-agent relay is pinned byte for byte.
+
+    Regenerate with
+    `cd tests && PYTHONPATH=../src python -c "import test_cli; test_cli.write_cli_outputs(test_cli.GOLDEN / 'cli')" > /dev/null`
+    only when an output changes on purpose.
+    """
+    write_cli_outputs(tmp_path)
+    capsys.readouterr()
+    golden = GOLDEN / "cli"
+    names = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(golden)) for p in golden.rglob("*") if p.is_file())
+    changed = [n for n in names if (tmp_path / n).read_bytes() != (golden / n).read_bytes()]
+    assert not changed
