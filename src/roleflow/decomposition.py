@@ -485,15 +485,16 @@ def _local_checks(aid: str, agent: AgentModel, channels: Mapping[str, Channel]):
 
 
 class _Tables(NamedTuple):
-    """The cross-agent tables of a model that validated clean.
+    """The cross-agent tables of a model that validated clean. Only `_enter`
+    and `_leave` write them: `_full_pass` enters every agent into empty
+    tables, and `_replace_agents` swaps the replaced agents' entries in a
+    copy of a clean model's tables, which ends with the tables the full pass
+    builds. A model's tables never change once it keeps them.
 
-    Owners map each place and transition id to its agent; `procedures`,
-    `colorsets` and `variables` map each name to (definition, number of
-    agents defining it). In a clean model every agent's definition of a
-    name equals the one kept, so an agent's entries can be taken out and
-    put back without looking at the others. The dicts are never changed
-    once built: a model validated from another gets copies of the ones its
-    changed agents touch and shares the rest.
+    `places` and `transitions` map each id to the agent that owns it;
+    `procedures`, `colorsets` and `variables` map each name to (a
+    definition, the number of agents defining it). Every agent's definition
+    of a name equals the one kept, so no entry depends on entry order.
     """
 
     places: dict
@@ -541,7 +542,8 @@ def validate_model(mam: MultiAgentModel, base: MultiAgentModel = None) -> Valida
       (see `_Tables`). When this model, or `base` (the model it was derived
       from), was last validated clean with the same channel objects and the
       same agent ids, and this model differs from it only in replaced
-      agents, only those agents are checked against the tables, and the
+      agents, only those agents are checked: each leaves the tables and
+      enters them again through the rules the full pass applies, and the
       clean report is returned. So an unchanged clean model is not checked
       again, and an edit in place replaces an object and so is checked
       again. Any entry that check finds, any agent filed under another id,
@@ -565,120 +567,98 @@ def validate_model(mam: MultiAgentModel, base: MultiAgentModel = None) -> Valida
 def _full_pass(mam: MultiAgentModel) -> tuple[ValidationReport, "_Tables"]:
     """Every check in report order; the tables come along when the report is clean."""
     out = _channel_checks(mam)
-    place_owner: dict[str, str] = {}
-    transition_owner: dict[str, str] = {}
-    proc_table: dict[str, tuple[ProcedureDef, int]] = {}
-    color_table: dict[str, tuple[object, int]] = {}
-    var_table: dict[str, tuple[object, int]] = {}
-    first_of: dict[tuple[str, str], str] = {}  # (code, name) -> the first agent defining it
-
-    def clash(table: dict, code: str, entries, aid: str):
-        for name, definition in entries:
-            seen = table.get(name)
-            if seen is None:
-                table[name] = (definition, 1)
-                first_of[code, name] = aid
-                continue
-            if seen[0] is not definition and seen[0] != definition:
-                out.append(
-                    Violation(code, name, f"conflicting definitions ({first_of[code, name]}, {aid})")
-                )
-            table[name] = (seen[0], seen[1] + 1)
-
+    tables = _Tables({}, {}, {}, {}, {})
+    first: dict[tuple[str, str], str] = {}
     for aid in mam.agent_ids():
         agent = mam.agents[aid]
         if agent.id != aid:
             out.append(Violation("agent", aid, "agent keyed under a different id"))
         checks = _AgentChecks.of(aid, agent, mam.channels)
         out.extend(checks.head)
-
-        for pid in checks.places:
-            if pid in place_owner:
-                out.append(Violation("place", pid, f"also owned by agent {place_owner[pid]}"))
-            elif pid in mam.channels:
-                out.append(Violation("place", pid, "private place shadows a channel"))
-            else:
-                place_owner[pid] = aid
-        for tid in checks.transitions:
-            if tid in transition_owner:
-                out.append(Violation("transition", tid, f"also owned by agent {transition_owner[tid]}"))
-            else:
-                transition_owner[tid] = aid
-        clash(proc_table, "procedure", checks.procedures, aid)
-        clash(color_table, "colorset", checks.colorsets, aid)
-        clash(var_table, "variable", checks.variables, aid)
-
+        _enter(tables, checks, aid, mam.channels, out, first)
         out.extend(checks.tail)
     report = report_of(out)
-    if not report.empty:
-        return report, None
-    return report, _Tables(place_owner, transition_owner, proc_table, color_table, var_table)
+    return report, tables if report.empty else None
 
 
 def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
     """The tables of `mam` from those of a clean `prior` it differs from only in
-    replaced agents, or None when the full pass must decide."""
+    replaced agents, or None when the full pass must decide.
+
+    Each replaced agent leaves a copy of the prior's tables with its old
+    checks and enters it with its new ones. The old checks are on the old
+    agent: `decompose` and `_AgentChecks.of` keep them on every agent a
+    clean memo holds, and the key lists depend only on the task.
+    """
     if seen.agent_ids != prior.agent_ids or not seen.same_channels(prior):
         return None
-    tables = prior.tables
-    places, transitions = tables.places, tables.transitions
-    procedures, colorsets, variables = tables.procedures, tables.colorsets, tables.variables
     # indices, not zipped triples: the scan runs on every validation of a
     # model with unchanged ids, and zipping made it twice as slow
-    for i in compress(range(len(seen.agents)), map(operator.is_not, prior.agents, seen.agents)):
-        aid, old, new = seen.agent_ids[i], prior.agents[i], seen.agents[i]
-        if new.id != aid:
-            return None
+    changed = list(compress(range(len(seen.agents)), map(operator.is_not, prior.agents, seen.agents)))
+    if not changed:
+        return prior.tables
+    tables = _Tables(*map(dict, prior.tables))
+    clashes: list[Violation] = []
+    for i in changed:
+        aid, new = seen.agent_ids[i], seen.agents[i]
         checks = _AgentChecks.of(aid, new, mam.channels)
-        if checks.head or checks.tail:
+        if new.id != aid or checks.head or checks.tail:
             return None
-        # the key lists depend only on the task, so the old agent's checks hold them
-        was = getattr(old, "_checks", None) or _AgentChecks.run(aid, old, mam.channels)
-        if checks.places != was.places:
-            places = _owners(places, was.places, checks.places, aid, mam.channels)
-        if checks.transitions != was.transitions:
-            transitions = _owners(transitions, was.transitions, checks.transitions, aid, ())
-        if checks.procedures != was.procedures:
-            procedures = _definitions(procedures, was.procedures, checks.procedures)
-        if checks.colorsets != was.colorsets:
-            colorsets = _definitions(colorsets, was.colorsets, checks.colorsets)
-        if checks.variables != was.variables:
-            variables = _definitions(variables, was.variables, checks.variables)
-        if None in (places, transitions, procedures, colorsets, variables):
+        _leave(tables, prior.agents[i]._checks)
+        _enter(tables, checks, aid, mam.channels, clashes, {})
+        if clashes:
             return None
-    return _Tables(places, transitions, procedures, colorsets, variables)
+    return tables
 
 
-def _owners(table: dict, old_ids, new_ids, aid: str, channels):
-    """`table` with one agent's ids replaced, or None on a clash."""
-    table = dict(table)
-    for key in old_ids:
-        del table[key]
-    for key in new_ids:
-        if key in table or key in channels:
-            return None
-        table[key] = aid
-    return table
+def _enter(tables: _Tables, checks: _AgentChecks, aid: str, channels, out: list, first: dict) -> None:
+    """Put one agent's keys into `tables`, appending each clash to `out` in
+    report order: places, transitions, procedures, color sets, variables.
 
-
-def _definitions(table: dict, old_entries, new_entries):
-    """`table` with one agent's (name, definition) entries replaced, or None on a clash."""
-    table = dict(table)
-    for name, _ in old_entries:
-        definition, count = table[name]
-        if count == 1:
-            del table[name]
+    `first` maps (code, name) to the agent that first entered the name, for
+    the text of a conflict. The full pass keeps it across agents; an update,
+    which stops at a clash without reporting it, passes an empty one.
+    """
+    for pid in checks.places:
+        if pid in tables.places:
+            out.append(Violation("place", pid, f"also owned by agent {tables.places[pid]}"))
+        elif pid in channels:
+            out.append(Violation("place", pid, "private place shadows a channel"))
         else:
-            table[name] = (definition, count - 1)
-    for name, definition in new_entries:
-        kept = table.get(name)
-        if kept is None:
-            table[name] = (definition, 1)
-        elif kept[0] is not definition and kept[0] != definition:
-            return None
+            tables.places[pid] = aid
+    for tid in checks.transitions:
+        if tid in tables.transitions:
+            out.append(Violation("transition", tid, f"also owned by agent {tables.transitions[tid]}"))
         else:
+            tables.transitions[tid] = aid
+    for code, table, entries in (("procedure", tables.procedures, checks.procedures),
+                                 ("colorset", tables.colorsets, checks.colorsets),
+                                 ("variable", tables.variables, checks.variables)):
+        for name, definition in entries:
+            kept = table.get(name)
+            if kept is None:
+                table[name] = (definition, 1)
+                first[code, name] = aid
+                continue
+            if kept[0] is not definition and kept[0] != definition:
+                out.append(Violation(code, name, f"conflicting definitions ({first.get((code, name))}, {aid})"))
             table[name] = (kept[0], kept[1] + 1)
-    return table
+
+
+def _leave(tables: _Tables, checks: _AgentChecks) -> None:
+    """Take one agent's keys out of clean tables, where it owns its ids and counts once per name."""
+    for table, ids in ((tables.places, checks.places), (tables.transitions, checks.transitions)):
+        for key in ids:
+            del table[key]
+    for table, entries in ((tables.procedures, checks.procedures),
+                           (tables.colorsets, checks.colorsets),
+                           (tables.variables, checks.variables)):
+        for name, _ in entries:
+            definition, count = table[name]
+            if count == 1:
+                del table[name]
+            else:
+                table[name] = (definition, count - 1)
 
 
 def synthesize(mam: MultiAgentModel, *, _stateless: bool = False):

@@ -271,6 +271,37 @@ class TestIncrementalValidation:
                         counts["edited"] += 1
         assert min(counts.values()) >= 20, counts
 
+    def test_kept_tables_equal_the_full_pass_tables(self, monkeypatch):
+        """A clean report is empty whichever tables came with it, so after
+        every accepted request the tables the model keeps must equal the ones
+        the full pass builds, and the cold oracle must find the model clean."""
+        from roleflow import decomposition
+
+        full_pass = decomposition._full_pass
+        calls = []
+        monkeypatch.setattr(decomposition, "_full_pass", lambda mam: calls.append(mam) or full_pass(mam))
+        rng = random.Random(2026)
+        accepted = incremental = 0
+        for i in range(16):
+            org = gen_org(rng, f"tab{i}")
+            current = decompose(org, list(all_assignments(org.roles))[-1])
+            validate_model(current)
+            for _ in range(40):
+                if current.agents and rng.random() < 0.2:
+                    ops = [place_named_like_another(rng, current)]
+                else:
+                    ops = [gen_random_op(rng, current) for _ in range(rng.randint(1, 3))]
+                calls.clear()
+                try:
+                    current, _ = evolve(current, AdaptationRequest(tuple(ops)))
+                except CoherenceError:
+                    continue
+                assert current._validated.tables == full_pass(current)[1]
+                assert naive_validate_model(current).empty
+                accepted += 1
+                incremental += not calls
+        assert accepted >= 40 and incremental >= 20, (accepted, incremental)
+
     def test_first_invalid_op_rejects_the_request_with_the_oracle_entries(self):
         rng = random.Random(2025)
         rejected = 0
@@ -343,6 +374,22 @@ class TestIncrementalValidation:
 
     def test_diff_of_equal_but_distinct_agents_is_empty(self, mam1):
         assert diff_models(mam1, cold_model(mam1)) == ()
+
+
+def place_named_like_another(rng, mam):
+    """An rpT that adds to an agent's task an isolated place named like a
+    channel or like another agent's place."""
+    from roleflow import Place
+
+    aid = rng.choice(sorted(mam.agents))
+    task = mam.agents[aid].task
+    names = set(mam.channels).union(*(a.task.places for a in mam.agents.values())) - set(task.places)
+    if not names:
+        return gen_random_op(rng, mam)
+    parts = task.parts()
+    parts["places"] = [*parts["places"], Place(rng.choice(sorted(names)), TOK)]
+    parts["procedures"] = []
+    return rp_t(aid, Net(**parts))
 
 
 def agent1_task(place):
