@@ -274,7 +274,9 @@ class TestIncrementalValidation:
     def test_kept_tables_equal_the_full_pass_tables(self, monkeypatch):
         """A clean report is empty whichever tables came with it, so after
         every accepted request the tables the model keeps must equal the ones
-        the full pass builds, and the cold oracle must find the model clean."""
+        the full pass builds, and the cold oracle must find the model clean.
+        The place named like another is always rejected: a rule skipped on
+        both paths shows only in the oracle."""
         from roleflow import decomposition
 
         full_pass = decomposition._full_pass

@@ -45,7 +45,7 @@ def write_checkpoints(directory: Path) -> None:
             assert run_cli([str(a) for a in args]) == 0
 
 
-# (model, scenario) pairs whose decompose, recompose-check and adapt outputs are pinned
+# (model, scenario) pairs whose CLI outputs `write_cli_outputs` pins
 DEMOS = [
     ("org1", "org1_run"),
     ("org1", "org1_adapt"),
@@ -57,19 +57,26 @@ DEMOS = [
 def write_cli_outputs(directory: Path) -> None:
     """Write what the CLI makes of each pair in DEMOS into `directory`:
     `decompose.<scenario>/` holds the `--emit-agents` files, and
-    `recompose-check.<scenario>.out` and `adapt.<scenario>.out` hold the
-    exit code, the standard output and the standard error. `relay_adapt.trace`
-    and `relay_adapt.report` are the trace and report of `roleflow run` on
-    the benchmark's 40-agent relay-adapt workload of seed 1."""
+    `validate.<model>.out`, `recompose-check.<scenario>.out` and
+    `adapt.<scenario>.out` hold the exit code, the standard output and the
+    standard error. `relay_adapt.trace` and `relay_adapt.report` are the
+    trace and report of `roleflow run` on the benchmark's 40-agent
+    relay-adapt workload of seed 1."""
+
+    def record(name, *args):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli([str(a) for a in args])
+        text = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        (directory / f"{name}.out").write_text(text, encoding="utf-8")
+
+    for model in dict.fromkeys(model for model, _ in DEMOS):
+        record(f"validate.{model}", "validate", MODELS / f"{model}.org")
     for model, scenario in DEMOS:
         files = (MODELS / f"{model}.org", MODELS / f"{scenario}.scn")
         assert run_cli(["decompose", *map(str, files), "--emit-agents", str(directory / f"decompose.{scenario}")]) == 0
         for command in ("recompose-check", "adapt"):
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = run_cli([command, *map(str, files)])
-            text = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-            (directory / f"{command}.{scenario}.out").write_text(text, encoding="utf-8")
+            record(f"{command}.{scenario}", command, *files)
     gen = runpy.run_path(str(MODELS.parent / "perfbench" / "gen.py"))
     workload = gen["relay_adapt"](1, agents=40)
     org, scn = directory / "relay_adapt.org", directory / "relay_adapt.scn"
@@ -408,8 +415,9 @@ class TestAdapt:
 
 
 def test_cli_outputs_match_the_golden(capsys, tmp_path):
-    """What `decompose --emit-agents`, `recompose-check`, `adapt` and `run`
-    make of the demo models and a 40-agent relay is pinned byte for byte.
+    """What `validate`, `decompose --emit-agents`, `recompose-check`, `adapt`
+    and `run` make of the demo models and a 40-agent relay is pinned byte
+    for byte.
 
     Regenerate with
     `cd tests && PYTHONPATH=../src python -c "import test_cli; test_cli.write_cli_outputs(test_cli.GOLDEN / 'cli')" > /dev/null`
