@@ -59,9 +59,10 @@ def write_cli_outputs(directory: Path) -> None:
     `decompose.<scenario>/` holds the `--emit-agents` files, and
     `validate.<model>.out`, `recompose-check.<scenario>.out` and
     `adapt.<scenario>.out` hold the exit code, the standard output and the
-    standard error. `relay_adapt.trace` and `relay_adapt.report` are the
-    trace and report of `roleflow run` on the benchmark's 40-agent
-    relay-adapt workload of seed 1."""
+    standard error. `<workload>.trace` and `<workload>.report` are the trace
+    and report of `roleflow run` on small benchmark workloads of seed 1: the
+    40-agent relay-adapt, the 40-token pipeline, and the 12-agent
+    relay-concurrent under `--concurrent --seed 1`."""
 
     def record(name, *args):
         out, err = io.StringIO(), io.StringIO()
@@ -78,17 +79,21 @@ def write_cli_outputs(directory: Path) -> None:
         for command in ("recompose-check", "adapt"):
             record(f"{command}.{scenario}", command, *files)
     gen = runpy.run_path(str(MODELS.parent / "perfbench" / "gen.py"))
-    workload = gen["relay_adapt"](1, agents=40)
-    org, scn = directory / "relay_adapt.org", directory / "relay_adapt.scn"
-    org.write_text(workload.org_text, encoding="utf-8")
-    scn.write_text(workload.scn_text, encoding="utf-8")
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = run_cli(["run", str(org), str(scn), "--trace", str(directory / "relay_adapt.trace")])
-    assert code == 0
-    (directory / "relay_adapt.report").write_text(out.getvalue(), encoding="utf-8")
-    org.unlink()
-    scn.unlink()
+    for name, workload, flags in (
+        ("relay_adapt", gen["relay_adapt"](1, agents=40), ()),
+        ("pipeline", gen["pipeline"](1, tokens=40), ()),
+        ("relay_concurrent", gen["relay_concurrent"](1, agents=12), ("--concurrent", "--seed", "1")),
+    ):
+        org, scn = directory / f"{name}.org", directory / f"{name}.scn"
+        org.write_text(workload.org_text, encoding="utf-8")
+        scn.write_text(workload.scn_text, encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run_cli(["run", str(org), str(scn), "--trace", str(directory / f"{name}.trace"), *flags])
+        assert code == 0
+        (directory / f"{name}.report").write_text(out.getvalue(), encoding="utf-8")
+        org.unlink()
+        scn.unlink()
 
 
 class TestValidate:
@@ -416,8 +421,8 @@ class TestAdapt:
 
 def test_cli_outputs_match_the_golden(capsys, tmp_path):
     """What `validate`, `decompose --emit-agents`, `recompose-check`, `adapt`
-    and `run` make of the demo models and a 40-agent relay is pinned byte
-    for byte.
+    and `run` make of the demo models and of small benchmark workloads, in
+    both scheduling modes, is pinned byte for byte.
 
     Regenerate with
     `cd tests && PYTHONPATH=../src python -c "import test_cli; test_cli.write_cli_outputs(test_cli.GOLDEN / 'cli')" > /dev/null`
