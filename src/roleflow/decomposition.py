@@ -487,9 +487,10 @@ def _local_checks(aid: str, agent: AgentModel, channels: Mapping[str, Channel]):
 class _Tables(NamedTuple):
     """The cross-agent tables of a model that validated clean. Only `_enter`
     and `_leave` write them: `_full_pass` enters every agent into empty
-    tables, and `_replace_agents` swaps the replaced agents' entries in a
-    copy of a clean model's tables, which ends with the tables the full pass
-    builds. A model's tables never change once it keeps them.
+    tables, and `_replace_agents` swaps the replaced agents' entries in
+    copies of the tables they change, sharing the others with the clean
+    model it starts from; that ends with the tables the full pass builds.
+    A model's tables never change once it keeps them.
 
     `places` and `transitions` map each id to the agent that owns it;
     `procedures`, `colorsets` and `variables` map each name to (a
@@ -575,7 +576,7 @@ def _full_pass(mam: MultiAgentModel) -> tuple[ValidationReport, "_Tables"]:
             out.append(Violation("agent", aid, "agent keyed under a different id"))
         checks = _AgentChecks.of(aid, agent, mam.channels)
         out.extend(checks.head)
-        _enter(tables, checks, aid, mam.channels, out, first)
+        _enter(tables, _KEY_LISTS(checks), aid, mam.channels, out, first)
         out.extend(checks.tail)
     report = report_of(out)
     return report, tables if report.empty else None
@@ -585,10 +586,14 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
     """The tables of `mam` from those of a clean `prior` it differs from only in
     replaced agents, or None when the full pass must decide.
 
-    Each replaced agent leaves a copy of the prior's tables with its old
-    checks and enters it with its new ones. The old checks are on the old
-    agent: `decompose` and `_AgentChecks.of` keep them on every agent a
-    clean memo holds, and the key lists depend only on the task.
+    Each replaced agent leaves the tables with its old keys and enters them
+    with its new ones, for each key list (places to variables) that
+    differs between the two: a list that is equal leaves and enters the
+    same entries. A table is copied from the prior's before its first
+    change and shared otherwise, so an `rpP` copies only `procedures`. The
+    old checks are on the old agent: `decompose` and `_AgentChecks.of` keep
+    them on every agent a clean memo holds, and the key lists depend only
+    on the task.
     """
     if seen.agent_ids != prior.agent_ids or not seen.same_channels(prior):
         return None
@@ -597,43 +602,54 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
     changed = list(compress(range(len(seen.agents)), map(operator.is_not, prior.agents, seen.agents)))
     if not changed:
         return prior.tables
-    tables = _Tables(*map(dict, prior.tables))
+    tables, copied = list(prior.tables), [False] * len(_Tables._fields)
     clashes: list[Violation] = []
     for i in changed:
         aid, new = seen.agent_ids[i], seen.agents[i]
         checks = _AgentChecks.of(aid, new, mam.channels)
         if new.id != aid or checks.head or checks.tail:
             return None
-        _leave(tables, prior.agents[i]._checks)
-        _enter(tables, checks, aid, mam.channels, clashes, {})
+        gone, come = _KEY_LISTS(prior.agents[i]._checks), _KEY_LISTS(checks)
+        moved = [old != new for old, new in zip(gone, come)]
+        for k in compress(range(len(moved)), moved):
+            if not copied[k]:
+                tables[k], copied[k] = dict(tables[k]), True
+        current = _Tables(*tables)
+        _leave(current, [keys if m else () for keys, m in zip(gone, moved)])
+        _enter(current, [keys if m else () for keys, m in zip(come, moved)], aid, mam.channels, clashes, {})
         if clashes:
             return None
-    return tables
+    return _Tables(*tables)
 
 
-def _enter(tables: _Tables, checks: _AgentChecks, aid: str, channels, out: list, first: dict) -> None:
+# an agent's key lists, in the order of the `_Tables` they enter
+_KEY_LISTS = operator.attrgetter(*_Tables._fields)
+
+
+def _enter(tables: _Tables, keys, aid: str, channels, out: list, first: dict) -> None:
     """Put one agent's keys into `tables`, appending each clash to `out` in
     report order: places, transitions, procedures, color sets, variables.
 
-    `first` maps (code, name) to the agent that first entered the name, for
-    the text of a conflict. The full pass keeps it across agents; an update,
-    which stops at a clash without reporting it, passes an empty one.
+    `keys` holds the agent's key lists in the order of the tables (see
+    `_KEY_LISTS`). `first` maps (code, name) to the agent that first
+    entered the name, for the text of a conflict. The full pass keeps it
+    across agents; an update, which stops at a clash without reporting it,
+    passes an empty one.
     """
-    for pid in checks.places:
+    places, transitions, *named = keys
+    for pid in places:
         if pid in tables.places:
             out.append(Violation("place", pid, f"also owned by agent {tables.places[pid]}"))
         elif pid in channels:
             out.append(Violation("place", pid, "private place shadows a channel"))
         else:
             tables.places[pid] = aid
-    for tid in checks.transitions:
+    for tid in transitions:
         if tid in tables.transitions:
             out.append(Violation("transition", tid, f"also owned by agent {tables.transitions[tid]}"))
         else:
             tables.transitions[tid] = aid
-    for code, table, entries in (("procedure", tables.procedures, checks.procedures),
-                                 ("colorset", tables.colorsets, checks.colorsets),
-                                 ("variable", tables.variables, checks.variables)):
+    for code, table, entries in zip(("procedure", "colorset", "variable"), tables[2:], named):
         for name, definition in entries:
             kept = table.get(name)
             if kept is None:
@@ -645,14 +661,13 @@ def _enter(tables: _Tables, checks: _AgentChecks, aid: str, channels, out: list,
             table[name] = (kept[0], kept[1] + 1)
 
 
-def _leave(tables: _Tables, checks: _AgentChecks) -> None:
-    """Take one agent's keys out of clean tables, where it owns its ids and counts once per name."""
-    for table, ids in ((tables.places, checks.places), (tables.transitions, checks.transitions)):
+def _leave(tables: _Tables, keys) -> None:
+    """Take one agent's keys (as in `_enter`) out of clean tables, where it
+    owns its ids and counts once per name."""
+    for table, ids in zip(tables[:2], keys[:2]):
         for key in ids:
             del table[key]
-    for table, entries in ((tables.procedures, checks.procedures),
-                           (tables.colorsets, checks.colorsets),
-                           (tables.variables, checks.variables)):
+    for table, entries in zip(tables[2:], keys[2:]):
         for name, _ in entries:
             definition, count = table[name]
             if count == 1:

@@ -304,6 +304,17 @@ class TestIncrementalValidation:
                 incremental += not calls
         assert accepted >= 40 and incremental >= 20, (accepted, incremental)
 
+    def test_a_procedure_swap_shares_every_table_but_the_procedures(self, mam1):
+        """An `rpP` changes only procedure names: the new model keeps the other
+        tables of the old one as the same objects, and the old tables keep
+        their entries."""
+        validate_model(mam1)
+        before = [dict(table) for table in mam1._validated.tables]
+        got, _ = evolve(mam1, AdaptationRequest((rp_p("agent2", "inc1", inc2()),)))
+        old, new = mam1._validated.tables, got._validated.tables
+        assert [a is b for a, b in zip(old, new)] == [True, True, False, True, True]
+        assert list(old) == before and new.procedures != old.procedures
+
     def test_first_invalid_op_rejects_the_request_with_the_oracle_entries(self):
         rng = random.Random(2025)
         rejected = 0
