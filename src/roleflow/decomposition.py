@@ -676,15 +676,19 @@ def _leave(tables: _Tables, keys) -> None:
                 table[name] = (definition, count - 1)
 
 
-def synthesize(mam: MultiAgentModel, *, _stateless: bool = False):
+def synthesize(mam: MultiAgentModel, *, _stateless: bool = False, _keyed_like=None):
     """Build a runnable system: fresh markings, channel-preloaded mailboxes.
 
-    `_stateless` is private to `runtime`: its `_adapt` and `resume_run` take
-    a validated system without agent states, for `resume_context` to fill.
+    `_stateless` and `_keyed_like` are private to `runtime`: its `_adapt`
+    and `resume_run` take a validated system without agent state, for
+    `resume_context` to fill, and `_adapt` hands over the system it
+    replaces, whose agent ids and tasks are reused where they still hold.
     """
     report = validate_model(mam)
     if not report.empty:
         raise CoherenceError("model fails validation", report)
     from . import runtime
 
-    return runtime.RunnableSystem(mam, []) if _stateless else runtime.RunnableSystem.fresh(mam)
+    if _stateless:
+        return runtime.RunnableSystem(mam, [], keyed_like=_keyed_like)
+    return runtime.RunnableSystem.fresh(mam)

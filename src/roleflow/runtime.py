@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, is_, is_not, itemgetter, methodcaller, ne
+from collections.abc import Mapping
 from typing import Callable, NamedTuple, Optional, Union
 
 from .adaptation import AdaptationRequest, PlanImpact, diff_models, evolve
@@ -61,54 +62,65 @@ CONTEXT_VERSION = "CTX1"
 class AgentState:
     """One agent's marking and its mailbox, a FIFO of (channel id, Value).
 
-    Receive takes the earliest message per channel. A state belongs to the
-    `RunnableSystem` built with it, which keeps the agent's first firing
-    until the state changes; the system hands each state its ready set and
-    agent index when it builds it. Adaptation never moves a state: the new
-    system gets states of its own, and an agent it carries over shares only
-    the immutable `Marking` and a copy of its mailbox (see
-    `resume_context`), so the system adapted away keeps its states as they
-    were.
+    Receive takes the earliest message per channel. A system keeps its
+    agents' markings and mailboxes as columns by agent index (see
+    `RunnableSystem`); `system.states[aid]` is a view of one index, made on
+    first access and kept, that reads and writes those columns and tells
+    the system's ready set of each write. Adaptation never moves a state:
+    the new system has columns of its own and shares with the old one only
+    immutable `Marking`s and mailbox tuples (see `resume_context`), so the
+    system adapted away keeps its states as they were. A state built
+    directly, copied or pickled is detached: it holds its own marking and
+    mailbox and tells no ready set.
 
     Write contract: edits through `states[aid].marking` and
     `states[aid].mailbox` are seen. Assigning either attribute, or reading
     `mailbox` (the caller may then edit the list), makes the system check
     the agent again. A mailbox list held across scheduler calls and edited
-    later is not seen. Runtime code that only looks at a mailbox reads
-    `_mailbox`, so it marks nothing.
+    later is not seen. Code that only looks at a mailbox reads `_mailbox`,
+    so it marks nothing.
     """
 
-    __slots__ = ("_marking", "_mailbox", "_ready_set", "_index")
+    __slots__ = ("_markings", "_mailboxes", "_ready_set", "_index")
 
-    def __init__(
-        self, marking: Marking, mailbox: list, ready_set: Optional[_ReadySet] = None, index: int = -1
-    ):
-        self._marking = marking
-        self._mailbox = mailbox
-        self._ready_set = ready_set  # the owning system's
-        self._index = index
+    def __init__(self, marking: Marking, mailbox: list, _at: Optional[tuple] = None):
+        """A detached state of `marking` and `mailbox`, or, with `_at` (private
+        to `_States`: a system's markings, mailboxes, ready set and an agent
+        index), the view of that agent."""
+        if _at is None:
+            _at = ([marking], [mailbox], None, 0)
+        self._markings, self._mailboxes, self._ready_set, self._index = _at
+
+    @property
+    def _marking(self) -> Marking:
+        return self._markings[self._index]
+
+    @property
+    def _mailbox(self) -> list:
+        return _own_mailbox(self._mailboxes, self._index)
+
+    def _touch(self) -> None:
+        if self._ready_set is not None:
+            self._ready_set.touch(self._index)
 
     @property
     def marking(self) -> Marking:
-        return self._marking
+        return self._markings[self._index]
 
     @marking.setter
     def marking(self, marking: Marking):
-        self._marking = marking
-        if self._ready_set is not None:
-            self._ready_set.touch(self._index)
+        self._markings[self._index] = marking
+        self._touch()
 
     @property
     def mailbox(self) -> list:
-        if self._ready_set is not None:
-            self._ready_set.touch(self._index)
+        self._touch()
         return self._mailbox
 
     @mailbox.setter
     def mailbox(self, mailbox: list):
-        self._mailbox = mailbox
-        if self._ready_set is not None:
-            self._ready_set.touch(self._index)
+        self._mailboxes[self._index] = mailbox
+        self._touch()
 
     def __eq__(self, other):
         if not isinstance(other, AgentState):
@@ -125,6 +137,54 @@ class AgentState:
         return f"AgentState(marking={self._marking!r}, mailbox={self._mailbox!r})"
 
 
+def _own_mailbox(mailboxes: list, index: int) -> list:
+    """The mailbox list at `index`, first made from the tuple there if it holds one.
+
+    A mailbox column holds lists the system owns and, until their first
+    write, tuples it may share with a context or another system.
+    """
+    mailbox = mailboxes[index]
+    if mailbox.__class__ is not list:
+        mailbox = mailboxes[index] = list(mailbox)
+    return mailbox
+
+
+class _States(Mapping):
+    """`RunnableSystem.states`: agent id to its `AgentState`, made on first
+    access and kept, so an agent nobody asks for costs no object.
+
+    It holds the system's columns, not the system, so a system dropped after
+    an adaptation is freed at once instead of by the cycle collector.
+    """
+
+    __slots__ = ("_positions", "_markings", "_mailboxes", "_ready_set", "_made")
+
+    def __init__(self, positions: dict, markings: list, mailboxes: list, ready_set: _ReadySet):
+        self._positions, self._markings, self._mailboxes = positions, markings, mailboxes
+        self._ready_set = ready_set
+        self._made: dict[str, AgentState] = {}
+
+    def __getitem__(self, agent_id: str) -> AgentState:
+        state = self._made.get(agent_id)
+        if state is None:
+            index = self._positions[agent_id]
+            state = AgentState(None, None, (self._markings, self._mailboxes, self._ready_set, index))
+            self._made[agent_id] = state
+        return state
+
+    def __contains__(self, agent_id) -> bool:
+        return agent_id in self._positions
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 # An agent whose state changed since its first firing was last computed.
 # False, so that like None it is not true: only a first firing is.
 _DIRTY = False
@@ -138,19 +198,20 @@ class _ReadySet:
 
     It is built from one entry per agent: a first firing, a (transition,
     binding) tuple and the only true entry; None for an agent that cannot
-    fire; or `_DIRTY`. Each `AgentState` points here, not to its system, so
-    a system dropped after an adaptation is freed at once instead of by the
-    cycle collector.
+    fire; or `_DIRTY`. `firing` is the system's column of entries. `ready`
+    and `dirty`, the sorted indices of clean agents that can fire and of
+    dirty agents, are worked out from the entries unless the caller has
+    them, as a context saved from a ready set does.
     """
 
     __slots__ = ("firing", "ready", "dirty")
 
-    def __init__(self, firing: list):
-        indices = range(len(firing))
+    def __init__(self, firing: list, ready=None, dirty=None):
         self.firing = firing  # index -> first firing, None, or _DIRTY
-        # sorted indices of clean agents that can fire, and of dirty agents
-        self.ready = list(compress(indices, firing))
-        self.dirty = list(compress(indices, map(is_, firing, repeat(_DIRTY))))
+        if ready is None:
+            indices = range(len(firing))
+            ready, dirty = compress(indices, firing), compress(indices, map(is_, firing, repeat(_DIRTY)))
+        self.ready, self.dirty = list(ready), list(dirty)
 
     def touch(self, index: int) -> None:
         """Mark an agent dirty: its state changed, so its first firing may have."""
@@ -169,46 +230,73 @@ _TASK = attrgetter("task")
 class RunnableSystem:
     """Current state of a running multi-agent system, aware of its own model.
 
-    It keeps a ready set: each agent's first firing, computed again only
+    The agents' state is kept as columns indexed like the sorted agent ids:
+    one `Marking` per agent, one mailbox per agent (a list, or a tuple
+    shared with the context it was resumed from until its first write; see
+    `_own_mailbox`), and the ready set's entries. The scheduler reads and
+    writes the columns by index; `states` gives an `AgentState` view of an
+    agent only to code that asks for one.
+
+    The ready set holds each agent's first firing, computed again only
     after the agent's marking or mailbox changes. Delivery and firing change
     one agent each, so a scheduler step rechecks only that agent. The model
     is fixed for the system's life; adaptation builds a new system.
     """
 
-    def __init__(self, model: MultiAgentModel, bus, cursor=0, step_count=0):
-        """A system over `model` without agent states: `_install` gives them,
+    def __init__(self, model: MultiAgentModel, bus, cursor=0, step_count=0, *, keyed_like=None):
+        """A system over `model` without agent state: `_install` gives it,
         as `fresh` and `resume_context` do. Build a runnable one with
-        `synthesize` or `fresh`."""
+        `synthesize` or `fresh`.
+
+        `keyed_like` is a system, or None. If its model has the same agent
+        keys in the same order, its sorted ids and their positions are
+        reused, and its tasks except those of the agents whose object
+        changed.
+        """
         self.model = model
-        self.agent_ids: tuple[str, ...] = tuple(sorted(model.agents))
+        agents = model.agents
+        like = keyed_like.model.agents if keyed_like is not None else None
+        # (the task column this one was made from, the indices where they may differ), or None
+        self._task_edits = None
+        if like is not None and len(like) == len(agents) and list(like) == list(agents):
+            self.agent_ids: tuple[str, ...] = keyed_like.agent_ids
+            self._positions: dict[str, int] = keyed_like._positions
+            tasks = list(keyed_like._tasks)
+            replaced = compress(agents, map(is_not, like.values(), agents.values()))
+            edits = list(map(self._positions.__getitem__, replaced))
+            for index in edits:
+                tasks[index] = agents[self.agent_ids[index]].task
+            self._task_edits = (keyed_like._tasks, edits)
+        else:
+            self.agent_ids = tuple(sorted(agents))
+            self._positions = dict(zip(self.agent_ids, range(len(self.agent_ids))))  # id -> index
+            tasks = map(_TASK, map(agents.__getitem__, self.agent_ids))
         # the tasks by agent index, fixed like the model
-        self._tasks = tuple(map(_TASK, map(model.agents.__getitem__, self.agent_ids)))
+        self._tasks = tuple(tasks)
         self.bus: list = bus  # FIFO of (channel id, Value) not yet delivered
         self.cursor = cursor
         self.step_count = step_count
         self.trigger_cursor = 0
         self.warnings: list[str] = []
 
-    def _install(self, markings, mailboxes, ready_set: _ReadySet) -> None:
-        """Give the system a new `AgentState` per agent index, built from the
-        columns: one `Marking` and one mailbox list per index, and the ready
-        set whose entries hold for them."""
-        indices = range(len(self.agent_ids))
-        states = tuple(map(AgentState, markings, mailboxes, repeat(ready_set), indices))
-        self.states: dict[str, AgentState] = dict(zip(self.agent_ids, states))
-        self._states, self._ready_set = states, ready_set
+    def _install(self, markings: list, mailboxes: list, ready_set: _ReadySet) -> None:
+        """Give the system its columns, one entry per agent index: `markings`,
+        `mailboxes` (lists, or tuples to be copied on first write), and the
+        ready set whose entries hold for them. Views `states` gave before
+        are of the old columns."""
+        self._markings, self._mailboxes, self._ready_set = markings, mailboxes, ready_set
+        self.states: Mapping[str, AgentState] = _States(self._positions, markings, mailboxes, ready_set)
 
     @classmethod
     def fresh(cls, model: MultiAgentModel) -> "RunnableSystem":
         """Every agent at its task's initial marking, with its channels' initial messages."""
         system = cls(model, [])
         ids, channels = system.agent_ids, model.channels
-        index = dict(zip(ids, range(len(ids))))
-        mailboxes = [[] for _ in ids]
+        mailboxes = [()] * len(ids)
         for cid in sorted(cid for cid, ch in channels.items() if ch.initial):
             ch = channels[cid]
             initial = sorted(ch.initial, key=lambda v: v.sort_key())
-            mailboxes[index[ch.consumer]].extend((cid, v) for v in initial)
+            _own_mailbox(mailboxes, system._positions[ch.consumer]).extend((cid, v) for v in initial)
         markings = list(map(methodcaller("initial_marking"), system._tasks))
         system._install(markings, mailboxes, _ReadySet([_DIRTY] * len(ids)))
         return system
@@ -220,10 +308,9 @@ class RunnableSystem:
         """Compute a dirty agent's first firing and file the agent as clean."""
         ready_set = self._ready_set
         del ready_set.dirty[bisect_left(ready_set.dirty, index)]
-        state, task = self._states[index], self._tasks[index]
+        marking, mailbox = self._markings[index], self._mailboxes[index]
         found = None
-        marking, mailbox = state._marking, state._mailbox
-        for tid, plan in transition_plans(task).items():
+        for tid, plan in transition_plans(self._tasks[index]).items():
             binding = plan.first_binding(marking, mailbox)
             if binding is not None:
                 found = (tid, binding)
@@ -232,6 +319,10 @@ class RunnableSystem:
         if found is not None:
             insort(ready_set.ready, index)
         return found
+
+    def _firing_at(self, index: int) -> Optional[tuple[str, dict]]:
+        firing = self._ready_set.firing[index]
+        return self._resolve(index) if firing is _DIRTY else firing
 
     def first_firing(self, agent_id: str) -> Optional[tuple[str, dict]]:
         """The agent's first enabled (transition, binding) in canonical order, or None.
@@ -242,9 +333,7 @@ class RunnableSystem:
         list held across scheduler calls and edited later is not (see
         `AgentState`).
         """
-        index = self.states[agent_id]._index
-        firing = self._ready_set.firing[index]
-        return self._resolve(index) if firing is _DIRTY else firing
+        return self._firing_at(self._positions[agent_id])
 
     def _next_ready(self, start: int) -> Optional[int]:
         """The first agent index at or cyclically after `start` that can fire, or None.
@@ -364,17 +453,17 @@ def _fired_detail(transition: str, binding: tuple, events) -> str:
     return text
 
 
-def _agent_fire(system: RunnableSystem, aid: str) -> Progressed:
-    """Fire the first enabled (transition, binding) in canonical order of an agent that can fire."""
-    tid, binding = system.first_firing(aid)
-    state = system.states[aid]
+def _agent_fire(system: RunnableSystem, index: int) -> Progressed:
+    """Fire the first enabled (transition, binding) in canonical order of agent `index`, which can fire."""
+    tid, binding = system._firing_at(index)
+    markings = system._markings
     # the binding is the plan's own, found for this very marking and mailbox
-    plan = transition_plans(system._tasks[state._index])[tid]
-    new_marking, events = plan.fire(state._marking, binding)
-    state.marking = new_marking  # marks the agent dirty
-    mailbox = state._mailbox
+    plan = transition_plans(system._tasks[index])[tid]
+    markings[index], events = plan.fire(markings[index], binding)
+    system._ready_set.touch(index)
     for ev in events:
         if isinstance(ev, ReceivedMessage):
+            mailbox = _own_mailbox(system._mailboxes, index)
             for i, (ch, _) in enumerate(mailbox):
                 if ch == ev.channel:
                     del mailbox[i]
@@ -382,7 +471,7 @@ def _agent_fire(system: RunnableSystem, aid: str) -> Progressed:
         elif isinstance(ev, SentMessage):
             system.bus.append((ev.channel, ev.value))
     system.step_count += 1
-    return Progressed(aid, tid, tuple(sorted(binding.items())), tuple(events))
+    return Progressed(system.agent_ids[index], tid, tuple(sorted(binding.items())), tuple(events))
 
 
 def _intercepted_request(system: RunnableSystem, value: Value) -> AdaptationRequest:
@@ -403,7 +492,9 @@ def _deliver(system: RunnableSystem, index: int) -> StepOutcome:
     if channel == ADAPT_CHANNEL:
         return AdaptationNeeded(_intercepted_request(system, value))
     consumer = system.model.channels[channel].consumer
-    system.states[consumer].mailbox.append((channel, value))
+    at = system._positions[consumer]
+    _own_mailbox(system._mailboxes, at).append((channel, value))
+    system._ready_set.touch(at)
     system.step_count += 1
     return Delivered(consumer, channel, value)
 
@@ -428,7 +519,7 @@ def go(system: RunnableSystem, scenario: Scenario) -> StepOutcome:
     index = system._next_ready(system.cursor)
     if index is None:
         return QuiescentPass()
-    outcome = _agent_fire(system, system.agent_ids[index])
+    outcome = _agent_fire(system, index)
     system.cursor = (index + 1) % len(system.agent_ids)
     return outcome
 
@@ -445,7 +536,7 @@ def _seeded_step(rng: random.Random, system: RunnableSystem, scenario: Scenario)
     kind, target, index = rng.choice(actions)
     if kind == "deliver":
         return _deliver(system, index)
-    return _agent_fire(system, target)
+    return _agent_fire(system, system._positions[target])
 
 
 def system_ended(system: RunnableSystem, scenario: Scenario) -> bool:
@@ -461,8 +552,8 @@ def _end_reason(system: RunnableSystem, scenario: Scenario) -> Optional[str]:
             return "quiescence"
     elif cond[0] == "marked":
         _, aid, pid = cond
-        state = system.states.get(aid)
-        if state is not None and not state.marking.get(pid).is_empty:
+        index = system._positions.get(aid)
+        if index is not None and not system._markings[index].get(pid).is_empty:
             return "place-marked"
     return None
 
@@ -479,6 +570,9 @@ class _Live(NamedTuple):
     markings: tuple  # Marking objects, immutable, or MRK1 bytes
     mails: tuple  # each mailbox as a tuple of (channel id, Value)
     entries: tuple  # ready-set entries: a first firing, None, or _DIRTY
+    # the ready set's sorted index lists for `entries`, or None to work them out
+    ready: Optional[tuple]
+    dirty: Optional[tuple]
 
 
 class Context:
@@ -493,11 +587,12 @@ class Context:
     live `Marking` (immutable) and the agent's ready-set entry, so that
     `resume_context` can carry each agent over without encoding it. Its
     marking bytes are encoded on first use of `agent_markings`, and they are
-    the bytes an eager encoding would have given. A context read from bytes
+    the bytes an eager encoding would have given; `agent_mailboxes` is
+    likewise paired with the ids on first use. A context read from bytes
     has no live part; `_columns` views it in the same columns.
     """
 
-    __slots__ = ("version", "_agent_markings", "agent_mailboxes", "bus", "cursor", "step_count", "_live")
+    __slots__ = ("version", "_agent_markings", "_agent_mailboxes", "bus", "cursor", "step_count", "_live")
 
     def __init__(
         self, version, agent_markings, agent_mailboxes, bus, cursor, step_count, *, live=None
@@ -522,16 +617,25 @@ class Context:
             object.__setattr__(self, "_agent_markings", markings)
         return self._agent_markings
 
+    @property
+    def agent_mailboxes(self) -> tuple:
+        if self._agent_mailboxes is None:
+            live = self._live
+            object.__setattr__(self, "_agent_mailboxes", tuple(zip(live.agent_ids, live.mails)))
+        return self._agent_mailboxes
+
     def _columns(self) -> _Live:
         """The agents as columns: the live part, or for a context read from
         bytes, the ids of `agent_markings` with no task, the MRK1 bytes in
-        place of each `Marking`, the mailboxes and every entry `_DIRTY`."""
+        place of each `Marking`, the mailboxes as tuples and every entry
+        `_DIRTY`."""
         if self._live is not None:
             return self._live
         ids = tuple(map(itemgetter(0), self._agent_markings))
-        mails = tuple(map(dict(self.agent_mailboxes).get, ids, repeat(())))
+        mails = tuple(map(tuple, map(dict(self._agent_mailboxes).get, ids, repeat(()))))
         n = len(ids)
-        return _Live(ids, (None,) * n, tuple(map(itemgetter(1), self._agent_markings)), mails, (_DIRTY,) * n)
+        markings = tuple(map(itemgetter(1), self._agent_markings))
+        return _Live(ids, (None,) * n, markings, mails, (_DIRTY,) * n, None, None)
 
     def _fields(self) -> tuple:
         return (self.version, self.agent_markings, self.agent_mailboxes, self.bus, self.cursor, self.step_count)
@@ -553,29 +657,27 @@ class Context:
         return "Context(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields())) + ")"
 
 
-_MARKING, _MAILBOX = attrgetter("_marking"), attrgetter("_mailbox")
-
-
 def save_context(system: RunnableSystem) -> Context:
     """The system's state and control flow; nothing is encoded until asked for.
 
-    Each field is one column copy made at C level, whatever the agent count.
+    Each field is one copy of a system column made at C level, whatever the
+    agent count; a mailbox the system still shares as a tuple is not copied.
     """
-    ids, states = system.agent_ids, system._states
-    mails = tuple(map(tuple, map(_MAILBOX, states)))
     return Context(
         CONTEXT_VERSION,
         None,
-        tuple(zip(ids, mails)),
+        None,
         tuple(system.bus),
         system.cursor,
         system.step_count,
         live=_Live(
-            ids,
+            system.agent_ids,
             system._tasks,
-            tuple(map(_MARKING, states)),
-            mails,
+            tuple(system._markings),
+            tuple(map(tuple, system._mailboxes)),
             tuple(system._ready_set.firing),
+            tuple(system._ready_set.ready),
+            tuple(system._ready_set.dirty),
         ),
     )
 
@@ -585,8 +687,8 @@ def resume_context(
 ) -> RunnableSystem:
     """Restore saved state into a synthesized system, honoring plan impact.
 
-    The system gets new agent states, built from one column per field (see
-    `RunnableSystem._install`); states it had from `synthesize` are
+    The system gets new columns (see `RunnableSystem._install`), built
+    from the context's columns; state it had from `synthesize` is
     replaced. Per agent of the new system:
 
     - A plan-modifying agent restarts fresh: its task's initial marking and
@@ -604,8 +706,10 @@ def resume_context(
     aligned to the new system's agents by id. Only an agent with another
     task object than the context saw (every agent of a context read from
     bytes, and an added agent), a non-preserving impact, or mail on a
-    deleted channel is looked at one by one; any other agent costs a new
-    state object and its share of the column copies.
+    deleted channel is looked at one by one. Any other agent costs only its
+    share of the column copies made at C level, and no object: it shares
+    its `Marking` and its saved mailbox tuple, which the new system copies
+    into a list of its own on the first write (see `_own_mailbox`).
 
     Messages in flight on deleted channels are dropped with a warning too.
 
@@ -624,18 +728,27 @@ def resume_context(
     # relay-adapt run about 7 % slower. Otherwise each column gets a pad at
     # position -1, so an agent the context lacks gets an _ABSENT task, no
     # marking or mail, and a dirty entry.
-    if saved.agent_ids != ids:
+    if saved.agent_ids is not ids and saved.agent_ids != ids:
         position = dict(zip(saved.agent_ids, range(len(saved.agent_ids))))
         at = list(map(position.get, ids, repeat(-1)))
         pads = (_ABSENT, None, (), _DIRTY)
-        saved = _Live(ids, *(tuple(map((*column, pad).__getitem__, at)) for column, pad in zip(saved[1:], pads)))
+        columns = (tuple(map((*column, pad).__getitem__, at)) for column, pad in zip(saved[1:5], pads))
+        saved = _Live(ids, *columns, None, None)
     old_tasks, mails = saved.tasks, saved.mails
-    markings, entries = list(saved.markings), list(saved.entries)
-    redo = set(compress(range(n), map(is_not, old_tasks, tasks)))
-    redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
-    if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(mails))):
+    markings, mailboxes = list(saved.markings), list(mails)
+    ready_set = _ReadySet(list(saved.entries), saved.ready, saved.dirty)
+    edits = new_system._task_edits
+    if edits is not None and edits[0] is old_tasks:  # the system was made from the context's tasks
+        redo = set(edits[1])
+    else:
+        redo = set(compress(range(n), map(is_not, old_tasks, tasks)))
+    kinds = impact.per_agent
+    # an impact keyed in id order with every agent preserving, as `evolve`
+    # of a procedure swap and `resume_run` make it, needs no lookup per agent
+    if not (len(kinds) == n and tuple(kinds) == ids and list(kinds.values()).count("preserving") == n):
+        redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
+    if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(filter(None, mails)))):
         redo.update(compress(range(n), mails))
-    mailboxes = list(map(list, mails))
     warnings = new_system.warnings
 
     for index in sorted(redo):
@@ -644,16 +757,17 @@ def resume_context(
         if kind is None:
             raise ImpactMismatch(f"no impact classification for agent {aid}")
         if kind != "preserving":
-            markings[index], mailboxes[index], entries[index] = task.initial_marking(), [], _DIRTY
+            markings[index], mailboxes[index] = task.initial_marking(), ()
+            ready_set.touch(index)
             continue
-        old_task, marking, entry = old_tasks[index], markings[index], entries[index]
+        old_task, marking, keep_entry = old_tasks[index], markings[index], True
         if old_task is _ABSENT:
             raise ImpactMismatch(f"agent {aid} is preserving but absent from the context")
         try:
             if old_task is None:  # a context read from bytes
                 marking = restore_marking(marking, task)
             elif old_task is not task:
-                entry = _DIRTY
+                keep_entry = False
                 for pid in marking.place_ids():
                     old_place, place = old_task.places.get(pid), task.places.get(pid)
                     if old_place is None or place is None or place.colorset is not old_place.colorset:
@@ -665,20 +779,21 @@ def resume_context(
         markings[index] = marking
         mail = mails[index]
         if mail:
-            kept = [m for m in mail if m[0] in channels]
+            kept = tuple(m for m in mail if m[0] in channels)
             if old_task is None:
                 for ch, v in kept:
                     _check_message_color(new_system.model, ch, v)
             if len(kept) != len(mail):
-                entry = _DIRTY
+                keep_entry = False
                 warnings.extend(
                     f"dropped mailbox message on deleted channel {ch} for {aid}"
                     for ch, _ in mail
                     if ch not in channels
                 )
             mailboxes[index] = kept
-        entries[index] = entry
-    new_system._install(markings, mailboxes, _ReadySet(entries))
+        if not keep_entry:
+            ready_set.touch(index)
+    new_system._install(markings, mailboxes, ready_set)
 
     new_system.bus = []
     for ch, v in context.bus:
@@ -728,8 +843,8 @@ def _finish(system, reason, trace, adaptations, final_entry=True):
     return FinalReport(
         end_reason=reason,
         steps=system.step_count,
-        final_markings={aid: system.states[aid].marking for aid in system.agent_ids},
-        final_mailboxes={aid: tuple(system.states[aid]._mailbox) for aid in system.agent_ids},
+        final_markings=dict(zip(system.agent_ids, system._markings)),
+        final_mailboxes=dict(zip(system.agent_ids, map(tuple, system._mailboxes))),
         trace=tuple(trace),
         adaptations=tuple(adaptations),
         warnings=tuple(system.warnings),
@@ -800,11 +915,11 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     """The adaptation step: save, evolve, synthesize, resume. Order is load-bearing.
 
     Python-level work is done only for the agents the request replaced; an
-    agent it left alone costs one new `AgentState` and its share of column
-    copies made at C level (`map`, `zip`, `compress`, `list.copy`):
+    agent it left alone costs no object, only its share of column copies
+    made at C level (`map`, `zip`, `compress`, `list.copy`):
 
-    - `save_context` keeps each agent's live marking, mailbox and ready-set
-      entry as columns and encodes nothing.
+    - `save_context` copies the system's columns of markings, mailboxes and
+      ready-set entries and encodes nothing.
     - `evolve` and `diff_models` pair the old and new agents by position
       when the agent ids did not change (see `changed_keys`), and look only
       at the agents whose object differs.
@@ -812,25 +927,30 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
       agents the request replaced against the cross-agent tables of the old
       one; a changed channel, an added or removed agent, or any violation
       runs the full pass (see `validate_model`).
-    - `synthesize` builds the new system without agent states, and
-      `resume_context` builds each once, from the saved columns aligned to
-      the new agents by id. A plan-preserving agent whose task object is
-      unchanged keeps its marking by identity and its ready-set entry, so
-      it stays clean in the new ready set, which is built from the entries.
-      No marking goes through bytes, and a plan-modifying agent, an added
-      one among them, still restarts fresh.
+    - `synthesize` builds the new system without agent state. When the
+      agent keys did not change it reuses the old system's sorted ids, and
+      its task column except for the replaced agents.
+    - `resume_context` builds the new columns from the saved ones, aligned
+      to the new agents by id. A plan-preserving agent whose task object is
+      unchanged keeps its `Marking` and mailbox tuple by identity and its
+      ready-set entry, so it stays clean in the new ready set, which is
+      built from the entries. No marking goes through bytes, and a
+      plan-modifying agent, an added one among them, still restarts fresh.
+      No `AgentState` is made: `states` makes one only for an agent some
+      caller asks for.
 
     A message on a deleted channel makes `resume_context` look at every
     agent with mail.
 
-    The system adapted away is left as it was: its states, ready set, bus
-    and warnings are its own. A rejected request raises before anything is
-    built, so the running system is untouched.
+    The system adapted away is left as it was: its columns, states, ready
+    set, bus and warnings are its own; the two systems share only immutable
+    markings and mailbox tuples. A rejected request raises before anything
+    is built, so the running system is untouched.
     """
     context = save_context(system)
     new_model, impact = evolve(system.model, request)
     diff = diff_models(system.model, new_model)
-    new_system = synthesize(new_model, _stateless=True)
+    new_system = synthesize(new_model, _stateless=True, _keyed_like=system)
     new_system.warnings = list(system.warnings)
     new_system.trigger_cursor = system.trigger_cursor
     resumed = resume_context(new_system, context, impact)

@@ -1126,6 +1126,39 @@ class TestCarryOver:
         assert adaptive_loop(new, Scenario()).final_markings["agent2"] == marking_of(out_=[3])
 
 
+    @pytest.mark.parametrize("written", ["old", "new"])
+    @pytest.mark.parametrize("aid", ["agent1", "agent2"])
+    def test_the_two_systems_share_no_mailbox(self, mam1, written, aid):
+        """After an adaptation, a write through `states[aid].mailbox` in one
+        system leaves the other's mailbox as it was: for agent2, carried over
+        with mail, and for agent1, whose mailbox is empty."""
+        system = synthesize(mam1)
+        go(system, Scenario())  # tA fires
+        go(system, Scenario())  # its message is delivered to agent2
+        new = runtime_mod._adapt(system, AdaptationRequest((rp_p("agent1", "pass", inc2()),)), [], [])
+        before = {"agent1": (), "agent2": (("mid", tok(1)),)}
+        for side in (system, new):
+            assert dict(save_context(side).agent_mailboxes) == before
+        one, other = (system, new) if written == "old" else (new, system)
+        one.states[aid].mailbox.append(("mid", tok(9)))
+        assert dict(save_context(one).agent_mailboxes)[aid] == before[aid] + (("mid", tok(9)),)
+        assert dict(save_context(other).agent_mailboxes) == before
+        assert other.states[aid].mailbox == list(before[aid])
+
+    def test_a_delivery_to_an_empty_mailbox_reaches_no_other_agent(self, mam1):
+        """Both agents hold an empty mailbox when the system is adapted; the
+        delivery to agent2 that follows lands in agent2's mailbox of the new
+        system only."""
+        system = synthesize(mam1)
+        go(system, Scenario())  # tA fires; its message is on the bus
+        new = runtime_mod._adapt(system, AdaptationRequest((rp_p("agent2", "inc1", inc2()),)), [], [])
+        empty = {"agent1": (), "agent2": ()}
+        assert dict(save_context(new).agent_mailboxes) == empty
+        assert isinstance(go(new, Scenario()), Delivered)
+        assert dict(save_context(new).agent_mailboxes) == {"agent1": (), "agent2": (("mid", tok(1)),)}
+        assert dict(save_context(system).agent_mailboxes) == empty
+        assert adaptive_loop(system, Scenario()).final_mailboxes == empty
+
     def test_no_model_keeps_its_predecessor_alive(self, mam1):
         """Each adaptation builds on the model before it; none may hold on to it (peak memory)."""
         from roleflow import evolve
@@ -1230,6 +1263,28 @@ class TestAdaptationCost:
         assert all(f is g for f, g in zip(ready_set.firing, firing))
         assert system.warnings is warnings and warnings == ["an earlier warning"]
         assert_clean_agents_match_oracle(new)
+
+    def test_untouched_agents_get_no_agent_state(self, monkeypatch):
+        """On a 160-agent relay, one procedure swap and the 50 scheduler steps
+        after it, none of which reads `states`, make no `AgentState`; the
+        system makes one for an agent a caller asks for, and only once."""
+        agents = 160
+        relay = decompose(relay_org(agents, 2), {f"r{i}": f"a{i}" for i in range(agents)})
+        system = synthesize(relay)
+        for _ in range(50):
+            go(system, Scenario())
+        made, real_init = [], runtime_mod.AgentState.__init__
+
+        def init(state, *args):
+            made.append(state)
+            real_init(state, *args)
+
+        monkeypatch.setattr(runtime_mod.AgentState, "__init__", init)
+        system = runtime_mod._adapt(system, AdaptationRequest((rp_p("a7", "take", inc2()),)), [], [])
+        for _ in range(50):
+            go(system, Scenario())
+        assert made == []
+        assert system.states["a7"] is system.states["a7"] and len(made) == 1
 
     def test_counts_do_not_grow_with_the_agent_count(self, monkeypatch):
         from roleflow.adaptation import add_agent
