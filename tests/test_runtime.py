@@ -531,8 +531,24 @@ class TestResumeContext:
         assert resumed.states["agent1"].marking == marking_of(in_=[1])  # restarted
         assert resumed.states["agent2"]._mailbox == [("mid", tok(1))]
         assert resumed._ready_set.dirty == [0] + ([1] if from_bytes else [])
-        with pytest.raises(ImpactMismatch, match="^no impact classification for agent agent2$"):
-            resume_context(synthesize(mam1), ctx, PlanImpact({"agent1": "preserving"}))
+        for kinds in ({"agent1": "preserving"}, {"agent1": "preserving", "ghost": "preserving"}):
+            with pytest.raises(ImpactMismatch, match="^no impact classification for agent agent2$"):
+                resume_context(synthesize(mam1), ctx, PlanImpact(kinds))
+
+    def test_states_read_before_a_resume_do_not_stand_for_the_resumed_agents(self, mam1):
+        """A synthesized system whose states were read is resumed: `states`
+        then gives views of the resumed columns, and a view taken before
+        still shows the fresh state it was made over."""
+        system = synthesize(mam1)
+        go(system, Scenario())
+        go(system, Scenario())  # agent1's token is gone; agent2 holds its message
+        target = synthesize(mam1)
+        before = {aid: target.states[aid] for aid in target.agent_ids}
+        preserving = PlanImpact({"agent1": "preserving", "agent2": "preserving"})
+        resumed = resume_context(target, save_context(system), preserving)
+        assert all(resumed.states[aid] is not state for aid, state in before.items())
+        assert resumed.states == system.states
+        assert before["agent1"].marking == marking_of(in_=[1]) and before["agent2"].mailbox == []
 
 
 class TestAdaptiveLoop:
@@ -1158,6 +1174,28 @@ class TestCarryOver:
         assert dict(save_context(new).agent_mailboxes) == {"agent1": (), "agent2": (("mid", tok(1)),)}
         assert dict(save_context(system).agent_mailboxes) == empty
         assert adaptive_loop(system, Scenario()).final_mailboxes == empty
+
+    @pytest.mark.parametrize("source", ["bytes", "another run"])
+    def test_a_system_keyed_like_another_resumes_any_context(self, mam1, source):
+        """A system built to reuse the task column of the one it replaces
+        looks at its changed agents only for a context of that very system;
+        from any other context it resumes like a system built afresh."""
+        request = AdaptationRequest((rp_p("agent1", "pass", inc2()),))
+        running = synthesize(mam1)
+        new_model, impact = runtime_mod.evolve(running.model, request)
+        other = synthesize(mam1)
+        go(other, Scenario())
+        go(other, Scenario())  # agent1's token is gone; agent2 holds its message
+        context = save_context(other)
+        if source == "bytes":
+            context = read_context(write_context(context))
+        keyed = synthesize(new_model, _stateless=True, _keyed_like=running)
+        assert keyed.agent_ids is running.agent_ids
+        got = resume_context(keyed, context, impact)
+        expected = resume_context(synthesize(new_model, _stateless=True), context, impact)
+        assert write_context(save_context(got)) == write_context(save_context(expected))
+        assert got.states == expected.states
+        assert_clean_agents_match_oracle(got)
 
     def test_no_model_keeps_its_predecessor_alive(self, mam1):
         """Each adaptation builds on the model before it; none may hold on to it (peak memory)."""
