@@ -602,7 +602,7 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
     changed = list(compress(range(len(seen.agents)), map(operator.is_not, prior.agents, seen.agents)))
     if not changed:
         return prior.tables
-    tables, copied = list(prior.tables), [False] * len(_Tables._fields)
+    tables = list(prior.tables)
     clashes: list[Violation] = []
     for i in changed:
         aid, new = seen.agent_ids[i], seen.agents[i]
@@ -610,10 +610,10 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
         if new.id != aid or checks.head or checks.tail:
             return None
         gone, come = _KEY_LISTS(prior.agents[i]._checks), _KEY_LISTS(checks)
-        moved = [old != new for old, new in zip(gone, come)]
+        moved = [a != b for a, b in zip(gone, come)]
         for k in compress(range(len(moved)), moved):
-            if not copied[k]:
-                tables[k], copied[k] = dict(tables[k]), True
+            if tables[k] is prior.tables[k]:  # shared until its first change
+                tables[k] = dict(tables[k])
         current = _Tables(*tables)
         _leave(current, [keys if m else () for keys, m in zip(gone, moved)])
         _enter(current, [keys if m else () for keys, m in zip(come, moved)], aid, mam.channels, clashes, {})

@@ -92,10 +92,6 @@ class AgentState:
         self._markings, self._mailboxes, self._ready_set, self._index = _at
 
     @property
-    def _marking(self) -> Marking:
-        return self._markings[self._index]
-
-    @property
     def _mailbox(self) -> list:
         return _own_mailbox(self._mailboxes, self._index)
 
@@ -125,16 +121,16 @@ class AgentState:
     def __eq__(self, other):
         if not isinstance(other, AgentState):
             return NotImplemented
-        return self._marking == other._marking and self._mailbox == other._mailbox
+        return self.marking == other.marking and self._mailbox == other._mailbox
 
     __hash__ = None
 
     def __reduce__(self):
         # a copy or pickle is detached: no ready set, and a mailbox of its own
-        return (AgentState, (self._marking, list(self._mailbox)))
+        return (AgentState, (self.marking, list(self._mailbox)))
 
     def __repr__(self):
-        return f"AgentState(marking={self._marking!r}, mailbox={self._mailbox!r})"
+        return f"AgentState(marking={self.marking!r}, mailbox={self._mailbox!r})"
 
 
 def _own_mailbox(mailboxes: list, index: int) -> list:
