@@ -576,7 +576,7 @@ def _full_pass(mam: MultiAgentModel) -> tuple[ValidationReport, "_Tables"]:
             out.append(Violation("agent", aid, "agent keyed under a different id"))
         checks = _AgentChecks.of(aid, agent, mam.channels)
         out.extend(checks.head)
-        _enter(tables, _KEY_LISTS(checks), aid, mam.channels, out, first)
+        _enter(tables, checks, aid, mam.channels, out, first)
         out.extend(checks.tail)
     report = report_of(out)
     return report, tables if report.empty else None
@@ -586,14 +586,13 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
     """The tables of `mam` from those of a clean `prior` it differs from only in
     replaced agents, or None when the full pass must decide.
 
-    Each replaced agent leaves the tables with its old keys and enters them
-    with its new ones, for each key list (places to variables) that
-    differs between the two: a list that is equal leaves and enters the
-    same entries. A table is copied from the prior's before its first
-    change and shared otherwise, so an `rpP` copies only `procedures`. The
-    old checks are on the old agent: `decompose` and `_AgentChecks.of` keep
-    them on every agent a clean memo holds, and the key lists depend only
-    on the task.
+    Each replaced agent leaves the tables with its old checks and enters
+    them with its new ones. A key list equal to the old one would leave and
+    enter the same entries, so it is skipped; a table is copied from the
+    prior's before its first change and shared otherwise, so an `rpP`
+    copies only `procedures`. The old checks are on the old agent:
+    `decompose` and `_AgentChecks.of` keep them on every agent a clean memo
+    holds, and the key lists depend only on the task.
     """
     if seen.agent_ids != prior.agent_ids or not seen.same_channels(prior):
         return None
@@ -602,7 +601,7 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
     changed = list(compress(range(len(seen.agents)), map(operator.is_not, prior.agents, seen.agents)))
     if not changed:
         return prior.tables
-    tables = list(prior.tables)
+    tables = list(prior.tables)  # each the prior's until its first change
     clashes: list[Violation] = []
     for i in changed:
         aid, new = seen.agent_ids[i], seen.agents[i]
@@ -610,13 +609,18 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
         if new.id != aid or checks.head or checks.tail:
             return None
         gone, come = _KEY_LISTS(prior.agents[i]._checks), _KEY_LISTS(checks)
-        moved = [a != b for a, b in zip(gone, come)]
+        moved = list(map(operator.ne, gone, come))
         for k in compress(range(len(moved)), moved):
-            if tables[k] is prior.tables[k]:  # shared until its first change
+            if tables[k] is prior.tables[k]:
                 tables[k] = dict(tables[k])
+        # `_leave` and `_enter` read the key lists by name, as on the checks;
+        # an equal list is passed empty
+        gone, come = (
+            _Tables(*[keys if m else () for keys, m in zip(lists, moved)]) for lists in (gone, come)
+        )
         current = _Tables(*tables)
-        _leave(current, [keys if m else () for keys, m in zip(gone, moved)])
-        _enter(current, [keys if m else () for keys, m in zip(come, moved)], aid, mam.channels, clashes, {})
+        _leave(current, gone)
+        _enter(current, come, aid, mam.channels, clashes, {})
         if clashes:
             return None
     return _Tables(*tables)
@@ -626,30 +630,29 @@ def _replace_agents(mam: MultiAgentModel, seen: _Validated, prior: _Validated):
 _KEY_LISTS = operator.attrgetter(*_Tables._fields)
 
 
-def _enter(tables: _Tables, keys, aid: str, channels, out: list, first: dict) -> None:
+def _enter(tables: _Tables, checks: _AgentChecks, aid: str, channels, out: list, first: dict) -> None:
     """Put one agent's keys into `tables`, appending each clash to `out` in
     report order: places, transitions, procedures, color sets, variables.
 
-    `keys` holds the agent's key lists in the order of the tables (see
-    `_KEY_LISTS`). `first` maps (code, name) to the agent that first
-    entered the name, for the text of a conflict. The full pass keeps it
-    across agents; an update, which stops at a clash without reporting it,
-    passes an empty one.
+    `first` maps (code, name) to the agent that first entered the name, for
+    the text of a conflict. The full pass keeps it across agents; an update,
+    which stops at a clash without reporting it, passes an empty one.
     """
-    places, transitions, *named = keys
-    for pid in places:
+    for pid in checks.places:
         if pid in tables.places:
             out.append(Violation("place", pid, f"also owned by agent {tables.places[pid]}"))
         elif pid in channels:
             out.append(Violation("place", pid, "private place shadows a channel"))
         else:
             tables.places[pid] = aid
-    for tid in transitions:
+    for tid in checks.transitions:
         if tid in tables.transitions:
             out.append(Violation("transition", tid, f"also owned by agent {tables.transitions[tid]}"))
         else:
             tables.transitions[tid] = aid
-    for code, table, entries in zip(("procedure", "colorset", "variable"), tables[2:], named):
+    for code, table, entries in (("procedure", tables.procedures, checks.procedures),
+                                 ("colorset", tables.colorsets, checks.colorsets),
+                                 ("variable", tables.variables, checks.variables)):
         for name, definition in entries:
             kept = table.get(name)
             if kept is None:
@@ -661,13 +664,14 @@ def _enter(tables: _Tables, keys, aid: str, channels, out: list, first: dict) ->
             table[name] = (kept[0], kept[1] + 1)
 
 
-def _leave(tables: _Tables, keys) -> None:
-    """Take one agent's keys (as in `_enter`) out of clean tables, where it
-    owns its ids and counts once per name."""
-    for table, ids in zip(tables[:2], keys[:2]):
+def _leave(tables: _Tables, checks: _AgentChecks) -> None:
+    """Take one agent's keys out of clean tables, where it owns its ids and counts once per name."""
+    for table, ids in ((tables.places, checks.places), (tables.transitions, checks.transitions)):
         for key in ids:
             del table[key]
-    for table, entries in zip(tables[2:], keys[2:]):
+    for table, entries in ((tables.procedures, checks.procedures),
+                           (tables.colorsets, checks.colorsets),
+                           (tables.variables, checks.variables)):
         for name, _ in entries:
             definition, count = table[name]
             if count == 1:
@@ -676,19 +680,15 @@ def _leave(tables: _Tables, keys) -> None:
                 table[name] = (definition, count - 1)
 
 
-def synthesize(mam: MultiAgentModel, *, _stateless: bool = False, _keyed_like=None):
+def synthesize(mam: MultiAgentModel, *, _stateless: bool = False):
     """Build a runnable system: fresh markings, channel-preloaded mailboxes.
 
-    `_stateless` and `_keyed_like` are private to `runtime`: its `_adapt`
-    and `resume_run` take a validated system without agent state, for
-    `resume_context` to fill, and `_adapt` hands over the system it
-    replaces, whose agent ids and tasks are reused where they still hold.
+    `_stateless` is private to `runtime`: its `_adapt` and `resume_run` take
+    a validated system without agent state, for `resume_context` to fill.
     """
     report = validate_model(mam)
     if not report.empty:
         raise CoherenceError("model fails validation", report)
     from . import runtime
 
-    if _stateless:
-        return runtime.RunnableSystem(mam, [], keyed_like=_keyed_like)
-    return runtime.RunnableSystem.fresh(mam)
+    return runtime.RunnableSystem(mam, []) if _stateless else runtime.RunnableSystem.fresh(mam)

@@ -239,36 +239,16 @@ class RunnableSystem:
     is fixed for the system's life; adaptation builds a new system.
     """
 
-    def __init__(self, model: MultiAgentModel, bus, cursor=0, step_count=0, *, keyed_like=None):
+    def __init__(self, model: MultiAgentModel, bus, cursor=0, step_count=0):
         """A system over `model` without agent state: `_install` gives it,
         as `fresh` and `resume_context` do. Build a runnable one with
-        `synthesize` or `fresh`.
-
-        `keyed_like` is a system, or None. If its model has the same agent
-        keys in the same order, its sorted ids and their positions are
-        reused, and its tasks except those of the agents whose object
-        changed.
-        """
+        `synthesize` or `fresh`."""
         self.model = model
         agents = model.agents
-        like = keyed_like.model.agents if keyed_like is not None else None
-        # (the task column this one was made from, the indices where they may differ), or None
-        self._task_edits = None
-        if like is not None and len(like) == len(agents) and list(like) == list(agents):
-            self.agent_ids: tuple[str, ...] = keyed_like.agent_ids
-            self._positions: dict[str, int] = keyed_like._positions
-            tasks = list(keyed_like._tasks)
-            replaced = compress(agents, map(is_not, like.values(), agents.values()))
-            edits = list(map(self._positions.__getitem__, replaced))
-            for index in edits:
-                tasks[index] = agents[self.agent_ids[index]].task
-            self._task_edits = (keyed_like._tasks, edits)
-        else:
-            self.agent_ids = tuple(sorted(agents))
-            self._positions = dict(zip(self.agent_ids, range(len(self.agent_ids))))  # id -> index
-            tasks = map(_TASK, map(agents.__getitem__, self.agent_ids))
+        self.agent_ids: tuple[str, ...] = tuple(sorted(agents))
+        self._positions: dict[str, int] = dict(zip(self.agent_ids, range(len(self.agent_ids))))  # id -> index
         # the tasks by agent index, fixed like the model
-        self._tasks = tuple(tasks)
+        self._tasks = tuple(map(_TASK, map(agents.__getitem__, self.agent_ids)))
         self.bus: list = bus  # FIFO of (channel id, Value) not yet delivered
         self.cursor = cursor
         self.step_count = step_count
@@ -567,8 +547,8 @@ class _Live(NamedTuple):
     mails: tuple  # each mailbox as a tuple of (channel id, Value)
     entries: tuple  # ready-set entries: a first firing, None, or _DIRTY
     # the ready set's sorted index lists for `entries`, or None to work them out
-    ready: Optional[tuple]
-    dirty: Optional[tuple]
+    ready: Optional[tuple] = None
+    dirty: Optional[tuple] = None
 
 
 class Context:
@@ -628,10 +608,9 @@ class Context:
         if self._live is not None:
             return self._live
         ids = tuple(map(itemgetter(0), self._agent_markings))
-        mails = tuple(map(tuple, map(dict(self._agent_mailboxes).get, ids, repeat(()))))
+        mails = tuple(map(tuple, map(dict(self.agent_mailboxes).get, ids, repeat(()))))
         n = len(ids)
-        markings = tuple(map(itemgetter(1), self._agent_markings))
-        return _Live(ids, (None,) * n, markings, mails, (_DIRTY,) * n, None, None)
+        return _Live(ids, (None,) * n, tuple(map(itemgetter(1), self._agent_markings)), mails, (_DIRTY,) * n)
 
     def _fields(self) -> tuple:
         return (self.version, self.agent_markings, self.agent_mailboxes, self.bus, self.cursor, self.step_count)
@@ -705,7 +684,10 @@ def resume_context(
     deleted channel is looked at one by one. Any other agent costs only its
     share of the column copies made at C level, and no object: it shares
     its `Marking` and its saved mailbox tuple, which the new system copies
-    into a list of its own on the first write (see `_own_mailbox`).
+    into a list of its own on the first write (see `_own_mailbox`). When
+    the ids were not realigned, the ready set starts from the context's
+    saved index lists, and only the agents looked at one by one are marked
+    dirty in it.
 
     Messages in flight on deleted channels are dropped with a warning too.
 
@@ -724,26 +706,18 @@ def resume_context(
     # relay-adapt run about 7 % slower. Otherwise each column gets a pad at
     # position -1, so an agent the context lacks gets an _ABSENT task, no
     # marking or mail, and a dirty entry.
-    if saved.agent_ids is not ids and saved.agent_ids != ids:
+    if saved.agent_ids != ids:
         position = dict(zip(saved.agent_ids, range(len(saved.agent_ids))))
         at = list(map(position.get, ids, repeat(-1)))
         pads = (_ABSENT, None, (), _DIRTY)
         columns = (tuple(map((*column, pad).__getitem__, at)) for column, pad in zip(saved[1:5], pads))
-        saved = _Live(ids, *columns, None, None)
+        saved = _Live(ids, *columns)
     old_tasks, mails = saved.tasks, saved.mails
     markings, mailboxes = list(saved.markings), list(mails)
     ready_set = _ReadySet(list(saved.entries), saved.ready, saved.dirty)
-    edits = new_system._task_edits
-    if edits is not None and edits[0] is old_tasks:  # the system was made from the context's tasks
-        redo = set(edits[1])
-    else:
-        redo = set(compress(range(n), map(is_not, old_tasks, tasks)))
-    kinds = impact.per_agent
-    # an impact keyed in id order with every agent preserving, as `evolve`
-    # of a procedure swap and `resume_run` make it, needs no lookup per agent
-    if not (len(kinds) == n and tuple(kinds) == ids and list(kinds.values()).count("preserving") == n):
-        redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
-    if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(filter(None, mails)))):
+    redo = set(compress(range(n), map(is_not, old_tasks, tasks)))
+    redo.update(compress(range(n), map(ne, map(kind_of, ids), repeat("preserving"))))
+    if not channels.keys() >= set(map(itemgetter(0), chain.from_iterable(mails))):
         redo.update(compress(range(n), mails))
     warnings = new_system.warnings
 
@@ -915,7 +889,8 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     made at C level (`map`, `zip`, `compress`, `list.copy`):
 
     - `save_context` copies the system's columns of markings, mailboxes and
-      ready-set entries and encodes nothing.
+      ready-set entries and the ready set's index lists, and encodes
+      nothing.
     - `evolve` and `diff_models` pair the old and new agents by position
       when the agent ids did not change (see `changed_keys`), and look only
       at the agents whose object differs.
@@ -923,14 +898,12 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
       agents the request replaced against the cross-agent tables of the old
       one; a changed channel, an added or removed agent, or any violation
       runs the full pass (see `validate_model`).
-    - `synthesize` builds the new system without agent state. When the
-      agent keys did not change it reuses the old system's sorted ids, and
-      its task column except for the replaced agents.
+    - `synthesize` builds the new system without agent state.
     - `resume_context` builds the new columns from the saved ones, aligned
       to the new agents by id. A plan-preserving agent whose task object is
       unchanged keeps its `Marking` and mailbox tuple by identity and its
-      ready-set entry, so it stays clean in the new ready set, which is
-      built from the entries. No marking goes through bytes, and a
+      ready-set entry, so it stays clean in the new ready set, which starts
+      from the saved index lists. No marking goes through bytes, and a
       plan-modifying agent, an added one among them, still restarts fresh.
       No `AgentState` is made: `states` makes one only for an agent some
       caller asks for.
@@ -946,7 +919,7 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     context = save_context(system)
     new_model, impact = evolve(system.model, request)
     diff = diff_models(system.model, new_model)
-    new_system = synthesize(new_model, _stateless=True, _keyed_like=system)
+    new_system = synthesize(new_model, _stateless=True)
     new_system.warnings = list(system.warnings)
     new_system.trigger_cursor = system.trigger_cursor
     resumed = resume_context(new_system, context, impact)

@@ -1175,28 +1175,6 @@ class TestCarryOver:
         assert dict(save_context(system).agent_mailboxes) == empty
         assert adaptive_loop(system, Scenario()).final_mailboxes == empty
 
-    @pytest.mark.parametrize("source", ["bytes", "another run"])
-    def test_a_system_keyed_like_another_resumes_any_context(self, mam1, source):
-        """A system built to reuse the task column of the one it replaces
-        looks at its changed agents only for a context of that very system;
-        from any other context it resumes like a system built afresh."""
-        request = AdaptationRequest((rp_p("agent1", "pass", inc2()),))
-        running = synthesize(mam1)
-        new_model, impact = runtime_mod.evolve(running.model, request)
-        other = synthesize(mam1)
-        go(other, Scenario())
-        go(other, Scenario())  # agent1's token is gone; agent2 holds its message
-        context = save_context(other)
-        if source == "bytes":
-            context = read_context(write_context(context))
-        keyed = synthesize(new_model, _stateless=True, _keyed_like=running)
-        assert keyed.agent_ids is running.agent_ids
-        got = resume_context(keyed, context, impact)
-        expected = resume_context(synthesize(new_model, _stateless=True), context, impact)
-        assert write_context(save_context(got)) == write_context(save_context(expected))
-        assert got.states == expected.states
-        assert_clean_agents_match_oracle(got)
-
     def test_no_model_keeps_its_predecessor_alive(self, mam1):
         """Each adaptation builds on the model before it; none may hold on to it (peak memory)."""
         from roleflow import evolve
