@@ -41,10 +41,7 @@ _TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"
 
 
 def quote_text(s: str) -> str:
-    out = []
-    for ch in s:
-        out.append(_TEXT_ESCAPES.get(ch, ch))
-    return '"' + "".join(out) + '"'
+    return '"' + "".join(map(_TEXT_ESCAPES.get, s, s)) + '"'
 
 
 # every live color by (name, kind, members, components); weak, so the table
@@ -137,17 +134,13 @@ class Value:
                 raise TypeMismatch(f"text value with payload {p!r}")
         elif kind == "enum":
             if p not in self.colorset.members:
-                raise TypeMismatch(
-                    f"'{p}' is not a member of enum {self.colorset.name}"
-                )
+                raise TypeMismatch(f"'{p}' is not a member of enum {self.colorset.name}")
         elif kind == "product":
             if not isinstance(p, tuple) or len(p) != len(self.colorset.components):
                 raise TypeMismatch(f"product {self.colorset.name} arity mismatch")
             for comp, v in zip(self.colorset.components, p):
                 if not isinstance(v, Value) or v.colorset != comp:
-                    raise TypeMismatch(
-                        f"component of product {self.colorset.name} has wrong color"
-                    )
+                    raise TypeMismatch(f"component of product {self.colorset.name} has wrong color")
 
     # Values are frozen, so the sort key and hash computed on first use never
     # go stale. They are read with getattr, not `self.__dict__`: reading an
@@ -194,10 +187,7 @@ class Value:
 def value_of(colorset: ColorSet, raw) -> Value:
     """Build a Value from plain Python data, recursing into product components."""
     if colorset.kind == "product" and isinstance(raw, tuple):
-        parts = tuple(
-            v if isinstance(v, Value) else value_of(c, v)
-            for c, v in zip(colorset.components, raw)
-        )
+        parts = tuple(v if isinstance(v, Value) else value_of(c, v) for c, v in zip(colorset.components, raw))
         return Value(colorset, parts)
     return Value(colorset, raw)
 
@@ -230,9 +220,8 @@ class Multiset:
 
     @classmethod
     def from_counts(cls, counts: Mapping[Value, int]) -> "Multiset":
-        for v, n in counts.items():
-            if n <= 0:
-                raise TypeMismatch("multiset counts must be positive")
+        if any(n <= 0 for n in counts.values()):
+            raise TypeMismatch("multiset counts must be positive")
         color = None
         for v in counts:
             if color is None:
@@ -488,9 +477,7 @@ BUILTINS: dict[str, Builtin] = {
 
 
 def _call_problem(name: str, builtin: Builtin | None) -> str:
-    if builtin is None:
-        return f"unknown builtin '{name}'"
-    return f"builtin {name} takes {builtin.arity} argument(s)"
+    return f"unknown builtin '{name}'" if builtin is None else f"builtin {name} takes {builtin.arity} argument(s)"
 
 
 def eval_expr(expr: Expr, binding: Mapping[str, Value], expected: ColorSet | None = None) -> Value:
@@ -620,11 +607,14 @@ class CompiledProcedure(NamedTuple):
     `violations` are the procedure's type-check entries. `outputs` are the
     (name, closure) pairs a plan runs, in output order, or None when an
     output does not compile; `failure` is then the `ProcedureFailure` text.
+    `clean_shapes` grows with the transition shapes that pass their check
+    with this procedure (`_transition_check`).
     """
 
     violations: tuple[Violation, ...]
     outputs: Optional[tuple[tuple[str, Callable], ...]]
     failure: Optional[str]
+    clean_shapes: set
 
 
 def compiled_procedure(proc: ProcedureDef) -> CompiledProcedure:
@@ -663,7 +653,7 @@ def _compile_procedure(proc: ProcedureDef) -> CompiledProcedure:
         if problems and failure is None:
             failure = f"procedure {proc.name}, output {rname}: {problems[0]}"
         outputs.append((rname, run))
-    return CompiledProcedure(tuple(out), None if failure else tuple(outputs), failure)
+    return CompiledProcedure(tuple(out), None if failure else tuple(outputs), failure, set())
 
 
 @dataclass(frozen=True)
@@ -738,6 +728,7 @@ class OutputArc:
 
 
 Arc = Union[InputArc, OutputArc]
+_LABEL = operator.attrgetter("label")
 
 
 class Net:
@@ -762,23 +753,18 @@ class Net:
         arcs: Iterable[Arc] = (),
     ):
         self.id = id
+        # each table is keyed from one list, so any iterable is read once
+        variables, places, transitions, procedures = map(list, (variables, places, transitions, procedures))
         self.variables = _keyed({v.name: v for v in variables}, variables, "variable")
         self.places = _keyed({p.id: p for p in places}, places, "place")
         self.transitions = _keyed({t.id: t for t in transitions}, transitions, "transition")
         self.procedures = _keyed({p.name: p for p in procedures}, procedures, "procedure")
         self.colorsets = _color_table(id, colorsets, self.variables, self.places, self.procedures)
         self.arcs = tuple(arcs)
-        self._inputs: dict[str, tuple[InputArc, ...]] = {}
-        self._outputs: dict[str, tuple[OutputArc, ...]] = {}
+        inputs, outputs = {}, {}  # transition id -> arcs in net order
         for arc in self.arcs:
-            if isinstance(arc, InputArc):
-                self._inputs.setdefault(arc.transition, ())
-                self._inputs[arc.transition] += (arc,)
-            else:
-                self._outputs.setdefault(arc.transition, ())
-                self._outputs[arc.transition] += (arc,)
-        self._inputs = {t: tuple(sorted(v, key=lambda a: a.label)) for t, v in self._inputs.items()}
-        self._outputs = {t: tuple(sorted(v, key=lambda a: a.label)) for t, v in self._outputs.items()}
+            (inputs if isinstance(arc, InputArc) else outputs).setdefault(arc.transition, []).append(arc)
+        self._inputs, self._outputs = _by_label(inputs), _by_label(outputs)
         self.transition_ids: tuple[str, ...] = tuple(sorted(self.transitions))
         # a Marking is immutable, so every caller can share this one
         self._initial = Marking({p.id: p.initial for p in self.places.values()})
@@ -830,11 +816,15 @@ class Net:
         return f"Net({self.id!r}, {len(self.places)}p/{len(self.transitions)}t)"
 
 
-def _keyed(mapping, items, what):
-    items = list(items)
+def _keyed(mapping, items: list, what):
     if len(mapping) != len(items):
         raise InvalidModel(f"duplicate {what} id in net")
     return mapping
+
+
+def _by_label(arcs_of: dict[str, list]) -> dict[str, tuple]:
+    """Each transition's arcs in stable label order; a lone arc needs no sort."""
+    return {t: tuple(sorted(arcs, key=_LABEL)) if len(arcs) > 1 else tuple(arcs) for t, arcs in arcs_of.items()}
 
 
 def _color_table(net_id, declared, variables, places, procedures) -> dict[str, ColorSet]:
@@ -867,9 +857,7 @@ class Marking:
     __slots__ = ("_places",)
 
     def __init__(self, places: Mapping[str, Multiset] | None = None):
-        self._places = {
-            pid: ms for pid, ms in (places or {}).items() if not ms.is_empty
-        }
+        self._places = {pid: ms for pid, ms in (places or {}).items() if not ms.is_empty}
 
     def get(self, place_id: str) -> Multiset:
         return self._places.get(place_id, _EMPTY_MS)
@@ -904,7 +892,10 @@ def type_check_net(net: Net) -> ValidationReport:
 
     A Net is immutable, so its report is computed on first use and kept on
     the instance, the way `Value` keeps its hash. A Net built anew (for
-    example by `Net(**net.parts())`) starts without one.
+    example by `Net(**net.parts())`) starts without one. A transition is
+    not checked again when its procedure kept its shape (the role's
+    presence, arc labels and place colors, event and guard) as clean; an
+    unclean verdict is never kept, since its texts name ids the shape omits.
     """
     # getattr, not `net.__dict__`: reading an instance's __dict__ makes CPython
     # keep its attributes in a real dict, which slows every later attribute load
@@ -935,13 +926,8 @@ def _type_check(net: Net) -> ValidationReport:
     for place in net.places.values():
         for v in place.initial.values():
             if v.colorset != place.colorset:
-                out.append(
-                    Violation(
-                        "initial-marking",
-                        place.id,
-                        f"initial token {v.canonical()} does not conform to {place.colorset.name}",
-                    )
-                )
+                text = f"initial token {v.canonical()} does not conform to {place.colorset.name}"
+                out.append(Violation("initial-marking", place.id, text))
                 break
 
     for proc in net.procedures.values():
@@ -963,29 +949,44 @@ def _transition_check(net: Net, t: Transition) -> tuple[list[Violation], Optiona
     """One transition's report entries, in report order, and the error the
     checked functions raise for it, or None: the first of an unknown procedure,
     a feed fault, a route fault, a bad guard, a procedure output and a send
-    message that do not compile. Each is also reported, so plans check nothing."""
+    message that do not compile. Each is also reported, so plans check nothing.
+
+    Besides the procedure, the check reads only the transition's shape: whether
+    it has a role, each arc's label and its place's color (None for a missing
+    place), the receive variable or send message, and the guard. The compile
+    keeps the clean shapes, which are not checked again; ids and channels only
+    enter the texts of entries and errors, so an unclean verdict is never kept."""
     out = [] if t.role else [Violation("role", t.id, "transition without role")]
     proc = net.procedures.get(t.procedure)
     if proc is None:
         out.append(Violation("transition", t.id, f"unknown procedure '{t.procedure}'"))
         return out, InvalidModel(f"transition {t.id} references unknown procedure '{t.procedure}'")
+    places, event, ins = net.places, t.event, net.input_arcs(t.id)
+    received = event.var if isinstance(event, ReceiveEvent) else None
+    sent = event.message if isinstance(event, SendEvent) else None
+    shape = (bool(t.role), received, sent, t.guard, len(ins)) + tuple(
+        (a.label, getattr(places.get(a.place), "colorset", None)) for a in ins + net.output_arcs(t.id)
+    )
+    compiled = compiled_procedure(proc)
+    if shape in compiled.clean_shapes:
+        return [], None
     errors: list[Exception] = []  # in precedence order; the first is raised
     env, results = dict(proc.inputs), dict(proc.outputs)
 
-    in_labels = [a.label for a in net.input_arcs(t.id)]
+    in_labels = [a.label for a in ins]
     if len(set(in_labels)) != len(in_labels):
         out.append(Violation("arc-label", t.id, "duplicate input arc labels"))
-    for a in net.input_arcs(t.id):
+    for a in ins:
         if a.label not in env:
             out.append(Violation("arc-label", t.id, f"arc label '{a.label}' not in signature"))
-        elif a.place in net.places and net.places[a.place].colorset != env[a.label]:
+        elif a.place in places and places[a.place].colorset != env[a.label]:
             out.append(Violation("arc-color", t.id, f"place {a.place} does not match parameter '{a.label}'"))
-    if isinstance(t.event, ReceiveEvent):
-        if t.event.var not in env:
-            out.append(Violation("event", t.id, f"receive variable '{t.event.var}' not in signature"))
-        elif t.event.var in in_labels:
-            out.append(Violation("event", t.id, f"receive variable '{t.event.var}' also fed by an arc"))
-    fed = in_labels + ([t.event.var] if isinstance(t.event, ReceiveEvent) else [])
+    if received is not None:
+        if received not in env:
+            out.append(Violation("event", t.id, f"receive variable '{received}' not in signature"))
+        elif received in in_labels:
+            out.append(Violation("event", t.id, f"receive variable '{received}' also fed by an arc"))
+    fed = in_labels + ([] if received is None else [received])
     missing = sorted(set(env) - set(fed))
     if missing:
         out.append(Violation("missing-arc", t.id, f"inputs {missing} not covered by arcs"))
@@ -998,7 +999,7 @@ def _transition_check(net: Net, t: Transition) -> tuple[list[Violation], Optiona
     for a in net.output_arcs(t.id):
         if a.label not in results:
             out.append(Violation("arc-label", t.id, f"arc label '{a.label}' not in signature"))
-        elif a.place in net.places and net.places[a.place].colorset != results[a.label]:
+        elif a.place in places and places[a.place].colorset != results[a.label]:
             out.append(Violation("arc-color", t.id, f"place {a.place} does not match result '{a.label}'"))
     if not set(out_labels) <= set(results):
         errors.append(InvalidModel(f"transition {t.id}: an output arc routes no procedure result"))
@@ -1016,15 +1017,13 @@ def _transition_check(net: Net, t: Transition) -> tuple[list[Violation], Optiona
             guard_out.append(Violation("guard", t.id, "guard must evaluate to an enum containing member 'true'"))
             if gcs.kind != "enum":
                 errors.append(TypeMismatch(f"guard of {t.id} has color {gcs.name}, not an enum"))
-    failure = compiled_procedure(proc).failure
-    if failure is not None:
-        errors.append(ProcedureFailure(failure))
+    if compiled.failure is not None:
+        errors.append(ProcedureFailure(compiled.failure))
 
     uncovered = set(results) - set(out_labels)
-    if isinstance(t.event, SendEvent):
-        msg = t.event.message
-        probs = analyze_expr(msg, None, {**env, **results})[0]
-        bad = expr_free_vars(msg) - set(env) - set(results)
+    if sent is not None:
+        probs = analyze_expr(sent, None, {**env, **results})[0]
+        bad = expr_free_vars(sent) - set(env) - set(results)
         if bad:
             out.append(Violation("event", t.id, f"send message uses unknown names {sorted(bad)}"))
         else:
@@ -1032,16 +1031,19 @@ def _transition_check(net: Net, t: Transition) -> tuple[list[Violation], Optiona
         if probs:
             errors.append(_expr_error(probs[0]))
         # keep sends invertible: the payload is exactly one unrouted result
-        if msg.kind == "var" and msg.name in results:
-            if msg.name in out_labels:
-                out.append(Violation("event", t.id, f"sent result '{msg.name}' is also routed by an arc"))
-            if uncovered - {msg.name}:
-                out.append(Violation("missing-arc", t.id, f"results {sorted(uncovered - {msg.name})} not covered"))
+        if sent.kind == "var" and sent.name in results:
+            if sent.name in out_labels:
+                out.append(Violation("event", t.id, f"sent result '{sent.name}' is also routed by an arc"))
+            if uncovered - {sent.name}:
+                out.append(Violation("missing-arc", t.id, f"results {sorted(uncovered - {sent.name})} not covered"))
         else:
             out.append(Violation("event", t.id, "send message must name an unrouted output result"))
     elif uncovered:
         out.append(Violation("missing-arc", t.id, f"results {sorted(uncovered)} not covered by arcs"))
-    return out + guard_out, errors[0] if errors else None
+    out += guard_out
+    if not out and not errors:
+        compiled.clean_shapes.add(shape)
+    return out, errors[0] if errors else None
 
 
 def iter_bindings(
@@ -1344,9 +1346,7 @@ def run_to_quiescence(
                     if ch == ev.channel:
                         del inbox[i]
                         break
-        firings.append(
-            Firing(result.transition, tuple(sorted(result.binding.items())), result.events)
-        )
+        firings.append(Firing(result.transition, tuple(sorted(result.binding.items())), result.events))
     if isinstance(step(net, current, inbox), StepQuiescent):
         return RunResult(current, tuple(firings), False)
     return RunResult(current, tuple(firings), True)

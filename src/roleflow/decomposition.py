@@ -184,6 +184,8 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
 
     colorsets = [(n, net.colorsets[n]) for n in sorted(net.colorsets)]
     variables = [(n, net.variables[n]) for n in sorted(net.variables)]
+    # every agent's task declares the organization's colors and variables
+    net_colorsets, net_variables = list(net.colorsets.values()), list(net.variables.values())
     agents: dict[str, AgentModel] = {}
     for aid in agent_ids:
         transitions = []
@@ -207,14 +209,13 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
                     effectors.add(arc.place)
                 else:
                     arcs.append(arc)
-            transitions.append(
-                Transition(t.id, t.role, t.procedure, guard=t.guard, event=event)
-            )
+            # a global transition carries no event: one on no channel is kept as it is
+            transitions.append(t if event is None else Transition(t.id, t.role, t.procedure, t.guard, event))
         procedures = [(p, net.procedures[p]) for p in sorted(proc_names)]
         task = Net(
             aid,
-            colorsets=list(net.colorsets.values()),
-            variables=list(net.variables.values()),
+            colorsets=net_colorsets,
+            variables=net_variables,
             places=places_of[aid],
             transitions=transitions,
             procedures=[proc for _, proc in procedures],

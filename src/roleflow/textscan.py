@@ -20,23 +20,25 @@ from .errors import ModelSyntaxError
 # costs a few stack frames wherever colors are parsed or rendered
 MAX_COLOR_DEPTH = 32
 
-# One alternative per lexical class. Blank runs, newlines and comments are
-# alternatives without a group, so `findall` gives '' for them; every token,
-# and every character that starts none, is the one group. Blanks and comments
-# are alternatives of their own rather than a prefix of the token match: a
-# prefix would let backtracking hand a blank or a comment's last character to
-# the last alternative, the character that starts no token.
+# One match per token: a greedy run of blanks, newlines and comments, then the
+# token, the one group. The group's last alternatives are `.` (a character
+# that starts no token) and `\Z`, and after the run the next character is
+# neither a blank nor '#', so the group always matches and the run is never
+# backtracked into. The end of the text gives one or two '' hits, after the
+# last token and after a run that ends the text. Possessive quantifiers or an
+# atomic group would say the same, but need Python 3.11.
 # `\d` is the Unicode category Nd, exactly what `int()` accepts.
 _LEXEME = re.compile(
     r"""
-    [ \t\r\n]+|\#[^\n]*
-    |(
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (
         [A-Za-z_][A-Za-z0-9_!]*
         |[(){},;:=.]
         |->
         |-?\d+
         |"[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*"
         |.
+        |\Z
     )
     """,
     re.VERBOSE,
@@ -110,8 +112,8 @@ class Positions:
     def offset(self, index: int) -> int:
         if self._starts is None:
             text = self.text
-            self._starts = [m.start() for m in _LEXEME.finditer(text) if m.lastindex]
-            self._starts.append(len(text))
+            # the '' hits at the end start at len(text), the end's index
+            self._starts = [m.start(1) for m in _LEXEME.finditer(text)]
             self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
         return self._starts[index]
 
@@ -132,7 +134,10 @@ class TokenStream:
     __slots__ = ("kinds", "texts", "pos", "where")
 
     def __init__(self, text: str):
-        texts = list(filter(None, _LEXEME.findall(text)))
+        texts = _LEXEME.findall(text)
+        del texts[-1]  # the end's '' hits
+        if texts and not texts[-1]:
+            del texts[-1]
         kinds = list(map(_KIND_OF_FIRST.get, map(_first_char, texts)))
         self.where = Positions(text)
         i = -1

@@ -924,6 +924,171 @@ class TestSharedProcedureCompile:
         assert fired > 50 and shared > 5
 
 
+BOOL = ColorSet("Bool", "enum", members=("false", "true"))
+SPLIT = ProcedureDef(
+    "split", (("n", TOK),), (("o", TOK), ("s", TOK)), (("o", Expr.call("inc", Expr.var("n"))), ("s", Expr.var("n")))
+)
+
+
+def split_parts(proc):
+    """A clean net of three transitions over `proc`, each of its own shape:
+    tS sends s, tR receives n, tG is guarded."""
+    return dict(
+        id="split",
+        colorsets=[TOK, TXT, BOOL],
+        places=[Place("a", TOK, Multiset([tok(1)])), Place("b", TOK), Place("c", TOK)],
+        transitions=[
+            Transition("tS", "A", proc.name, event=SendEvent("ch", Expr.var("s"))),
+            Transition("tR", "B", proc.name, event=ReceiveEvent("ch", "n")),
+            Transition("tG", "A", proc.name, guard=Expr.lit(Value(BOOL, "true"))),
+        ],
+        procedures=[proc],
+        arcs=[
+            InputArc("a", "tS", "n"), OutputArc("tS", "b", "o"),
+            OutputArc("tR", "b", "o"), OutputArc("tR", "c", "s"),
+            InputArc("a", "tG", "n"), OutputArc("tG", "b", "o"), OutputArc("tG", "c", "s"),
+        ],
+    )
+
+
+def replaced(items, key, new):
+    """`items` with the one whose id (or, for an arc, transition and label) is `key` replaced by `new`."""
+    def ident(x):
+        return (x.transition, x.label) if isinstance(x, (InputArc, OutputArc)) else x.id
+    return [new if ident(x) == key else x for x in items]
+
+
+# Each variant changes one thing the transition check reads, so one
+# transition's shape is no longer the clean one's: (id, parts -> changed parts).
+SHAPE_VARIANTS = [
+    ("place-color", lambda p: {**p, "places": replaced(p["places"], "b", Place("b", TXT))}),
+    ("arc-label", lambda p: {**p, "arcs": replaced(p["arcs"], ("tG", "n"), InputArc("a", "tG", "k"))}),
+    ("missing-place", lambda p: {**p, "places": p["places"][:2]}),
+    ("arc-direction", lambda p: {**p, "arcs": replaced(p["arcs"], ("tG", "o"), InputArc("b", "tG", "o"))}),
+    ("receive-variable", lambda p: {**p, "transitions": replaced(
+        p["transitions"], "tR", Transition("tR", "B", "split", event=ReceiveEvent("ch", "o")))}),
+    ("send-message", lambda p: {**p, "transitions": replaced(
+        p["transitions"], "tS", Transition("tS", "A", "split", event=SendEvent("ch", Expr.var("o"))))}),
+    ("guard", lambda p: {**p, "transitions": replaced(
+        p["transitions"], "tG", Transition("tG", "A", "split", guard=Expr.var("n")))}),
+    ("empty-role", lambda p: {**p, "transitions": replaced(
+        p["transitions"], "tG", Transition("tG", "", "split", guard=Expr.lit(Value(BOOL, "true"))))}),
+]
+
+
+def check_outcomes(net):
+    """The net's report entries and, per transition, the error `_checked_plan` raises (or None)."""
+    errors = []
+    for tid in net.transition_ids:
+        try:
+            cpn_mod._checked_plan(net, tid)
+            errors.append(None)
+        except RoleflowError as exc:
+            errors.append((type(exc), str(exc)))
+    return type_check_net(net).entries, errors
+
+
+class TestTransitionCheckMemo:
+    """A procedure keeps the transition shapes that passed; what it keeps must
+    never stand in for a check whose outcome differs."""
+
+    @pytest.mark.parametrize("change", [change for _, change in SHAPE_VARIANTS], ids=[n for n, _ in SHAPE_VARIANTS])
+    def test_a_changed_shape_is_checked_anew(self, change):
+        proc = copy.copy(SPLIT)
+        assert type_check_net(Net(**split_parts(proc))).empty
+        assert len(compiled_procedure(proc).clean_shapes) == 3
+        shared = check_outcomes(Net(**change(split_parts(proc))))
+        fresh = check_outcomes(Net(**change(split_parts(copy.copy(proc)))))
+        assert shared == fresh
+        assert shared[0] != ()
+
+    def test_ids_and_channels_are_not_in_the_shape(self):
+        proc = copy.copy(SPLIT)
+        parts = split_parts(proc)
+        assert type_check_net(Net(**parts)).empty
+        clean = compiled_procedure(proc).clean_shapes
+        kept = set(clean)
+        events = {"tS": SendEvent("other", Expr.var("s")), "tR": ReceiveEvent("other", "n"), "tG": None}
+        renamed = {
+            **parts,
+            "transitions": [
+                Transition(t.id + "x", t.role + "x", t.procedure, t.guard, events[t.id]) for t in parts["transitions"]
+            ],
+            "places": [Place(p.id + "x", p.colorset, p.initial) for p in parts["places"]],
+            "arcs": [
+                InputArc(a.place + "x", a.transition + "x", a.label) if isinstance(a, InputArc)
+                else OutputArc(a.transition + "x", a.place + "x", a.label)
+                for a in parts["arcs"]
+            ],
+        }
+        assert type_check_net(Net(**renamed)).empty
+        assert clean == kept
+
+    def test_an_unclean_verdict_is_not_kept(self):
+        proc = copy.copy(SPLIT)
+        change = dict(SHAPE_VARIANTS)["guard"]  # tG's guard has color Tok
+        for run in range(2):
+            report = type_check_net(Net(**change(split_parts(proc))))
+            assert [v.code for v in report.entries] == ["guard"]
+        assert len(compiled_procedure(proc).clean_shapes) == 2
+
+
+def test_keyed_tables_read_a_generator_once(org1):
+    parts = {**org1.global_task.parts(), "variables": [Variable("v", TOK), Variable("w", TOK)]}
+    whole = Net(**parts)
+    for key, what in (("places", "place"), ("transitions", "transition"),
+                      ("procedures", "procedure"), ("variables", "variable")):
+        assert Net(**{**parts, key: (x for x in parts[key])}) == whole
+        with pytest.raises(InvalidModel, match=f"duplicate {what} id in net"):
+            Net(**{**parts, key: (x for x in parts[key] + parts[key][:1])})
+
+
+def naive_arcs(net, tid, kind):
+    """The arcs of `kind` on `tid`, stably sorted by label: duplicates stay, in net order."""
+    return tuple(sorted([a for a in net.arcs if isinstance(a, kind) and a.transition == tid], key=lambda a: a.label))
+
+
+def assert_grouping_matches_oracle(net):
+    built = Net(**net.parts())
+    assert built.transition_ids == tuple(sorted(t.id for t in net.parts()["transitions"]))
+    for tid in (*built.transition_ids, "nosuch"):
+        assert built.input_arcs(tid) == naive_arcs(built, tid, InputArc)
+        assert built.output_arcs(tid) == naive_arcs(built, tid, OutputArc)
+    initial = built.initial_marking()
+    assert initial.place_ids() == sorted(p.id for p in built.places.values() if not p.initial.is_empty)
+    assert all(initial.get(p.id) == p.initial for p in built.places.values())
+
+
+def test_net_groups_arcs_like_the_oracle():
+    rng = random.Random(2309)
+    nets = []
+    for name, scenario in (("org1", "org1_run"), ("devsociety", "devsociety")):
+        org = parse_model((MODELS / f"{name}.org").read_text(encoding="utf-8")).model
+        scn = parse_scenario((MODELS / f"{scenario}.scn").read_text(encoding="utf-8"))
+        nets.append(org.global_task)
+        nets += [agent.task for agent in decompose(org, scn.assignment).agents.values()]
+    for i in range(30):
+        nets.append(gen_org(rng, f"g{i}").global_task)
+        net, _, _ = gen_bounded_net(rng)
+        arcs = list(net.arcs)
+        rng.shuffle(arcs)
+        nets.append(Net(**{**net.parts(), "arcs": arcs}))
+    # arcs written against label order, and a duplicated label (kept, in net order)
+    two = ProcedureDef("two", (("a", TOK), ("b", TOK)), (("x", TOK), ("y", TOK)), (("x", Expr.var("a")), ("y", Expr.var("b"))))
+    nets.append(Net(
+        "odd", colorsets=[TOK], places=[Place("p", TOK, Multiset([tok(1)])), Place("q", TOK)],
+        transitions=[Transition("rev", "R", "two"), Transition("dup", "R", "two")], procedures=[two],
+        arcs=[OutputArc("rev", "q", "y"), InputArc("q", "rev", "b"), OutputArc("rev", "p", "x"), InputArc("p", "rev", "a"),
+              InputArc("q", "dup", "a"), InputArc("p", "dup", "a"), OutputArc("dup", "q", "x"), OutputArc("dup", "p", "x")],
+    ))
+    for net in nets:
+        assert_grouping_matches_oracle(net)
+    odd = nets[-1]
+    assert [a.label for a in odd.input_arcs("rev")] == ["a", "b"]
+    assert [a.place for a in odd.input_arcs("dup")] == ["q", "p"]
+    assert [a.place for a in odd.output_arcs("dup")] == ["q", "p"]
+
+
 def build_loop_net():
     """One transition that takes a token from p and puts it back incremented."""
     net = Net(

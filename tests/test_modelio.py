@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -554,6 +555,33 @@ class TestTokenizer:
             "closing quote before end of line",
             "a valid escape",
         }, outcomes
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "org x  \t\r\n  ",
+            "org x # a comment without a newline",
+            "org x\n \t \n# a comment after blanks",
+            *("org x" + " \n\t" * 2000 + end for end in ("$", "-", '"', "\u00b2")),
+            "",
+            " \t\r\n" * 500,
+        ],
+        ids=["blanks", "comment", "blanks-comment", "bad", "lone-minus", "lone-quote", "non-ascii-digit",
+             "empty", "only-blanks"],
+    )
+    def test_text_ends_match_the_naive_tokenizer(self, text):
+        assert _lex(tokenize, text) == _lex(naive_tokenize, text)
+
+    def test_megabyte_of_blanks_and_comments_lexes_in_linear_time(self):
+        pad = "   \t\n# a comment line of the kind a generated file carries\n\n" * 9_000
+        text = pad + "org" + pad
+        assert len(text) > 1_000_000
+        start = time.perf_counter()
+        tokens = tokenize(text)
+        assert time.perf_counter() - start < 1.0
+        assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
+            ("ident", "org", 27_001, 1), ("eof", "", 54_001, 1)
+        ]
 
 
 class TestParseOutcomes:
