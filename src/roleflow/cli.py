@@ -135,6 +135,9 @@ def _cmd_recompose_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.seed is not None and not args.concurrent:
+        print("--seed is only available in concurrent mode (--concurrent)", file=sys.stderr)
+        return 2
     sdoc = _load_scenario(args.scenario)
     if args.resume_from:
         sidecar = Path(args.resume_from + ".model")
@@ -163,7 +166,7 @@ def _cmd_run(args) -> int:
 
     try:
         if args.concurrent:
-            report = run_concurrent(system, sdoc.scenario, args.seed)
+            report = run_concurrent(system, sdoc.scenario, 0 if args.seed is None else args.seed)
         else:
             report = adaptive_loop(
                 system, sdoc.scenario, checkpoint_at=args.checkpoint_at, checkpoint_sink=sink
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--trace", metavar="FILE")
     p.add_argument("--concurrent", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seed of a --concurrent run (default 0)")
     p.add_argument("--checkpoint-at", type=int, default=None, metavar="K")
     p.add_argument("--context", metavar="FILE")
     p.add_argument("--resume-from", metavar="FILE")

@@ -233,9 +233,7 @@ class Multiset:
     @classmethod
     def _of(cls, counts: dict[Value, int], distinct: Optional[list[Value]], keys: Optional[list]) -> "Multiset":
         ms = cls.__new__(cls)
-        ms._counts = counts
-        ms._distinct = distinct
-        ms._keys = keys
+        ms._counts, ms._distinct, ms._keys = counts, distinct, keys
         return ms
 
     def items(self) -> list[tuple[Value, int]]:
@@ -243,10 +241,7 @@ class Multiset:
         return [(v, counts[v]) for v in self.distinct()]
 
     def values(self) -> list[Value]:
-        out = []
-        for v, n in self.items():
-            out.extend([v] * n)
-        return out
+        return [v for v, n in self.items() for _ in range(n)]
 
     def distinct(self) -> list[Value]:
         """The distinct values in canonical order. Shared: callers must not mutate it."""
@@ -372,10 +367,7 @@ class Expr:
 def expr_free_vars(expr: Expr) -> frozenset[str]:
     if expr.kind == "var":
         return frozenset([expr.name])
-    out: frozenset[str] = frozenset()
-    for a in expr.args:
-        out |= expr_free_vars(a)
-    return out
+    return frozenset().union(*map(expr_free_vars, expr.args))
 
 
 def _clamped(n: int) -> int:
@@ -866,9 +858,15 @@ class Marking:
         return sorted(self._places)
 
     def with_updates(self, changes: Mapping[str, Multiset]) -> "Marking":
-        merged = dict(self._places)
-        merged.update(changes)
-        return Marking(merged)
+        """`Marking({**self._places, **changes})`, with one copy of the place table."""
+        marking = object.__new__(Marking)
+        marking._places = places = self._places.copy()
+        for pid, ms in changes.items():
+            if ms._counts:
+                places[pid] = ms
+            else:
+                places.pop(pid, None)
+        return marking
 
     def __eq__(self, other):
         return isinstance(other, Marking) and self._places == other._places

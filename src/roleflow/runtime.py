@@ -3,7 +3,8 @@
 One scheduler engine, `_run`, with two choosers of the next action. Both
 take a due adaptation trigger first. `go` (`adaptive_loop`) then delivers
 the oldest message, else fires the next agent round-robin; the seeded
-chooser (`run_concurrent`) draws one of the ready deliveries and firings.
+chooser (`run_concurrent`) draws one of the pending channels, whose oldest
+message it delivers, or one of the ready agents, which it fires.
 The engine alone checks the end condition, takes checkpoints, writes the
 trace and adapts, so both modes mean the same thing. When an adaptation is
 needed the loop snapshots the full context (markings, mailboxes, in-flight
@@ -24,7 +25,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_, is_not, itemgetter, methodcaller, ne
+from operator import attrgetter, indexOf, is_, is_not, itemgetter, methodcaller, ne
 from collections.abc import Mapping
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -221,6 +222,7 @@ class _ReadySet:
 
 
 _TASK = attrgetter("task")
+_CHANNEL = itemgetter(0)  # the channel id of a bus entry
 
 
 class RunnableSystem:
@@ -295,6 +297,12 @@ class RunnableSystem:
         if found is not None:
             insort(ready_set.ready, index)
         return found
+
+    def _resolve_all(self) -> None:
+        """Resolve every dirty agent, so `ready` holds every agent that can fire."""
+        dirty = self._ready_set.dirty
+        while dirty:
+            self._resolve(dirty[0])
 
     def _firing_at(self, index: int) -> Optional[tuple[str, dict]]:
         firing = self._ready_set.firing[index]
@@ -501,18 +509,27 @@ def go(system: RunnableSystem, scenario: Scenario) -> StepOutcome:
 
 
 def _seeded_step(rng: random.Random, system: RunnableSystem, scenario: Scenario) -> StepOutcome:
-    """Like `go`, but the delivery or firing is one draw over `_ready_actions`."""
+    """Like `go`, but the delivery or firing is one seeded draw.
+
+    The choices are the pending channels in id order, each of which delivers
+    its oldest bus message, then the agents that can fire, in id order, once
+    every dirty agent is resolved. `rng.choice` over the range of their count
+    draws as it would over a list of them, and no such list is built.
+    """
     trig = _due_trigger(system, scenario)
     if trig is not None:
         system.trigger_cursor += 1
         return AdaptationNeeded(trig.request)
-    actions = _ready_actions(system)
-    if not actions:
+    system._resolve_all()
+    bus, ready = system.bus, system._ready_set.ready
+    channels = sorted(set(map(_CHANNEL, bus))) if bus else ()
+    n = len(channels)
+    if not n and not ready:
         return QuiescentPass()
-    kind, target, index = rng.choice(actions)
-    if kind == "deliver":
-        return _deliver(system, index)
-    return _agent_fire(system, system._positions[target])
+    k = rng.choice(range(n + len(ready)))
+    if k < n:
+        return _deliver(system, indexOf(map(_CHANNEL, bus), channels[k]))
+    return _agent_fire(system, ready[k - n])
 
 
 def system_ended(system: RunnableSystem, scenario: Scenario) -> bool:
@@ -930,29 +947,14 @@ def _adapt(system, request, trace, adaptations) -> RunnableSystem:
     return resumed
 
 
-def _ready_actions(system: RunnableSystem) -> list[tuple]:
-    """Independent actions available now: per-channel deliveries and per-agent firings."""
-    actions = []
-    seen_channels = set()
-    for i, (ch, _) in enumerate(system.bus):
-        if ch not in seen_channels:
-            seen_channels.add(ch)
-            actions.append(("deliver", ch, i))
-    actions.sort(key=lambda a: a[1])
-    ready_set = system._ready_set
-    while ready_set.dirty:
-        system._resolve(ready_set.dirty[0])
-    # "deliver" sorts before "fire", and agent indices sort as agent ids do
-    actions.extend(("fire", system.agent_ids[index], None) for index in ready_set.ready)
-    return actions
-
-
 def run_concurrent(system: RunnableSystem, scenario: Scenario, seed: int) -> FinalReport:
     """Seeded interleaving of independently progressing agents.
 
-    Every agent is its own sequential interpreter; the scheduler picks any
-    ready agent or channel delivery, so the final state is that of some
-    interleaving of single steps. Per-channel message order is preserved.
+    Every agent is its own sequential interpreter; each step is one draw of
+    `random.Random(seed)` over the pending channels and the ready agents (see
+    `_seeded_step`), so the final state is that of some interleaving of
+    single steps. A channel delivers its oldest message first, so
+    per-channel message order is preserved.
     Adaptation triggers act as a global barrier exactly as in the
     deterministic loop. The same seed gives the same trace.
     """

@@ -286,6 +286,22 @@ class TestRun:
         )
         assert code == 2 and "deterministic" in err
 
+    def test_seed_rejected_in_deterministic_mode(self, capsys, tmp_path):
+        """A seed without --concurrent would be ignored, so it is refused."""
+        trace = tmp_path / "run.trace"
+        code, out, err = run(capsys, "run", MODELS / "org1.org", MODELS / "org1_run.scn", "--seed", 3, "--trace", trace)
+        assert code == 2 and out == "" and "--concurrent" in err
+        assert not trace.exists()
+
+    def test_concurrent_without_a_seed_runs_seed_0(self, capsys, tmp_path):
+        trace = tmp_path / "run.trace"
+        code, out, _ = run(
+            capsys, "run", MODELS / "devsociety.org", MODELS / "devsociety.scn", "--concurrent", "--trace", trace
+        )
+        assert code == 0
+        assert out == (GOLDEN / "devsociety.seed0.report").read_text()
+        assert trace.read_text() == (GOLDEN / "devsociety.seed0.trace").read_text()
+
     def test_bad_request_exits_2(self, capsys, tmp_path):
         scn = tmp_path / "bad.scn"
         scn.write_text(

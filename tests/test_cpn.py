@@ -632,6 +632,38 @@ class TestMultisetCaches:
         assert v.sort_key() == fresh.sort_key() == ("(4,true)", "Pair")
 
 
+class TestMarkingUpdates:
+    def test_with_updates_matches_its_old_definition(self):
+        """Random markings and changes, among them places that empty and
+        places that are new: `with_updates` gives the marking that
+        `Marking({**m._places, **changes})` gives, in the same place order,
+        with the same hash and no empty multiset, and leaves `m` as it was."""
+        rng = random.Random(806)
+        ids = [f"p{i}" for i in range(8)]
+
+        def multiset():
+            return Multiset([tok(rng.randint(-3, 6)) for _ in range(rng.randint(0, 3))])
+
+        seen = Counter()
+        for _ in range(400):
+            marking = Marking({pid: multiset() for pid in rng.sample(ids, rng.randint(0, 6))})
+            before = dict(marking._places)
+            changes = {pid: multiset() for pid in rng.sample(ids, rng.randint(0, 8))}
+            got = marking.with_updates(changes)
+            want = Marking({**marking._places, **changes})
+            assert got == want and hash(got) == hash(want)
+            assert got.place_ids() == want.place_ids()
+            assert list(got._places) == list(want._places)
+            assert not any(ms.is_empty for ms in got._places.values())
+            assert marking._places == before
+            for pid, ms in changes.items():
+                if pid in before:
+                    seen["emptied" if ms.is_empty else "changed"] += 1
+                elif not ms.is_empty:
+                    seen["new"] += 1
+        assert min(seen["emptied"], seen["new"], seen["changed"]) > 100
+
+
 class TestColorSetHash:
     @staticmethod
     def chain(depth):

@@ -288,12 +288,40 @@ def relay_org(k: int, tokens: int) -> Organization:
     return Organization("relay", "relay", org.roles, communication_structure(org), net)
 
 
+def fan_out_model(consumers: int = 3, tokens: int = 12):
+    """A producer deals `tokens` tokens round-robin to `consumers` consumers.
+
+    Its transition give{j} takes a token from `src` and the turn token from
+    turn{j}, sends the token on channel m{j} and passes the turn on, so the
+    producer's sends interleave the channels; consumer j keeps what it gets.
+    """
+    give = ProcedureDef(
+        "give", (("n", TOK), ("c", TOK)), (("o", TOK), ("d", TOK)), (("o", Expr.var("n")), ("d", Expr.var("c")))
+    )
+    keep = ProcedureDef("keep", (("n", TOK),), (("o", TOK),), (("o", Expr.var("n")),))
+    places = [Place("src", TOK, Multiset([tok(v) for v in range(tokens)])), Place("turn0", TOK, Multiset([tok(0)]))]
+    places += [Place(f"turn{j}", TOK) for j in range(1, consumers)]
+    places += [Place(f"m{j}", TOK) for j in range(consumers)] + [Place(f"got{j}", TOK) for j in range(consumers)]
+    transitions, arcs = [], []
+    for j in range(consumers):
+        transitions += [Transition(f"give{j}", "p", "give"), Transition(f"keep{j}", f"c{j}", "keep")]
+        arcs += [InputArc("src", f"give{j}", "n"), InputArc(f"turn{j}", f"give{j}", "c")]
+        arcs += [OutputArc(f"give{j}", f"m{j}", "o"), OutputArc(f"give{j}", f"turn{(j + 1) % consumers}", "d")]
+        arcs += [InputArc(f"m{j}", f"keep{j}", "n"), OutputArc(f"keep{j}", f"got{j}", "o")]
+    net = Net("fan", colorsets=[TOK], places=places, transitions=transitions, procedures=[give, keep], arcs=arcs)
+    roles = [Role("p")] + [Role(f"c{j}") for j in range(consumers)]
+    org = Organization("fan", "fan", roles, [], net)
+    org = Organization("fan", "fan", roles, communication_structure(org), net)
+    return decompose(org, {"p": "producer", **{f"c{j}": f"consumer{j}" for j in range(consumers)}})
+
+
 def ready_set_cases():
     """(model, scenario) pairs for the ready-set property test.
 
     The demo scenarios; a 6-agent relay, once with a procedure swap at step
-    9; and gen_org models that take at least 3 steps, every other one with a
-    no-op adaptation at step 2.
+    9; gen_org models that take at least 3 steps, every other one with a
+    no-op adaptation at step 2; and a producer that fans out to three
+    consumers.
     """
     org1 = parse_model((MODELS / "org1.org").read_text()).model
     dev = parse_model((MODELS / "devsociety.org").read_text()).model
@@ -312,7 +340,7 @@ def ready_set_cases():
             continue
         noop = AdaptationRequest((modify_agent(sorted(mam.agents)[0], ()),))
         cases.append((mam, Scenario((Trigger(2, noop),) if len(cases) % 2 else ())))
-    return cases
+    return cases + [(fan_out_model(), Scenario())]
 
 
 def assert_clean_agents_match_oracle(system):
@@ -330,9 +358,17 @@ def assert_clean_agents_match_oracle(system):
 
 
 def check_against_oracle(monkeypatch):
-    """Compare go(), quiescent() and _ready_actions() with the oracle on every call."""
-    real_go, real_actions = runtime_mod.go, runtime_mod._ready_actions
+    """Compare go(), quiescent() and _seeded_step() with the oracle on every call.
+
+    A seeded step is replayed: the RNG state saved before it, drawn with
+    `choice` over the oracle's action list, must give the step's delivery of
+    that channel's oldest message or its firing of that agent, and leave the
+    RNG where the step left it. A due trigger draws nothing. Each drawn
+    action is appended, with its bus position, to the returned list.
+    """
+    real_go, real_step = runtime_mod.go, runtime_mod._seeded_step
     real_quiescent = runtime_mod.RunnableSystem.quiescent
+    drawn = []
 
     def go_checked(system, scenario):
         can_fire = [a[1] for a in naive_ready_actions(system) if a[0] == "fire"]
@@ -353,24 +389,52 @@ def check_against_oracle(monkeypatch):
         assert_clean_agents_match_oracle(system)
         return got
 
-    def actions_checked(system):
-        got = real_actions(system)
-        assert got == naive_ready_actions(system)
-        return got
+    def step_checked(rng, system, scenario):
+        saved, bus = rng.getstate(), list(system.bus)
+        triggers, at = scenario.triggers, system.trigger_cursor
+        due = at < len(triggers) and triggers[at].at_step == system.step_count
+        actions = naive_ready_actions(system)
+        outcome = real_step(rng, system, scenario)
+        assert_clean_agents_match_oracle(system)
+        if due or not actions:
+            assert isinstance(outcome, AdaptationNeeded if due else QuiescentPass)
+            assert rng.getstate() == saved
+            return outcome
+        replay = random.Random()
+        replay.setstate(saved)
+        kind, target, index = replay.choice(actions)
+        assert rng.getstate() == replay.getstate()
+        drawn.append((kind, target, index))
+        if kind == "fire":
+            assert isinstance(outcome, Progressed) and outcome.agent == target
+            assert system.bus[: len(bus)] == bus
+        else:
+            channel, value = bus[index]
+            assert channel == target
+            if channel == runtime_mod.ADAPT_CHANNEL:
+                assert isinstance(outcome, AdaptationNeeded)
+            else:
+                consumer = system.model.channels[channel].consumer
+                assert outcome == Delivered(consumer, channel, value)
+            assert system.bus == bus[:index] + bus[index + 1 :]
+        return outcome
 
     monkeypatch.setattr(runtime_mod, "go", go_checked)
     monkeypatch.setattr(runtime_mod.RunnableSystem, "quiescent", quiescent_checked)
-    monkeypatch.setattr(runtime_mod, "_ready_actions", actions_checked)
+    monkeypatch.setattr(runtime_mod, "_seeded_step", step_checked)
+    return drawn
 
 
 def forget_before_every_call(monkeypatch):
     """Mark every agent dirty before each scheduler call, so no cached firing is used."""
 
-    def forgetting(fn):
-        def call(system, *args):
-            for state in system.states.values():
+    def forgetting(fn, at=0):
+        """`fn`, first marking dirty every agent of the system that is its argument `at`."""
+
+        def call(*args):
+            for state in args[at].states.values():
                 state.mailbox  # reading the mailbox marks the agent dirty
-            return fn(system, *args)
+            return fn(*args)
 
         return call
 
@@ -378,7 +442,7 @@ def forget_before_every_call(monkeypatch):
     monkeypatch.setattr(
         runtime_mod.RunnableSystem, "quiescent", forgetting(runtime_mod.RunnableSystem.quiescent)
     )
-    monkeypatch.setattr(runtime_mod, "_ready_actions", forgetting(runtime_mod._ready_actions))
+    monkeypatch.setattr(runtime_mod, "_seeded_step", forgetting(runtime_mod._seeded_step, at=1))
 
 
 class TestReadySet:
@@ -402,6 +466,29 @@ class TestReadySet:
             assert render_trace(got.trace) == render_trace(expected.trace)
             assert got.final_markings == expected.final_markings
             assert got.end_reason == expected.end_reason
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_fan_out_bus_delivers_the_drawn_channels_oldest_message(self, monkeypatch, seed):
+        """The fan-out model, its bus first given three messages per channel
+        interleaved out of channel id order: every seeded step is the
+        oracle's draw, and some draws deliver a message behind the bus head."""
+        mam = fan_out_model()
+
+        def run():
+            system = synthesize(mam)
+            system.bus.extend((f"m{j}", tok(100 + 10 * j + r)) for r in range(3) for j in (2, 0, 1))
+            return run_concurrent(system, Scenario(), seed)
+
+        with monkeypatch.context() as m:
+            forget_before_every_call(m)
+            expected = run()
+        with monkeypatch.context() as m:
+            drawn = check_against_oracle(m)
+            got = run()
+        assert got.end_reason == "quiescence" and got.steps == 2 * 9 + 3 * 12
+        assert render_trace(got.trace) == render_trace(expected.trace)
+        assert got.final_markings == expected.final_markings
+        assert any(kind == "deliver" and index > 0 for kind, _, index in drawn)
 
     def test_a_dropped_system_is_freed_without_the_cycle_collector(self, mam1):
         """Adaptation drops the old system; it must not wait for gc (peak memory)."""
@@ -522,7 +609,7 @@ class TestResumeContext:
         system = synthesize(mam1)
         go(system, Scenario())
         go(system, Scenario())  # tA fired, and its message waits in agent2's mailbox
-        runtime_mod._ready_actions(system)  # both agents resolved
+        system._resolve_all()  # both agents resolved
         ctx = save_context(system)
         if from_bytes:
             ctx = read_context(write_context(ctx))
@@ -1247,7 +1334,7 @@ class TestAdaptationCost:
         system = synthesize(relay)
         for _ in range(50):
             go(system, Scenario())
-        runtime_mod._ready_actions(system)  # resolves every dirty agent
+        system._resolve_all()
         system.warnings.append("an earlier warning")
         states, warnings = dict(system.states), system.warnings
         ready_set = system._ready_set
@@ -1270,7 +1357,7 @@ class TestAdaptationCost:
             m.setattr(runtime_mod.RunnableSystem, "_resolve", resolve)
             new = runtime_mod._adapt(system, AdaptationRequest((rp_p("a7", "take", inc2()),)), [], [])
             assert calls["initial_marking"] == 0 and resolved == []
-            runtime_mod._ready_actions(new)
+            new._resolve_all()
         assert resolved == ["a7"]
         assert new.warnings == ["an earlier warning"] and new.warnings is not warnings
         assert len(new.states) == agents and all(new.states[aid] is not states[aid] for aid in states)
@@ -1329,7 +1416,7 @@ class TestAdaptationCost:
         system = synthesize(relay)
         for _ in range(50):
             go(system, Scenario())
-        runtime_mod._ready_actions(system)  # resolves every dirty agent
+        system._resolve_all()
         assert system._ready_set.dirty == []
 
         resolved, real_resolve = [], runtime_mod.RunnableSystem._resolve
@@ -1344,7 +1431,7 @@ class TestAdaptationCost:
                 system = runtime_mod._adapt(system, AdaptationRequest((op,)), [], [])
                 assert resolved == []
                 assert_clean_agents_match_oracle(system)
-                runtime_mod._ready_actions(system)
+                system._resolve_all()
                 assert resolved == looked_at
                 resolved.clear()
         assert len(system.agent_ids) == agents
