@@ -570,8 +570,8 @@ def _analyze(expr: Expr, expected: ColorSet | None, env: Mapping[str, ColorSet],
 class ProcedureDef:
     """A stateless typed function; inputs and outputs label the arcs around a transition.
 
-    Frozen, so its compile (`compiled_procedure`) is kept on the instance
-    and shared by every net that holds it; pickles and copies drop it.
+    Frozen, so its compile (`compiled_procedure`) and text (`modelio`) are kept
+    on the instance and shared by every net that holds it; copies drop them.
     """
 
     name: str
@@ -589,7 +589,7 @@ class ProcedureDef:
         return tuple(n for n, _ in self.outputs)
 
     def __getstate__(self):
-        # the compile holds closures: never pickle or copy it
+        # only the fields: the compile holds closures, and neither it nor the text is state
         return {"name": self.name, "inputs": self.inputs, "outputs": self.outputs, "body": self.body}
 
 

@@ -6,7 +6,8 @@ and its tokens in canonical order. Equal (net, marking) pairs always
 produce byte-identical output, and a marking restores into any net whose
 identically-named places carry identical color sets: a place's descriptor
 is parsed, in time linear in its line, and matched to the place's color by
-identity.
+identity. The reader takes what the writer writes: one token line per value,
+in canonical order.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def restore_marking(data: bytes, net: Net) -> Marking:
 
     places: dict[str, dict] = {}  # place id -> value -> count
     current: str | None = None
+    last = None  # the sort key of the current place's last value
     for ln in lines[1:]:
         head, _, rest = ln.partition(" ")
         if head == "place":
@@ -64,6 +66,7 @@ def restore_marking(data: bytes, net: Net) -> Marking:
                 raise FormatError(f"duplicate place section '{pid}'")
             places[pid] = {}
             current = pid
+            last = None
         elif head == "token":
             if current is None:
                 raise FormatError("token line outside a place section")
@@ -81,8 +84,12 @@ def restore_marking(data: bytes, net: Net) -> Marking:
                 value = parse_value_text(value_text, net.places[current].colorset)
             except RoleflowError as exc:
                 raise FormatError(f"bad token value in {ln!r}: {exc}") from exc
-            counts = places[current]
-            counts[value] = counts.get(value, 0) + count
+            # one line per value, in the canonical order `save_marking` writes them
+            key = value.sort_key()
+            if last is not None and key <= last:
+                raise FormatError(f"token value out of canonical order in {ln!r}")
+            places[current][value] = count
+            last = key
         else:
             raise FormatError(f"unexpected line: {ln!r}")
     return Marking({pid: Multiset.from_counts(counts) for pid, counts in places.items()})

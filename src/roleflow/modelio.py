@@ -46,8 +46,8 @@ from .errors import (
 from .organization import CommLink, Organization, Role
 from .runtime import CONTEXT_VERSION, Context, FinalReport, Scenario, Trigger
 from .textscan import (
-    MAX_COLOR_DEPTH, Positions, TokenStream, canonical_int, parse_color_body, parse_descriptor,
-    parse_descriptor_text, parse_value, parse_value_text,
+    MAX_COLOR_DEPTH, Positions, Shape, TokenStream, canonical_int, parse_color_body,
+    parse_descriptor, parse_descriptor_text, parse_value, parse_value_text,
 )
 
 # how deeply calls and tuples may nest in one expression; each level costs
@@ -60,12 +60,19 @@ class ModelDocument:
     model: Union[Organization, MultiAgentModel]
     declared: dict  # (kind, id) -> index of the declaring name's token
     where: Positions = field(repr=False)  # token index -> (line, col)
+    # a `.mas` model's agent sections' own `declared` tables, in text order
+    sections: tuple = field(default=(), repr=False)
 
     @cached_property
     def locations(self) -> dict:
         """(kind, id) -> (line, col) of the declaring name, for diagnostics;
-        worked out on first read."""
-        return {key: self.where(at) for key, at in self.declared.items()}
+        worked out on first read. Where several agent sections declare one
+        name, the first declaration is given."""
+        declared = dict(self.declared)
+        for section in self.sections:
+            for key, at in section.items():
+                declared.setdefault(key, at)
+        return {key: self.where(at) for key, at in declared.items()}
 
 
 # --------------------------------------------------------------------------
@@ -202,13 +209,79 @@ def _enum_literal(ts, name_at, colorsets) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# net fragments (shared by organization docs, agent sections, task blocks)
+# keyword lines
 #
-# A statement method gets the stream after its keyword and the keyword's
-# token index; declarations record the index of the declared name's token.
+# Every line of a model, an agent section or a scenario starts with a
+# keyword, and one table per reader maps the keyword to the `_stmt_<keyword>`
+# method that reads the rest. A statement method gets the stream after its
+# keyword and the keyword's token index; declarations record the index of
+# the declared name's token. A fixed run of tokens in a line is read as one
+# `Shape`; a check that names a token before the end of its run is made
+# before the run is read, so an error comes from the same token as when
+# each token was read on its own.
 
 
-class NetBuilder:
+def _keywords(*keywords: str):
+    """Class decorator: the class's line table, each keyword -> its `_stmt_<keyword>` method."""
+
+    def table(cls):
+        cls._statements = {kw: getattr(cls, f"_stmt_{kw}") for kw in keywords}
+        return cls
+
+    return table
+
+
+class _Lines:
+    """A reader of keyword lines."""
+
+    _statements: dict = {}
+
+    def read_lines(self, ts: TokenStream, what: str | None = None) -> None:
+        """The lines at the cursor, each handed by its keyword to the method
+        the class's table names for it. The end of the text ends them, and so
+        does a line that starts with no keyword of ours, or with `what` that
+        line is an error naming what it should have been."""
+        table, kinds, texts = self._statements, ts.kinds, ts.texts
+        while True:
+            at = ts.pos
+            stmt = table.get(texts[at]) if kinds[at] == "ident" else None
+            if stmt is None:
+                if what is None or kinds[at] == "eof":
+                    return
+                raise ts.error(what)
+            ts.pos = at + 1
+            stmt(self, ts, at)
+
+
+def _stmt_assign(self, ts, kw):
+    role, _, agent = ts.read(_ASSIGN)
+    self.assignment[role] = agent
+
+
+_ASSIGN = Shape(("ident", None, "a role id"), ("arrow", None), ("ident", None, "an agent id"))
+_COLORSET_HEAD = Shape(("ident", None, "a color set name"), ("punct", "="))
+_VAR = Shape(("ident", None, "a variable name"), ("punct", ":"), ("ident", None, "a color set name"))
+_PLACE = Shape(("ident", None, "a place name"), ("punct", ":"), ("ident", None, "a color set name"))
+_PARAM = Shape(("ident", None, "a parameter name"), ("punct", ":"), ("ident", None, "a color set name"))
+_TRANS_HEAD = Shape(
+    ("ident", None, "a transition name"),
+    ("ident", "role", "'role'"),
+    ("punct", "="),
+    ("ident", None, "a role name"),
+    ("ident", "proc", "'proc'"),
+    ("punct", "="),
+    ("ident", None, "a procedure name"),
+)
+_RECV = Shape(("ident", None, "a channel name"), ("ident", None, "a bound variable name"))
+_SEND = Shape(("ident", None, "a channel name"), ("punct", "="))
+_IN = Shape(("ident", None, "a place name"), ("punct", ":"), ("ident", None, "a parameter name"))
+_OUT = Shape(("ident", None, "a place name"), ("punct", ":"), ("ident", None, "a result name"))
+_NET_KEYWORDS = ("colorset", "var", "place", "proc", "trans", "in", "out")
+_NO_TOKENS = Multiset()  # immutable, so every unmarked place can hold this one
+
+
+@_keywords(*_NET_KEYWORDS)
+class NetBuilder(_Lines):
     """Reads net statements into one net.
 
     `procedures` is a memo of procedure declarations, which a parse hands to
@@ -240,7 +313,10 @@ class NetBuilder:
     def read_colorset(self, ts) -> ColorSet:
         """A color set name, resolved."""
         at = ts.pos
-        name = ts.expect("ident", what="a color set name")
+        return self._colorset(ts, ts.expect("ident", what="a color set name"), at)
+
+    def _colorset(self, ts, name: str, at: int) -> ColorSet:
+        """The color set `name` at token `at` names."""
         cs = self.colorsets.get(name) or self.seed_colorsets.get(name)
         if cs is None:
             raise ResolutionError(name, *ts.where(at))
@@ -251,16 +327,6 @@ class NetBuilder:
         env.update(self.colorsets)
         return env
 
-    def statement(self, ts: TokenStream) -> bool:
-        """Consume one fragment statement; False when the next token is not ours."""
-        at = ts.pos
-        stmt = _STATEMENTS.get(ts.texts[at]) if ts.kinds[at] == "ident" else None
-        if stmt is None:
-            return False
-        ts.next()
-        stmt(self, ts, at)
-        return True
-
     def _declare(self, kind: str, ts, at: int, table: dict, item):
         name = ts.texts[at]
         if name in table:
@@ -270,8 +336,7 @@ class NetBuilder:
 
     def _stmt_colorset(self, ts, kw):
         at = ts.pos
-        name = ts.expect("ident", what="a color set name")
-        ts.expect("punct", "=")
+        name, _ = ts.read(_COLORSET_HEAD)
         cs = parse_color_body(ts, name, self.read_colorset)
         if cs.depth > MAX_COLOR_DEPTH:
             raise ts.error(f"a color set with at most {MAX_COLOR_DEPTH} nested products", at)
@@ -279,17 +344,15 @@ class NetBuilder:
 
     def _stmt_var(self, ts, kw):
         at = ts.pos
-        name = ts.expect("ident", what="a variable name")
-        ts.expect("punct", ":")
-        cs = self.read_colorset(ts)
+        name, _, cs_name = ts.read(_VAR)
+        cs = self._colorset(ts, cs_name, at + 2)
         self._declare("variable", ts, at, self.variables, Variable(name, cs))
 
     def _stmt_place(self, ts, kw):
         at = ts.pos
-        name = ts.expect("ident", what="a place name")
-        ts.expect("punct", ":")
-        cs = self.read_colorset(ts)
-        initial = Multiset()
+        name, _, cs_name = ts.read(_PLACE)
+        cs = self._colorset(ts, cs_name, at + 2)
+        initial = _NO_TOKENS
         if ts.at("ident", "init"):
             ts.next()
             initial = Multiset(_value_list(ts, cs))
@@ -300,9 +363,9 @@ class NetBuilder:
         out = []
         if not ts.at("punct", ")"):
             while True:
-                pname = ts.expect("ident", what="a parameter name")
-                ts.expect("punct", ":")
-                out.append((pname, self.read_colorset(ts)))
+                at = ts.pos
+                pname, _, cs_name = ts.read(_PARAM)
+                out.append((pname, self._colorset(ts, cs_name, at + 2)))
                 if not ts.accept("punct", ","):
                     break
         ts.expect("punct", ")")
@@ -385,33 +448,26 @@ class NetBuilder:
 
     def _stmt_trans(self, ts, kw):
         at = ts.pos
-        name = ts.expect("ident", what="a transition name")
-        ts.expect("ident", "role", what="'role'")
-        ts.expect("punct", "=")
-        role = ts.expect("ident", what="a role name")
-        ts.expect("ident", "proc", what="'proc'")
-        ts.expect("punct", "=")
-        proc_at = ts.pos
-        proc_name = ts.expect("ident", what="a procedure name")
+        name, _, _, role, _, _, proc_name = ts.read(_TRANS_HEAD)
         proc = self.procedures.get(proc_name)
         if proc is None and self.allow_procs:
             # task blocks reference knowledge injected later; here it must exist
-            raise ResolutionError(proc_name, *ts.where(proc_at))
+            raise ResolutionError(proc_name, *ts.where(at + 6))
         guard = None
         event = None
         if ts.at("ident", "guard"):
             ts.next()
             guard = parse_expr(ts, self._expr_env(proc), self.colorset_env(), None)
-        if ts.at("ident", "recv") or ts.at("ident", "send"):
-            event_at = ts.pos
-            direction = ts.next()
+        event_at = ts.pos
+        direction = ts.texts[event_at] if ts.kinds[event_at] == "ident" else None
+        if direction == "recv" or direction == "send":
             if not self.allow_events:
                 raise ts.error("no events in this net", event_at)
-            channel = ts.expect("ident", what="a channel name")
+            ts.pos = event_at + 1
             if direction == "recv":
-                event = ReceiveEvent(channel, ts.expect("ident", what="a bound variable name"))
+                event = ReceiveEvent(*ts.read(_RECV))
             else:
-                ts.expect("punct", "=")
+                channel, _ = ts.read(_SEND)
                 message = parse_expr(
                     ts, self._expr_env(proc, with_outputs=True), self.colorset_env(), None
                 )
@@ -419,30 +475,26 @@ class NetBuilder:
         self._declare("transition", ts, at, self.transitions, Transition(name, role, proc_name, guard, event))
         self.current = name
 
-    def _require_current(self, ts, kw) -> str:
-        if self.current is None:
+    def _arc(self, ts, kw, shape: Shape) -> tuple[str, str, str]:
+        """The current transition, and the place and label of the arc the
+        rest of the line declares; an undeclared place is named before the
+        rest is read."""
+        tid = self.current
+        if tid is None:
             raise ts.error("a preceding trans declaration", kw)
-        return self.current
-
-    def _read_place(self, ts) -> str:
-        """A declared place's name."""
         at = ts.pos
-        place = ts.expect("ident", what="a place name")
-        if place not in self.places:
-            raise ResolutionError(place, *ts.where(at))
-        return place
+        if ts.kinds[at] == "ident" and ts.texts[at] not in self.places:
+            raise ResolutionError(ts.texts[at], *ts.where(at))
+        place, _, label = ts.read(shape)
+        return tid, place, label
 
     def _stmt_in(self, ts, kw):
-        tid = self._require_current(ts, kw)
-        place = self._read_place(ts)
-        ts.expect("punct", ":")
-        self.arcs.append(InputArc(place, tid, ts.expect("ident", what="a parameter name")))
+        tid, place, label = self._arc(ts, kw, _IN)
+        self.arcs.append(InputArc(place, tid, label))
 
     def _stmt_out(self, ts, kw):
-        tid = self._require_current(ts, kw)
-        place = self._read_place(ts)
-        ts.expect("punct", ":")
-        self.arcs.append(OutputArc(tid, place, ts.expect("ident", what="a result name")))
+        tid, place, label = self._arc(ts, kw, _OUT)
+        self.arcs.append(OutputArc(tid, place, label))
 
     def build(self, net_id: str) -> Net:
         try:
@@ -459,10 +511,71 @@ class NetBuilder:
             raise ResolutionError(exc.name) from None
 
 
-# a fragment statement's keyword -> the NetBuilder method that reads the rest
-_STATEMENTS = {
-    kw: getattr(NetBuilder, f"_stmt_{kw}") for kw in ("colorset", "var", "place", "proc", "trans", "in", "out")
-}
+@_keywords(*_NET_KEYWORDS, "objective", "role", "comm")
+class _OrgBuilder(NetBuilder):
+    """An organization's lines: its objective, roles and links, and its net's."""
+
+    def __init__(self):
+        super().__init__()
+        self.objective = ""
+        self.roles: dict[str, Role] = {}
+        self.links: list[CommLink] = []
+
+    def _stmt_objective(self, ts, kw):
+        self.objective = ts.expect("string", what="a quoted objective")
+
+    def _stmt_role(self, ts, kw):
+        name_at = ts.pos
+        name = ts.expect("ident", what="a role id")
+        desc = ts.accept("string")
+        if name in self.roles:
+            raise ts.error("a fresh role id", name_at)
+        self.roles[name] = Role(name, desc or "")
+        self.declared[("role", name)] = name_at
+
+    def _stmt_comm(self, ts, kw):
+        src_at = ts.pos
+        src, _, dst = ts.read(_COMM)
+        for end, end_at in ((src, src_at), (dst, src_at + 2)):
+            if end not in self.roles:
+                raise ResolutionError(end, *ts.where(end_at))
+        self.links.append(CommLink(src, dst))
+
+
+_COMM = Shape(("ident", None, "a role id"), ("arrow", None), ("ident", None, "a role id"))
+_IDENT = Shape(("ident", None, "an identifier"))
+
+
+@_keywords("assumes", "sensor", "effector", *_NET_KEYWORDS)
+class _AgentBuilder(NetBuilder):
+    """An agent section's lines: its roles, sensors and effectors, and its task net's."""
+
+    def __init__(self, seed_colorsets=None, procedures=None):
+        super().__init__(seed_colorsets, allow_events=True, procedures=procedures)
+        self.roles: set[str] = set()
+        self.sensors: set[str] = set()
+        self.effectors: set[str] = set()
+
+    def _stmt_assumes(self, ts, kw):
+        self.roles.add(ts.read(_IDENT)[0])
+
+    def _stmt_sensor(self, ts, kw):
+        self.sensors.add(ts.read(_IDENT)[0])
+
+    def _stmt_effector(self, ts, kw):
+        self.effectors.add(ts.read(_IDENT)[0])
+
+    def read_section(self, ts, agent_id: str) -> AgentModel:
+        """The agent declared by the lines at the cursor, up to the first
+        line that starts with no keyword of an agent section."""
+        self.read_lines(ts)
+        return AgentModel(
+            id=agent_id,
+            roles=frozenset(self.roles),
+            sensors=frozenset(self.sensors),
+            effectors=frozenset(self.effectors),
+            task=self.build(agent_id),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -501,10 +614,17 @@ def _render_multiset(ms: Multiset) -> str:
 
 
 def _render_proc(proc: ProcedureDef) -> str:
-    ins = ",".join(f"{n}:{cs.name}" for n, cs in proc.inputs)
-    outs = ",".join(f"{n}:{cs.name}" for n, cs in proc.outputs)
-    body = "; ".join(f"{r} = {render_expr(e)}" for r, e in proc.body)
-    return f"proc {proc.name}({ins}) -> ({outs}) {{ {body} }}"
+    """The procedure's line, rendered on first use and kept on the frozen
+    instance, the way `cpn.compiled_procedure` keeps its compile."""
+    # getattr, not `proc.__dict__`, for the reason `cpn.type_check_net` gives
+    text = getattr(proc, "_text", None)
+    if text is None:
+        ins = ",".join(f"{n}:{cs.name}" for n, cs in proc.inputs)
+        outs = ",".join(f"{n}:{cs.name}" for n, cs in proc.outputs)
+        body = "; ".join(f"{r} = {render_expr(e)}" for r, e in proc.body)
+        text = f"proc {proc.name}({ins}) -> ({outs}) {{ {body} }}"
+        object.__setattr__(proc, "_text", text)
+    return text
 
 
 def serialize_net_fragment(net: Net) -> list[str]:
@@ -604,56 +724,26 @@ def parse_model(text: str) -> ModelDocument:
 def _parse_org(ts: TokenStream) -> ModelDocument:
     ts.expect("ident", "org")
     org_id = ts.expect("ident", what="an organization id")
-    objective = ""
-    roles: dict[str, Role] = {}
-    links: list[CommLink] = []
-    builder = NetBuilder()
-    declared: dict = {}
-
-    while not ts.at("eof"):
-        # net statements first: they are nearly all of an organization's lines
-        if builder.statement(ts):
-            continue
-        at = ts.pos
-        if ts.at("ident", "objective"):
-            ts.next()
-            objective = ts.expect("string", what="a quoted objective")
-        elif ts.at("ident", "role"):
-            ts.next()
-            name_at = ts.pos
-            name = ts.expect("ident", what="a role id")
-            desc = ts.accept("string")
-            if name in roles:
-                raise ts.error("a fresh role id", name_at)
-            roles[name] = Role(name, desc or "")
-            declared[("role", name)] = name_at
-        elif ts.at("ident", "comm"):
-            ts.next()
-            src_at = ts.pos
-            src = ts.expect("ident", what="a role id")
-            ts.expect("arrow")
-            dst_at = ts.pos
-            dst = ts.expect("ident", what="a role id")
-            for end, end_at in ((src, src_at), (dst, dst_at)):
-                if end not in roles:
-                    raise ResolutionError(end, *ts.where(end_at))
-            links.append(CommLink(src, dst))
-        else:
-            raise ts.error("an organization declaration", at)
-
+    builder = _OrgBuilder()
+    builder.read_lines(ts, "an organization declaration")
     net = builder.build(org_id)
-    declared.update(builder.declared)
-    org = Organization(org_id, objective, roles, links, net)
-    return ModelDocument(org, declared, ts.where)
+    org = Organization(org_id, builder.objective, builder.roles, builder.links, net)
+    return ModelDocument(org, builder.declared, ts.where)
+
+
+_CHANNEL_HEAD = Shape(("ident", None, "a channel id"), ("punct", ":"))
+_CHANNEL_ENDS = Shape(
+    ("ident", "from", "'from'"),
+    ("ident", None, "an agent id"),
+    ("ident", "to", "'to'"),
+    ("ident", None, "an agent id"),
+)
 
 
 def _parse_channel_tail(ts, name: str) -> Channel:
-    ts.expect("punct", ":")
+    """The rest of a channel's declaration after its `name :`."""
     cs = parse_descriptor(ts)
-    ts.expect("ident", "from", what="'from'")
-    producer = ts.expect("ident", what="an agent id")
-    ts.expect("ident", "to", what="'to'")
-    consumer = ts.expect("ident", what="an agent id")
+    _, producer, _, consumer = ts.read(_CHANNEL_ENDS)
     initial: tuple[Value, ...] = ()
     if ts.at("ident", "init"):
         ts.next()
@@ -673,65 +763,46 @@ def _value_list(ts, cs: ColorSet) -> list[Value]:
     return values
 
 
-def _parse_agent_section(ts, agent_id: str, seed_colorsets=None, procedures=None) -> AgentModel:
-    roles: set[str] = set()
-    sensors: set[str] = set()
-    effectors: set[str] = set()
-    sections = {"assumes": roles, "sensor": sensors, "effector": effectors}
-    builder = NetBuilder(seed_colorsets, allow_events=True, procedures=procedures)
-    while not ts.at("eof"):
-        section = sections.get(ts.texts[ts.pos]) if ts.kinds[ts.pos] == "ident" else None
-        if section is not None:
-            ts.next()
-            section.add(ts.expect("ident", what="an identifier"))
-        elif not builder.statement(ts):
-            break
-    return AgentModel(
-        id=agent_id,
-        roles=frozenset(roles),
-        sensors=frozenset(sensors),
-        effectors=frozenset(effectors),
-        task=builder.build(agent_id),
-    )
+@_keywords("assign", "channel", "agent")
+class _MasReader(_Lines):
+    """A `.mas` model's lines outside its agent sections."""
+
+    def __init__(self):
+        self.assignment: dict[str, str] = {}
+        self.channels: dict[str, Channel] = {}
+        self.agents: dict[str, AgentModel] = {}
+        self.declared: dict = {}
+        self.sections: list[dict] = []  # each agent section's `declared`
+        self.procedures: dict = {}  # every agent section's procedure memo
+
+    _stmt_assign = _stmt_assign
+
+    def _stmt_channel(self, ts, kw):
+        name_at = ts.pos
+        if ts.kinds[name_at] == "ident" and ts.texts[name_at] in self.channels:
+            raise ts.error("a fresh channel id", name_at)
+        name, _ = ts.read(_CHANNEL_HEAD)
+        self.channels[name] = _parse_channel_tail(ts, name)
+        self.declared[("channel", name)] = name_at
+
+    def _stmt_agent(self, ts, kw):
+        name_at = ts.pos
+        name = ts.expect("ident", what="an agent id")
+        if name in self.agents:
+            raise ts.error("a fresh agent id", name_at)
+        section = _AgentBuilder(procedures=self.procedures)
+        self.agents[name] = section.read_section(ts, name)
+        self.sections.append(section.declared)
+        self.declared[("agent", name)] = name_at
 
 
 def _parse_mas(ts: TokenStream) -> ModelDocument:
     ts.expect("ident", "mas")
     ref = ts.expect("ident", what="an organization reference")
-    assignment: dict[str, str] = {}
-    channels: dict[str, Channel] = {}
-    agents: dict[str, AgentModel] = {}
-    declared: dict = {}
-    procedures: dict = {}  # every agent section's procedure memo
-
-    while not ts.at("eof"):
-        at = ts.pos
-        if ts.at("ident", "assign"):
-            ts.next()
-            role = ts.expect("ident", what="a role id")
-            ts.expect("arrow")
-            assignment[role] = ts.expect("ident", what="an agent id")
-        elif ts.at("ident", "channel"):
-            ts.next()
-            name_at = ts.pos
-            name = ts.expect("ident", what="a channel id")
-            if name in channels:
-                raise ts.error("a fresh channel id", name_at)
-            channels[name] = _parse_channel_tail(ts, name)
-            declared[("channel", name)] = name_at
-        elif ts.at("ident", "agent"):
-            ts.next()
-            name_at = ts.pos
-            name = ts.expect("ident", what="an agent id")
-            if name in agents:
-                raise ts.error("a fresh agent id", name_at)
-            agents[name] = _parse_agent_section(ts, name, procedures=procedures)
-            declared[("agent", name)] = name_at
-        else:
-            raise ts.error("a model declaration", at)
-
-    mam = MultiAgentModel(ref, assignment, agents, channels)
-    return ModelDocument(mam, declared, ts.where)
+    reader = _MasReader()
+    reader.read_lines(ts, "a model declaration")
+    mam = MultiAgentModel(ref, reader.assignment, reader.agents, reader.channels)
+    return ModelDocument(mam, reader.declared, ts.where, tuple(reader.sections))
 
 
 # --------------------------------------------------------------------------
@@ -745,63 +816,63 @@ class ScenarioDocument:
     colorsets: dict
 
 
-def parse_scenario(text: str) -> ScenarioDocument:
-    ts = TokenStream(text)
-    assignment: dict[str, str] = {}
-    triggers: list[Trigger] = []
-    max_steps = 10_000
-    end_condition: tuple = ("quiescence",)
-    builder = NetBuilder()
-    procedures: dict = {}  # the procedure memo of every operation payload
+_MARKED = Shape(("ident", None, "an agent id"), ("punct", "."), ("ident", None, "a place id"))
+_TRIGGER = Shape(("int", None, "a step number"), ("ident", "adapt", "'adapt'"), ("punct", "{"))
 
-    while not ts.at("eof"):
-        at = ts.pos
-        if ts.at("ident", "assign"):
-            ts.next()
-            role = ts.expect("ident", what="a role id")
-            ts.expect("arrow")
-            assignment[role] = ts.expect("ident", what="an agent id")
-        elif ts.at("ident", "budget"):
-            ts.next()
-            budget_at = ts.pos
-            max_steps = int(ts.expect("int", what="a step budget"))
-            if max_steps < 1:
-                raise ts.error("a positive budget", budget_at)
-        elif ts.at("ident", "end"):
-            ts.next()
-            kind_at = ts.pos
-            kind = ts.expect("ident", what="'quiescence' or 'marked'")
-            if kind == "quiescence":
-                end_condition = ("quiescence",)
-            elif kind == "marked":
-                agent = ts.expect("ident", what="an agent id")
-                ts.expect("punct", ".")
-                place = ts.expect("ident", what="a place id")
-                end_condition = ("marked", agent, place)
-            else:
-                raise ts.error("'quiescence' or 'marked'", kind_at)
-        elif ts.at("ident", "colorset"):
-            builder.statement(ts)
-        elif ts.at("ident", "at"):
-            ts.next()
-            step_at = ts.pos
-            at_step = int(ts.expect("int", what="a step number"))
+
+@_keywords("assign", "budget", "end", "colorset", "at")
+class _ScenarioReader(NetBuilder):
+    """A scenario's lines; its color sets are read as a net's are."""
+
+    def __init__(self):
+        super().__init__()
+        self.assignment: dict[str, str] = {}
+        self.triggers: list[Trigger] = []
+        self.max_steps = 10_000
+        self.end_condition: tuple = ("quiescence",)
+
+    _stmt_assign = _stmt_assign
+
+    def _stmt_budget(self, ts, kw):
+        budget_at = ts.pos
+        self.max_steps = int(ts.expect("int", what="a step budget"))
+        if self.max_steps < 1:
+            raise ts.error("a positive budget", budget_at)
+
+    def _stmt_end(self, ts, kw):
+        kind_at = ts.pos
+        kind = ts.expect("ident", what="'quiescence' or 'marked'")
+        if kind == "quiescence":
+            self.end_condition = ("quiescence",)
+        elif kind == "marked":
+            agent, _, place = ts.read(_MARKED)
+            self.end_condition = ("marked", agent, place)
+        else:
+            raise ts.error("'quiescence' or 'marked'", kind_at)
+
+    def _stmt_at(self, ts, kw):
+        step_at = ts.pos
+        if ts.kinds[step_at] == "int":  # the step is checked before the rest of its line is read
+            at_step = int(ts.texts[step_at])
             if at_step < 0:
                 raise ts.error("a non-negative trigger step", step_at)
-            if triggers and at_step <= triggers[-1].at_step:
+            if self.triggers and at_step <= self.triggers[-1].at_step:
                 raise ts.error("an increasing trigger step (non-increasing step)", step_at)
-            ts.expect("ident", "adapt", what="'adapt'")
-            ts.expect("punct", "{")
-            op_list = _parse_ops(ts, builder.colorset_env(), procedures)
-            ts.expect("punct", "}")
-            triggers.append(
-                Trigger(at_step, AdaptationRequest(tuple(op_list), reason=f"trigger at {at_step}"))
-            )
-        else:
-            raise ts.error("a scenario declaration", at)
+        ts.read(_TRIGGER)
+        # the builder's procedure memo serves every operation payload
+        op_list = _parse_ops(ts, self.colorset_env(), self.memo)
+        ts.expect("punct", "}")
+        self.triggers.append(
+            Trigger(at_step, AdaptationRequest(tuple(op_list), reason=f"trigger at {at_step}"))
+        )
 
-    scenario = Scenario(tuple(triggers), max_steps, end_condition)
-    return ScenarioDocument(assignment, scenario, builder.colorset_env())
+
+def parse_scenario(text: str) -> ScenarioDocument:
+    ts = TokenStream(text)
+    reader = _ScenarioReader()
+    reader.read_lines(ts, "a scenario declaration")
+    scenario = Scenario(tuple(reader.triggers), reader.max_steps, reader.end_condition)
+    return ScenarioDocument(reader.assignment, scenario, reader.colorset_env())
 
 
 def _parse_ops(ts: TokenStream, colorsets: Mapping[str, ColorSet], procedures: dict) -> list[AdaptationOp]:
@@ -826,6 +897,38 @@ def parse_ops_text(text: str, model: MultiAgentModel) -> list[AdaptationOp]:
     return op_list
 
 
+_AGENT_ID = ("ident", None, "an agent id")
+_CHANNEL_ID = ("ident", None, "a channel id")
+_PROC_NAME = ("ident", None, "a procedure name")
+# each operation's head: the fixed run of tokens after its keyword
+_OP_HEADS = {
+    "aCom": _CHANNEL_HEAD,
+    "rCom": Shape(_CHANNEL_ID),
+    "rpCom": Shape(_CHANNEL_ID, ("ident", "channel", "'channel'"), _CHANNEL_ID, ("punct", ":")),
+    **dict.fromkeys(("aSn", "rSn", "aEf", "rEf"), Shape(_AGENT_ID, _CHANNEL_ID)),
+    **dict.fromkeys(("rpSn", "rpEf"), Shape(_AGENT_ID, _CHANNEL_ID, _CHANNEL_ID)),
+    "aP": Shape(_AGENT_ID, ("ident", "proc", "'proc'"), _PROC_NAME),
+    "rpP": Shape(_AGENT_ID, _PROC_NAME, ("ident", "proc", "'proc'"), _PROC_NAME),
+    "rP": Shape(_AGENT_ID, _PROC_NAME),
+    "rpT": Shape(_AGENT_ID, ("ident", "task", "'task'"), ("punct", "{")),
+    "addAgent": Shape(_AGENT_ID, ("punct", "{")),
+    "removeAgent": Shape(_AGENT_ID),
+    "modifyAgent": Shape(_AGENT_ID, ("punct", "{")),
+}
+# the operations whose head is all there is to them, made from its names
+_NAMED_OPS = {
+    "rCom": ops.r_com,
+    "aSn": ops.a_sn,
+    "rSn": ops.r_sn,
+    "aEf": ops.a_ef,
+    "rEf": ops.r_ef,
+    "rpSn": ops.rp_sn,
+    "rpEf": ops.rp_ef,
+    "rP": ops.r_p,
+    "removeAgent": ops.remove_agent,
+}
+
+
 def _parse_one_op(ts: TokenStream, colorsets, procedures: dict) -> AdaptationOp:
     at = ts.pos
     if ts.kinds[at] != "ident":
@@ -835,63 +938,30 @@ def _parse_one_op(ts: TokenStream, colorsets, procedures: dict) -> AdaptationOp:
         line, col = ts.where(at)
         raise UnknownOp(f"unknown operation keyword '{kind}' ({line}:{col})")
     ts.next()
-
-    def ident(what):
-        return ts.expect("ident", what=what)
-
+    head = ts.read(_OP_HEADS[kind])
+    if kind in _NAMED_OPS:
+        return _NAMED_OPS[kind](*head)
     if kind == "aCom":
-        return ops.a_com(_parse_channel_tail(ts, ident("a channel id")))
-    if kind == "rCom":
-        return ops.r_com(ident("a channel id"))
+        return ops.a_com(_parse_channel_tail(ts, head[0]))
     if kind == "rpCom":
-        old = ident("a channel id")
-        ts.expect("ident", "channel", what="'channel'")
-        return ops.rp_com(old, _parse_channel_tail(ts, ident("a channel id")))
-    if kind in ("aSn", "rSn", "aEf", "rEf"):
-        agent = ident("an agent id")
-        channel = ident("a channel id")
-        fn = {"aSn": ops.a_sn, "rSn": ops.r_sn, "aEf": ops.a_ef, "rEf": ops.r_ef}[kind]
-        return fn(agent, channel)
-    if kind in ("rpSn", "rpEf"):
-        agent = ident("an agent id")
-        old = ident("a channel id")
-        new = ident("a channel id")
-        return (ops.rp_sn if kind == "rpSn" else ops.rp_ef)(agent, old, new)
+        return ops.rp_com(head[0], _parse_channel_tail(ts, head[2]))
     if kind == "aP" or kind == "rpP":
-        agent = ident("an agent id")
-        old = ident("a procedure name") if kind == "rpP" else ""
-        ts.expect("ident", "proc", what="'proc'")
-        name_at = ts.pos
-        ident("a procedure name")
         helper = NetBuilder(colorsets, procedures=procedures)
-        proc = helper.parse_procedure_tail(ts, name_at)
-        return ops.a_p(agent, proc) if kind == "aP" else ops.rp_p(agent, old, proc)
-    if kind == "rP":
-        agent = ident("an agent id")
-        return ops.r_p(agent, ident("a procedure name"))
+        proc = helper.parse_procedure_tail(ts, ts.pos - 1)
+        return ops.a_p(head[0], proc) if kind == "aP" else ops.rp_p(head[0], head[1], proc)
     if kind == "rpT":
-        agent = ident("an agent id")
-        ts.expect("ident", "task", what="'task'")
-        ts.expect("punct", "{")
         builder = NetBuilder(colorsets, allow_procs=False, allow_events=True)
-        while builder.statement(ts):
-            pass
+        builder.read_lines(ts)
         ts.expect("punct", "}")
-        return ops.rp_t(agent, builder.build(agent))
+        return ops.rp_t(head[0], builder.build(head[0]))
     if kind == "addAgent":
-        name = ident("an agent id")
-        ts.expect("punct", "{")
-        agent = _parse_agent_section(ts, name, seed_colorsets=colorsets, procedures=procedures)
+        agent = _AgentBuilder(colorsets, procedures).read_section(ts, head[0])
         ts.expect("punct", "}")
         return ops.add_agent(agent)
-    if kind == "removeAgent":
-        return ops.remove_agent(ident("an agent id"))
     # modifyAgent
-    agent = ident("an agent id")
-    ts.expect("punct", "{")
     nested = _parse_ops(ts, colorsets, procedures)
     ts.expect("punct", "}")
-    return ops.modify_agent(agent, nested)
+    return ops.modify_agent(head[0], nested)
 
 
 # --------------------------------------------------------------------------

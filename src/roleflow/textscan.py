@@ -20,24 +20,26 @@ from .errors import ModelSyntaxError
 # costs a few stack frames wherever colors are parsed or rendered
 MAX_COLOR_DEPTH = 32
 
-# One match per token: a greedy run of blanks, newlines and comments, then the
-# token, the one group. The group's last alternatives are `.` (a character
-# that starts no token) and `\Z`, and after the run the next character is
-# neither a blank nor '#', so the group always matches and the run is never
-# backtracked into. The end of the text gives one or two '' hits, after the
-# last token and after a run that ends the text. Possessive quantifiers or an
-# atomic group would say the same, but need Python 3.11.
+# One match per token: a greedy run of blanks, then the token, the one group.
+# The run is a single character class, which the engine repeats in C; the
+# group's catch-all is any other character and its last alternative is `\Z`,
+# so the group always matches and the run is never backtracked into. (Python
+# 3.10 has neither possessive quantifiers nor atomic groups to say so.) A
+# comment is a token of its own, dropped after the pass in a text that holds
+# '#'; no other token starts with '#'. The end of the text gives one or two ''
+# hits, after the last token and after a run that ends the text.
 # `\d` is the Unicode category Nd, exactly what `int()` accepts.
 _LEXEME = re.compile(
     r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
+    [ \t\r\n]*
     (
         [A-Za-z_][A-Za-z0-9_!]*
         |[(){},;:=.]
         |->
         |-?\d+
         |"[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*"
-        |.
+        |\#[^\n]*
+        |[^ \t\r\n]
         |\Z
     )
     """,
@@ -113,7 +115,10 @@ class Positions:
         if self._starts is None:
             text = self.text
             # the '' hits at the end start at len(text), the end's index
-            self._starts = [m.start(1) for m in _LEXEME.finditer(text)]
+            starts = [m.start(1) for m in _LEXEME.finditer(text)]
+            if "#" in text:
+                starts = [i for i in starts if text[i : i + 1] != "#"]
+            self._starts = starts
             self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
         return self._starts[index]
 
@@ -121,6 +126,25 @@ class Positions:
         start = self.offset(index)
         line = bisect_right(self._line_starts, start)
         return line, start - self._line_starts[line - 1] + 1
+
+
+class Shape:
+    """A fixed run of tokens, such as a statement's head, that
+    `TokenStream.read` reads in one step. Each slot holds the arguments of
+    one `TokenStream.expect` call: a kind, the text a keyword or punctuation
+    mark must have (or None), and the words an error names it by."""
+
+    __slots__ = ("slots", "size", "kinds", "fixed", "texts")
+
+    def __init__(self, *slots: tuple):
+        self.slots = slots
+        self.size = len(slots)
+        self.kinds = [slot[0] for slot in slots]
+        # the fixed texts' offsets pick them out of a run's texts at C level;
+        # with no fixed text the pick is the empty slice of every run
+        offsets = [k for k, slot in enumerate(slots) if slot[1] is not None]
+        self.fixed = itemgetter(*offsets) if offsets else itemgetter(slice(0))
+        self.texts = self.fixed([slot[1] for slot in slots])
 
 
 class TokenStream:
@@ -135,6 +159,8 @@ class TokenStream:
 
     def __init__(self, text: str):
         texts = _LEXEME.findall(text)
+        if "#" in text:
+            texts = [t for t in texts if t[:1] != "#"]
         del texts[-1]  # the end's '' hits
         if texts and not texts[-1]:
             del texts[-1]
@@ -182,6 +208,20 @@ class TokenStream:
         if kind != "eof":
             self.pos = i + 1
         return got
+
+    def read(self, shape: Shape) -> list[str]:
+        """The texts of the run of tokens at the cursor that `shape` matches,
+        checked with one comparison of its kinds and one of its fixed texts;
+        the cursor moves past it. Where a token differs, the error is the one
+        `expect` raises at the first token that differs."""
+        i = self.pos
+        j = i + shape.size
+        texts = self.texts[i:j]
+        if self.kinds[i:j] != shape.kinds or shape.fixed(texts) != shape.texts:
+            for slot in shape.slots:
+                self.expect(*slot)
+        self.pos = j
+        return texts
 
     def error(self, expected: str, at: int | None = None) -> ModelSyntaxError:
         """The syntax error at token `at`, the current token by default."""

@@ -1203,6 +1203,38 @@ def naive_tokenize(text: str):
     return tokens
 
 
+# pieces of random lexer input, joined with no separator so that neighbours
+# fuse: comments (one holds a quote mark), '#' inside strings, CRLF, tabs,
+# signs, arrows, integers and punctuation
+LEXER_PIECES = [
+    "org", "x!", "_a1", "Z", " ", "\t", "\r\n", "\n", "#", "# c", '# "q', '"a#b"', '"\\"#"', '"t\\t"',
+    "-", "->", "-12", "7", "0", "(", ")", "{", "}", ",", ";", ":", "=", ".", "->-3",
+]
+# characters that start no token: form feed, vertical tab, NBSP, a
+# non-decimal digit, and the quote and backslash of a broken string
+LEXER_BAD_PIECES = ["\f", "\v", "\u00a0", "\u00b2", '"', "\\", '"\n"']
+
+
+def random_lexer_text(rng: random.Random, pieces: int = 30) -> str:
+    """Seeded pieces of lexer input; about one text in five holds a piece
+    that starts no token, and one in four ends inside a comment."""
+    parts = [rng.choice(LEXER_PIECES) for _ in range(rng.randint(0, pieces))]
+    if rng.random() < 0.2:
+        parts.insert(rng.randint(0, len(parts)), rng.choice(LEXER_BAD_PIECES))
+    if rng.random() < 0.25:
+        parts.append("# a comment the text ends in")
+    return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# oracle: a fixed run of tokens read one token at a time
+
+
+def expect_read(ts, shape) -> list[str]:
+    """What `TokenStream.read(shape)` gives, read with one `ts.expect` call per slot."""
+    return [ts.expect(*slot) for slot in shape.slots]
+
+
 # blanks, comment and quote marks, escapes, arrows, punctuation, a
 # non-decimal digit (²), a decimal digit outside ASCII (٣) and a letter
 # outside ASCII (é)
@@ -1294,10 +1326,9 @@ def codec_samples() -> tuple[list[str], list]:
     return contexts, markings
 
 
-def parse_outcome_lines(per_parser: int = 500) -> list[str]:
-    """One line per input: its number, the parser, and `ok` or the exception's
-    class and message. The inputs are `per_parser` seeded mutations for each
-    of the five text parsers, then the lexical edges and the nesting caps."""
+def parse_corpus(per_parser: int = 500) -> list[tuple]:
+    """(parser, args) pairs: `per_parser` seeded mutations for each of the
+    five text parsers, then the lexical edges and the nesting caps."""
     rng = random.Random(1616)
     models = model_texts(rng, 4)
     scenarios = [path.read_text() for path in sorted(MODELS.glob("*.scn"))]
@@ -1316,8 +1347,14 @@ def parse_outcome_lines(per_parser: int = 500) -> list[str]:
     nested = nested_inputs((MODELS / "org1.org").read_text(), 600, 1000)
     cases.append((read_context, (nested.pop("context descriptor").encode(),)))
     cases += [(parse_model, (text,)) for text in nested.values()]
+    return cases
+
+
+def parse_outcome_lines(per_parser: int = 500) -> list[str]:
+    """One line per input of `parse_corpus`: its number, the parser, and `ok`
+    or the exception's class and message."""
     lines = []
-    for k, (parse, args) in enumerate(cases):
+    for k, (parse, args) in enumerate(parse_corpus(per_parser)):
         try:
             parse(*args)
             outcome = "ok"

@@ -117,15 +117,35 @@ def test_a_count_rejected_by_int_keeps_its_message(net1, count, message):
 
 
 def test_many_values_and_a_large_count_restore_line_by_line(net1):
-    """Each token line adds its count to its place once, so neither a place
-    of many distinct values nor a count of a million costs more than its line."""
+    """Each token line gives its value's count once, so neither a place of
+    many distinct values nor a count of a million costs more than its line."""
     m = Marking({"p": Multiset.from_counts({tok(i): 1 + i % 3 for i in range(6400)})})
     data = save_marking(net1, m)
     restored = restore_marking(data, net1)
     assert restored == m and save_marking(net1, restored) == data
-    for tokens in (b"token 1000000 7\n", b"token 999999 7\ntoken 1 7\n"):
-        restored = restore_marking(b"MRK1\nplace p : Tok=int\n" + tokens, net1)
-        assert restored.get("p").items() == [(tok(7), 10**6)]
+    restored = restore_marking(b"MRK1\nplace p : Tok=int\ntoken 1000000 7\n", net1)
+    assert restored.get("p").items() == [(tok(7), 10**6)]
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    ["token 999999 7\ntoken 1 7", "token 1 8\ntoken 1 7", "token 1 9\ntoken 1 10", "token 1 1\ntoken 2 2\ntoken 1 2"],
+    ids=["repeated", "descending", "numeric-order", "repeated-later"],
+)
+def test_token_lines_out_of_canonical_order_are_rejected(net1, tokens):
+    """One line per value, in the order `save_marking` writes: a repeated
+    value or a value before its predecessor is a `FormatError` naming the line."""
+    last = tokens.rsplit("\n", 1)[1]
+    with pytest.raises(FormatError, match=f"^token value out of canonical order in '{last}'$"):
+        restore_marking(f"MRK1\nplace p : Tok=int\n{tokens}\n".encode(), net1)
+
+
+def test_canonical_order_is_the_order_of_the_values_text(net1):
+    """`10` sorts before `9`, so `save_marking` writes it first and the reader takes it."""
+    m = Marking({"p": Multiset([tok(9), tok(10)])})
+    data = save_marking(net1, m)
+    assert data.endswith(b"token 1 10\ntoken 1 9\n")
+    assert restore_marking(data, net1) == m
 
 
 @pytest.mark.parametrize("value", ["007", "-0", "00", "٣", "-١"])

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 from collections import Counter
@@ -36,7 +39,7 @@ from roleflow import modelio
 from roleflow.adaptation import OP_KINDS, AdaptationRequest, a_p
 from roleflow.runtime import TraceEntry
 from roleflow.modelio import MAX_EXPR_DEPTH, render_trace
-from roleflow.textscan import MAX_COLOR_DEPTH, parse_descriptor_text, tokenize
+from roleflow.textscan import MAX_COLOR_DEPTH, Shape, TokenStream, parse_descriptor_text, tokenize
 
 from conftest import GOLDEN, MODELS
 from helpers import (
@@ -44,12 +47,15 @@ from helpers import (
     all_assignments,
     codec_samples,
     deadline,
+    expect_read,
     gen_org,
     model_texts,
     mutate_text,
     naive_tokenize,
     nested_inputs,
+    parse_corpus,
     parse_outcome_lines,
+    random_lexer_text,
     shared_product_chain,
 )
 
@@ -82,18 +88,28 @@ class TestParseModel:
         org = gen_org(random.Random(5), "loc")
         texts = [(MODELS / "org1.org").read_text(), (MODELS / "devsociety.org").read_text(), serialize_model(org)]
         texts.append(serialize_model(decompose(org, {role: f"ag_{role}" for role in org.roles})))
+        with_var = ORG1_TEXT.replace("colorset Tok = int\n", "colorset Tok = int\nvar v : Tok\n")
+        texts += [with_var, serialize_model(decompose(parse_model(with_var).model, {"A": "agent1", "B": "agent2"}))]
+        seen = {"Organization": set(), "MultiAgentModel": set()}
         for text in texts:
             doc = parse_model(text)
-            # a .mas text records its channels and agents, not the nets inside agent sections
-            kinds = _DECLARING if isinstance(doc.model, Organization) else {"channel": "channel", "agent": "agent"}
+            # a .mas text records its channels and agents and every kind its agent sections declare
+            kinds = dict(_DECLARING)
+            if not isinstance(doc.model, Organization):
+                del kinds["role"]
+                kinds.update(channel="channel", agent="agent")
             tokens = naive_tokenize(text)
-            expected = {
-                (kinds[kw.text], name.text): (name.line, name.col)
-                for kw, name in zip(tokens, tokens[1:])
-                if kw.kind == "ident" and kw.text in kinds and name.kind == "ident"
-            }
+            expected = {}
+            for kw, name in zip(tokens, tokens[1:]):
+                if kw.kind == "ident" and kw.text in kinds and name.kind == "ident":
+                    # where several agents declare one name, the first declaration is given
+                    expected.setdefault((kinds[kw.text], name.text), (name.line, name.col))
             assert len(expected) > 2
             assert doc.locations == expected
+            seen[type(doc.model).__name__].update(kind for kind, _ in expected)
+        # between them the texts declare every kind, in both formats
+        assert seen["Organization"] == set(_DECLARING.values())
+        assert seen["MultiAgentModel"] == set(_DECLARING.values()) - {"role"} | {"channel", "agent"}
 
     def test_empty_input(self):
         with pytest.raises(ModelSyntaxError) as err:
@@ -329,6 +345,22 @@ out q : o
 """
 
 
+class TestProcedureText:
+    def test_a_kept_text_equals_a_fresh_render_and_copies_drop_it(self, mam1):
+        doc = parse_model(serialize_model(mam1))
+        text = serialize_model(doc)
+        procs = [p for agent in doc.model.agents.values() for p in agent.task.procedures.values()]
+        assert procs
+        for proc in procs:
+            kept = proc._text
+            assert f"\n{kept}\n" in text
+            assert kept == modelio._render_proc(dataclasses.replace(proc))
+            for twin in (copy.copy(proc), copy.deepcopy(proc), pickle.loads(pickle.dumps(proc))):
+                assert twin == proc
+                assert getattr(twin, "_text", None) is None
+        assert serialize_model(doc) == text
+
+
 class TestGuardedModelText:
     def test_parse_validate_round_trip(self):
         doc = parse_model(GUARDED_TEXT)
@@ -556,6 +588,24 @@ class TestTokenizer:
             "a valid escape",
         }, outcomes
 
+    def test_token_stream_and_positions_match_the_naive_tokenizer(self):
+        """Kinds, texts and every position (the end's too) on the parse
+        corpus, the lexical edges and seeded random texts."""
+        texts = [args[0].decode() if isinstance(args[0], bytes) else args[0] for _, args in parse_corpus()]
+        texts += LEXICAL_EDGES
+        rng = random.Random(2525)
+        texts += [random_lexer_text(rng) for _ in range(3000)]
+        outcomes = Counter()
+        for text in texts:
+            try:
+                ts = TokenStream(text)
+                got = [(k, t, *ts.where(i)) for i, (k, t) in enumerate(zip(ts.kinds, ts.texts))]
+            except ModelSyntaxError as exc:
+                got = (exc.line, exc.col, exc.expected)
+            assert got == _lex(naive_tokenize, text), repr(text)
+            outcomes["tokens" if isinstance(got, list) else got[2].split(" (")[0]] += 1
+        assert outcomes["tokens"] > 2000 and len(outcomes) == 5, outcomes
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -582,6 +632,46 @@ class TestTokenizer:
         assert [(t.kind, t.text, t.line, t.col) for t in tokens] == [
             ("ident", "org", 27_001, 1), ("eof", "", 54_001, 1)
         ]
+
+
+# every fixed run of tokens the readers read in one step
+_SHAPES = {name: v for name, v in vars(modelio).items() if isinstance(v, Shape)}
+_SHAPES.update({f"op_{kind}": shape for kind, shape in modelio._OP_HEADS.items()})
+# a token of each kind a name slot takes, and a token of another kind
+_SAMPLE = {"ident": "x", "int": "5", "arrow": "->"}
+_OTHER_KIND = {"ident": "5", "int": "x", "punct": "x", "arrow": "x"}
+
+
+def _read_outcome(reader, text, shape):
+    ts = TokenStream(text)
+    ts.pos = 1  # after the leading `head`
+    try:
+        return reader(ts, shape), ts.pos
+    except RoleflowError as exc:
+        return type(exc).__name__, exc.line, exc.col, str(exc)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_read_fails_where_the_expect_chain_fails(self, name):
+        """The run itself, each token swapped for one of another kind (a
+        string of the same text among them) or another keyword, and the
+        text cut off inside the run: `read` gives what one `expect` per
+        token gives, texts or error."""
+        shape = _SHAPES[name]
+        tokens = [text if text is not None else _SAMPLE[kind] for kind, text, *_ in shape.slots]
+        texts = [tokens, tokens + ["tail"]]
+        for k, (kind, text, *_) in enumerate(shape.slots):
+            for swap in (f'"{tokens[k]}"', _OTHER_KIND[kind]):
+                texts.append(tokens[:k] + [swap] + tokens[k + 1:])
+            if text is not None:
+                texts.append(tokens[:k] + ["zz" if kind == "ident" else ";"] + tokens[k + 1:])
+            texts.append(tokens[:k])
+        for words in texts:
+            text = "head\n  " + " ".join(words)
+            want = _read_outcome(expect_read, text, shape)
+            assert _read_outcome(TokenStream.read, text, shape) == want, text
+            assert (want[0] == "ModelSyntaxError") != (words[: len(tokens)] == tokens)
 
 
 class TestParseOutcomes:
