@@ -329,7 +329,7 @@ def _apply(mam: MultiAgentModel, op: AdaptationOp) -> MultiAgentModel:
             viol(op.agent_id, f"replacement name '{op.procedure.name}' already known")
         procs.append(op.procedure)
         transitions = [
-            replace(t, procedure=op.procedure.name) if t.procedure == op.name else t
+            t._replace(procedure=op.procedure.name) if t.procedure == op.name else t
             for t in agent.task.transitions.values()
         ]
         task = _rebuild_task(agent.task, procedures=procs, transitions=transitions)

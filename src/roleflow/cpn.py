@@ -15,7 +15,7 @@ import itertools
 import operator
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -42,6 +42,19 @@ _TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"
 
 def quote_text(s: str) -> str:
     return '"' + "".join(map(_TEXT_ESCAPES.get, s, s)) + '"'
+
+
+def typed_record(cls):
+    """Give a named-tuple record a frozen dataclass's equality: equal only to a record of its
+    own type with equal items, never to a plain tuple or to a record of another type (`object`'s
+    `__ne__` inverts `__eq__`). The hash stays the tuple's. The records that keep no cache are
+    such named tuples, built without an `object.__setattr__` per field; `_replace` derives one."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _record_eq, object.__ne__, tuple.__hash__
+    return cls
+
+
+def _record_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
 
 
 # every live color by (name, kind, members, components); weak, so the table
@@ -325,21 +338,24 @@ class Multiset:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
-class Place:
+_EMPTY_MS = Multiset()
+
+
+@typed_record
+class Place(NamedTuple):
     id: str
     colorset: ColorSet
-    initial: Multiset = field(default_factory=Multiset)
+    initial: Multiset = _EMPTY_MS  # multisets are immutable: unmarked places share one
 
 
-@dataclass(frozen=True)
-class Variable:
+@typed_record
+class Variable(NamedTuple):
     name: str
     colorset: ColorSet
 
 
-@dataclass(frozen=True)
-class Expr:
+@typed_record
+class Expr(NamedTuple):
     """A pure expression over named parameters, literals, tuples, and builtins."""
 
     kind: str  # "var" | "lit" | "tuple" | "call"
@@ -349,19 +365,19 @@ class Expr:
 
     @staticmethod
     def var(name: str) -> "Expr":
-        return Expr("var", name=name)
+        return Expr("var", name)
 
     @staticmethod
     def lit(value: Value) -> "Expr":
-        return Expr("lit", value=value)
+        return Expr("lit", "", value)
 
     @staticmethod
     def tup(*args: "Expr") -> "Expr":
-        return Expr("tuple", args=tuple(args))
+        return Expr("tuple", "", None, args)
 
     @staticmethod
     def call(name: str, *args: "Expr") -> "Expr":
-        return Expr("call", name=name, args=tuple(args))
+        return Expr("call", name, None, args)
 
 
 def expr_free_vars(expr: Expr) -> frozenset[str]:
@@ -648,40 +664,19 @@ def _compile_procedure(proc: ProcedureDef) -> CompiledProcedure:
     return CompiledProcedure(tuple(out), None if failure else tuple(outputs), failure, set())
 
 
-@dataclass(frozen=True)
-class SendEvent:
+@typed_record
+class SendEvent(NamedTuple):
     channel: str
     message: Expr
 
 
-@dataclass(frozen=True)
-class ReceiveEvent:
+@typed_record
+class ReceiveEvent(NamedTuple):
     channel: str
     var: str
 
 
 Event = Union[SendEvent, ReceiveEvent, None]
-
-
-def typed_record(cls):
-    """Give a named-tuple record a frozen dataclass's equality: equal only to
-    a record of its own type with equal items, never to a plain tuple or to
-    a record of another type. The hash stays the tuple's."""
-    cls.__eq__, cls.__ne__, cls.__hash__ = _record_eq, _record_ne, tuple.__hash__
-    return cls
-
-
-def _record_eq(self, other):
-    return type(other) is type(self) and tuple.__eq__(self, other)
-
-
-def _record_ne(self, other):
-    return not _record_eq(self, other)
-
-
-# The event records are built on every occurrence, so they are named tuples:
-# immutable, hashable and picklable like a frozen dataclass, without one
-# `object.__setattr__` per field.
 
 
 @typed_record
@@ -696,8 +691,8 @@ class ReceivedMessage(NamedTuple):
     value: Value
 
 
-@dataclass(frozen=True)
-class Transition:
+@typed_record
+class Transition(NamedTuple):
     id: str
     role: str
     procedure: str
@@ -705,15 +700,15 @@ class Transition:
     event: Event = None
 
 
-@dataclass(frozen=True)
-class InputArc:
+@typed_record
+class InputArc(NamedTuple):
     place: str
     transition: str
     label: str  # names a procedure input parameter
 
 
-@dataclass(frozen=True)
-class OutputArc:
+@typed_record
+class OutputArc(NamedTuple):
     transition: str
     place: str
     label: str  # names a procedure output result
@@ -753,23 +748,17 @@ class Net:
         self.procedures = _keyed({p.name: p for p in procedures}, procedures, "procedure")
         self.colorsets = _color_table(id, colorsets, self.variables, self.places, self.procedures)
         self.arcs = tuple(arcs)
-        inputs, outputs = {}, {}  # transition id -> arcs in net order
-        for arc in self.arcs:
-            (inputs if isinstance(arc, InputArc) else outputs).setdefault(arc.transition, []).append(arc)
-        self._inputs, self._outputs = _by_label(inputs), _by_label(outputs)
+        self._inputs, self._outputs = _arcs_by_transition(self.arcs)
         self.transition_ids: tuple[str, ...] = tuple(sorted(self.transitions))
-        # a Marking is immutable, so every caller can share this one
-        self._initial = Marking({p.id: p.initial for p in self.places.values()})
+        # immutable, so every caller shares it; built from the marked places as `with_updates` builds one
+        self._initial = initial = object.__new__(Marking)
+        initial._places = {pid: p.initial for pid, p in self.places.items() if p.initial._counts}
 
     def input_arcs(self, tid: str) -> tuple[InputArc, ...]:
         return self._inputs.get(tid, ())
 
     def output_arcs(self, tid: str) -> tuple[OutputArc, ...]:
         return self._outputs.get(tid, ())
-
-    @property
-    def roles(self) -> tuple[str, ...]:
-        return tuple(sorted({t.role for t in self.transitions.values() if t.role}))
 
     def initial_marking(self) -> "Marking":
         return self._initial
@@ -814,9 +803,23 @@ def _keyed(mapping, items: list, what):
     return mapping
 
 
-def _by_label(arcs_of: dict[str, list]) -> dict[str, tuple]:
-    """Each transition's arcs in stable label order; a lone arc needs no sort."""
-    return {t: tuple(sorted(arcs, key=_LABEL)) if len(arcs) > 1 else tuple(arcs) for t, arcs in arcs_of.items()}
+def _arcs_by_transition(arcs: tuple) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """Each transition's input arcs and output arcs in stable label order; a lone arc needs no sort."""
+    inputs, outputs, crowded = {}, {}, []  # crowded: (table, transition id) of each side whose arcs went into a list
+    for arc in arcs:
+        table = inputs if type(arc) is InputArc else outputs
+        tid = arc.transition
+        group = table.get(tid)
+        if group is None:
+            table[tid] = (arc,)
+        elif type(group) is tuple:
+            table[tid] = [*group, arc]
+            crowded.append((table, tid))
+        else:
+            group.append(arc)
+    for table, tid in crowded:
+        table[tid] = tuple(sorted(table[tid], key=_LABEL))
+    return inputs, outputs
 
 
 def _color_table(net_id, declared, variables, places, procedures) -> dict[str, ColorSet]:
@@ -878,8 +881,6 @@ class Marking:
         inner = ", ".join(f"{pid}:{self._places[pid]!r}" for pid in sorted(self._places))
         return "Marking(" + inner + ")"
 
-
-_EMPTY_MS = Multiset()
 
 Binding = Mapping[str, Value]
 Mailbox = Sequence[tuple[str, Value]]
@@ -1064,21 +1065,21 @@ def iter_bindings(
     its plan (see `_checked_plan`): each value has its input's color, then the guard holds.
     """
     plan = _checked_plan(net, transition_id)
-    fixed = _received(plan.event, mailbox)
+    fixed = _received(plan.receive, mailbox)
     if fixed is None:
         return
     yield from _bindings(fixed, plan.inputs, marking, plan.passes)
 
 
-def _received(event: Event, mailbox: Mailbox) -> Optional[dict[str, Value]]:
-    """The binding a receive event fixes (the earliest message on its channel), or None
-    when no such message waits; an empty binding for any other event."""
-    if not isinstance(event, ReceiveEvent):
+def _received(receive: Optional[tuple[str, str]], mailbox: Mailbox) -> Optional[dict[str, Value]]:
+    """The binding a receive's (channel, variable) fixes (the earliest message on its channel),
+    or None when no such message waits; an empty binding for a transition that receives nothing."""
+    if receive is None:
         return {}
-    channel = event.channel
+    channel, var = receive
     for ch, v in mailbox:
         if ch == channel:
-            return {event.var: v}
+            return {var: v}
     return None
 
 
@@ -1187,7 +1188,7 @@ class TransitionPlan:
     before the guard or any closure sees it.
     """
 
-    __slots__ = ("inputs", "heads", "event", "passes", "outputs", "out_arcs", "send")
+    __slots__ = ("inputs", "heads", "channel", "receive", "passes", "outputs", "out_arcs", "send")
 
     def __init__(self, net: Net, transition_id: str):
         t = net.transitions[transition_id]
@@ -1197,7 +1198,9 @@ class TransitionPlan:
         # is the head of each pool: no two inputs share a place, and no guard
         self.inputs = _arc_pairs(net.input_arcs(t.id))
         self.heads = len({pid for _, pid in self.inputs}) == len(self.inputs) and t.guard is None
-        self.event = t.event
+        # the event's fields, read once here rather than on every firing
+        self.channel = None if t.event is None else t.event.channel
+        self.receive = (self.channel, t.event.var) if isinstance(t.event, ReceiveEvent) else None
         self.out_arcs = _arc_pairs(net.output_arcs(t.id))
         guard = None if t.guard is None else compile_expr(t.guard, None, env)
         colors = tuple(env.items())
@@ -1212,13 +1215,12 @@ class TransitionPlan:
 
         self.passes = passes
         self.outputs = compiled_procedure(proc).outputs
-        self.send = None
-        if isinstance(t.event, SendEvent):
-            self.send = compile_expr(t.event.message, None, {**env, **dict(proc.outputs)})
+        sent = t.event.message if isinstance(t.event, SendEvent) else None
+        self.send = None if sent is None else compile_expr(sent, None, {**env, **dict(proc.outputs)})
 
     def first_binding(self, marking: Marking, mailbox: Mailbox) -> Optional[dict[str, Value]]:
         """The transition's canonically first binding, as `first_binding` finds it, or None."""
-        binding = _received(self.event, mailbox)
+        binding = _received(self.receive, mailbox)
         if binding is None:
             return None
         if not self.heads:
@@ -1249,11 +1251,11 @@ class TransitionPlan:
         for label, pid in self.out_arcs:
             changes[pid] = changes.get(pid, places.get(pid, _EMPTY_MS)).plus((results[label],))
         new_marking = marking.with_updates(changes)
-        event = self.event
-        if isinstance(event, ReceiveEvent):
-            return new_marking, [ReceivedMessage(event.channel, binding[event.var])]
+        if self.receive is not None:
+            channel, var = self.receive
+            return new_marking, [ReceivedMessage(channel, binding[var])]
         if self.send is not None:
-            return new_marking, [SentMessage(event.channel, self.send({**binding, **results}))]
+            return new_marking, [SentMessage(self.channel, self.send({**binding, **results}))]
         return new_marking, []
 
 

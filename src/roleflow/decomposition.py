@@ -31,6 +31,7 @@ from .cpn import (
     analyze_expr,
     inherit_type_report,
     type_check_net,
+    typed_record,
 )
 from .errors import (
     CoherenceError,
@@ -42,13 +43,13 @@ from .errors import (
     Violation,
     report_of,
 )
-from .organization import Organization, validate_organization
+from .organization import Organization, place_role_adjacency, validate_organization
 
 RoleAssignment = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Channel:
+@typed_record
+class Channel(NamedTuple):
     """A derived communication means; id matches the global place it replaced."""
 
     id: str
@@ -110,6 +111,10 @@ class MultiAgentModel:
 def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
     """Derive a multi-agent model from an organization under a total role assignment.
 
+    The assignment gives each declared role an agent and names no other role,
+    or `PartialAssignment` is raised. Each place's writing and reading agents
+    come from the role adjacency `validate_organization` keeps on the net.
+
     Each agent comes with the organization's verdict: its task gets the
     global net's clean type report and the agent its `_AgentChecks`, with
     no entries, so validating the model checks no agent again. It holds
@@ -129,54 +134,44 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
     missing = sorted(set(org.roles) - set(assignment))
     if missing:
         raise PartialAssignment(f"roles without an agent: {missing}")
+    undeclared = sorted(set(assignment) - set(org.roles))
+    if undeclared:
+        raise PartialAssignment(f"roles the organization does not declare: {undeclared}")
 
     net = org.global_task
     agent_ids = sorted(set(assignment.values()))
-    agent_of = {tid: assignment[t.role] for tid, t in net.transitions.items()}
-
-    writers: dict[str, set[str]] = {pid: set() for pid in net.places}
-    readers: dict[str, set[str]] = {pid: set() for pid in net.places}
-    for arc in net.arcs:
-        if isinstance(arc, OutputArc):
-            writers[arc.place].add(agent_of[arc.transition])
-        else:
-            readers[arc.place].add(agent_of[arc.transition])
+    agent_of_role = assignment.__getitem__
+    # validation built the role adjacency, so the arcs are not walked for it again
+    adjacency = place_role_adjacency(net)
 
     # each agent's places, transitions and roles, gathered in one pass each
     places_of: dict[str, list[Place]] = {aid: [] for aid in agent_ids}
     channels: dict[str, Channel] = {}
     for pid in sorted(net.places):
-        adjacent = writers[pid] | readers[pid]
+        writer_roles, reader_roles = adjacency[pid]
+        writers = set(map(agent_of_role, writer_roles))
+        readers = set(map(agent_of_role, reader_roles))
+        adjacent = writers | readers
         if len(adjacent) <= 1:
             # isolated places go to the first agent so nothing is dropped
             places_of[next(iter(adjacent)) if adjacent else agent_ids[0]].append(net.places[pid])
             continue
-        if len(writers[pid]) != 1:
+        if len(writers) != 1:
             raise IncoherentOrganization(
                 f"place {pid} is written by several agents; no single producer"
             )
-        if len(readers[pid]) != 1:
+        if len(readers) != 1:
             raise IncoherentOrganization(
                 f"place {pid} is read by several agents; no single consumer"
             )
         place = net.places[pid]
         channels[pid] = Channel(
-            id=pid,
-            colorset=place.colorset,
-            producer=next(iter(writers[pid])),
-            consumer=next(iter(readers[pid])),
-            initial=tuple(place.initial.values()),
+            pid, place.colorset, next(iter(writers)), next(iter(readers)), tuple(place.initial.values())
         )
 
     tids_of: dict[str, list[str]] = {aid: [] for aid in agent_ids}
-    for tid in sorted(net.transitions):
-        touched = [a.place for a in net.input_arcs(tid) if a.place in channels]
-        touched += [a.place for a in net.output_arcs(tid) if a.place in channels]
-        if len(touched) > 1:
-            raise IncoherentOrganization(
-                f"transition {tid} would need {len(touched)} message events; only one is supported"
-            )
-        tids_of[agent_of[tid]].append(tid)
+    for tid in net.transition_ids:
+        tids_of[assignment[net.transitions[tid].role]].append(tid)
 
     roles_of: dict[str, set[str]] = {aid: set() for aid in agent_ids}
     for role, aid in assignment.items():
@@ -186,6 +181,7 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
     variables = [(n, net.variables[n]) for n in sorted(net.variables)]
     # every agent's task declares the organization's colors and variables
     net_colorsets, net_variables = list(net.colorsets.values()), list(net.variables.values())
+    crowded = []  # transitions on more than one channel
     agents: dict[str, AgentModel] = {}
     for aid in agent_ids:
         transitions = []
@@ -199,12 +195,16 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             event = None
             for arc in net.input_arcs(tid):
                 if arc.place in channels:
+                    if event is not None:
+                        crowded.append(tid)
                     event = ReceiveEvent(arc.place, arc.label)
                     sensors.add(arc.place)
                 else:
                     arcs.append(arc)
             for arc in net.output_arcs(tid):
                 if arc.place in channels:
+                    if event is not None:
+                        crowded.append(tid)
                     event = SendEvent(arc.place, Expr.var(arc.label))
                     effectors.add(arc.place)
                 else:
@@ -240,6 +240,12 @@ def decompose(org: Organization, assignment: RoleAssignment) -> MultiAgentModel:
             colorsets=colorsets,
             variables=variables,
         ).keep(agents[aid])
+    if crowded:
+        tid = min(crowded)
+        touched = [a for a in net.input_arcs(tid) + net.output_arcs(tid) if a.place in channels]
+        raise IncoherentOrganization(
+            f"transition {tid} would need {len(touched)} message events; only one is supported"
+        )
     return MultiAgentModel(org.id, dict(assignment), agents, channels)
 
 

@@ -50,7 +50,7 @@ class IncoherentOrganization(RoleflowError):
 
 
 class PartialAssignment(RoleflowError):
-    """A role assignment does not cover every declared role."""
+    """A role assignment does not cover every declared role, or names a role the organization does not declare."""
 
 
 class InconsistentChannels(RoleflowError):

@@ -254,6 +254,9 @@ class _Lines:
 
 
 def _stmt_assign(self, ts, kw):
+    role_at = ts.pos
+    if ts.kinds[role_at] == "ident" and ts.texts[role_at] in self.assignment:
+        raise ts.error("a fresh role id", role_at)
     role, _, agent = ts.read(_ASSIGN)
     self.assignment[role] = agent
 

@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cpn import InputArc, Net, OutputArc, type_check_net
+from .cpn import InputArc, Net, type_check_net, typed_record
 from .errors import ValidationReport, Violation, report_of
 
 
-@dataclass(frozen=True)
-class Role:
+@typed_record
+class Role(NamedTuple):
     id: str
     description: str = ""
 
 
-@dataclass(frozen=True)
-class CommLink:
+@typed_record
+class CommLink(NamedTuple):
     source: str
     target: str
 
@@ -54,29 +55,37 @@ class Organization:
         )
 
 
-def _place_role_adjacency(net: Net) -> dict[str, tuple[set, set]]:
-    """Per place: (roles that write it, roles that read it)."""
-    adjacency: dict[str, tuple[set, set]] = {pid: (set(), set()) for pid in net.places}
-    for arc in net.arcs:
-        t = net.transitions.get(arc.transition)
-        if t is None or arc.place not in adjacency:
-            continue
-        if isinstance(arc, OutputArc):
-            adjacency[arc.place][0].add(t.role)
-        elif isinstance(arc, InputArc):
-            adjacency[arc.place][1].add(t.role)
+def place_role_adjacency(net: Net) -> dict[str, tuple[set, set]]:
+    """Per place: (roles that write it, roles that read it). Shared: callers must not mutate it.
+
+    A Net is immutable, so the table is built on first use and kept on the
+    net, the way `cpn.type_check_net` keeps its report: `validate_organization`
+    builds it and `decompose` reads each place's writers and readers from it.
+    """
+    # getattr, not `net.__dict__`, for the reason `cpn.type_check_net` gives
+    adjacency = getattr(net, "_role_adjacency", None)
+    if adjacency is None:
+        adjacency = {pid: (set(), set()) for pid in net.places}
+        transitions = net.transitions
+        for arc in net.arcs:
+            t = transitions.get(arc.transition)
+            ends = adjacency.get(arc.place)
+            if t is not None and ends is not None:
+                ends[type(arc) is InputArc].add(t.role)
+        net._role_adjacency = adjacency
     return adjacency
 
 
 def communication_structure(org: Organization) -> tuple[CommLink, ...]:
     """Links induced by the global task: writer role -> reader role over a shared place."""
     links = set()
-    for writers, readers in _place_role_adjacency(org.global_task).values():
+    for writers, readers in place_role_adjacency(org.global_task).values():
         for w in writers:
             for r in readers:
                 if w != r:
                     links.add(CommLink(w, r))
-    return tuple(sorted(links, key=lambda l: (l.source, l.target)))
+    # a link sorts as its (source, target) tuple
+    return tuple(sorted(links))
 
 
 def validate_organization(org: Organization) -> ValidationReport:
@@ -91,7 +100,7 @@ def validate_organization(org: Organization) -> ValidationReport:
         if t.event is not None:
             out.append(Violation("event", tid, "global task transitions may not carry events"))
 
-    for link in sorted(org.links, key=lambda l: (l.source, l.target)):
+    for link in sorted(org.links):
         if link.source == link.target:
             out.append(Violation("comm", link.source, "communication link from a role to itself"))
         for end in (link.source, link.target):

@@ -45,11 +45,16 @@ _LEXEME = re.compile(
     """,
     re.VERBOSE,
 )
-# a token's kind by its first character; '"', '-' and every other character
-# fall to `_kind_of`
+# a token's kind by its first character. A '-' starts an arrow unless it
+# starts a negative int or stands alone, which `TokenStream` checks; '"' and
+# every other character fall to `_kind_of`. `_OTHER_FIRST` finds those in a
+# string of first characters, and `_OTHER_OR_DASH_FIRST` finds each '-' too.
 _KIND_OF_FIRST = dict.fromkeys(string.ascii_letters + "_", "ident")
 _KIND_OF_FIRST.update(dict.fromkeys("(){},;:=.", "punct"))
 _KIND_OF_FIRST.update(dict.fromkeys(string.digits, "int"))
+_KIND_OF_FIRST["-"] = "arrow"
+_OTHER_FIRST = re.compile("[^" + re.escape("".join(_KIND_OF_FIRST)) + "]")
+_OTHER_OR_DASH_FIRST = re.compile("[^" + re.escape("".join(_KIND_OF_FIRST).replace("-", "")) + "]")
 _first_char = itemgetter(0)
 # the valid start of a string body; the character that ends it names the error
 _STRING_PREFIX = re.compile(r'(?:[^"\\\n]|\\["\\nrt])*')
@@ -164,11 +169,18 @@ class TokenStream:
         del texts[-1]  # the end's '' hits
         if texts and not texts[-1]:
             del texts[-1]
-        kinds = list(map(_KIND_OF_FIRST.get, map(_first_char, texts)))
+        firsts = "".join(map(_first_char, texts))
+        kinds = list(map(_KIND_OF_FIRST.get, firsts))
         self.where = Positions(text)
-        i = -1
-        for _ in range(kinds.count(None)):
-            i = kinds.index(None, i + 1)
+        other = _OTHER_FIRST
+        i = firsts.find("-")
+        while i >= 0:
+            if texts[i] != "->":  # a negative int or a lone '-': `_kind_of` decides each '-'
+                other = _OTHER_OR_DASH_FIRST
+                break
+            i = firsts.find("-", i + 1)
+        for m in other.finditer(firsts):
+            i = m.start()
             kind = kinds[i] = _kind_of(texts[i])
             if kind == "string":
                 texts[i] = _unescape(texts[i][1:-1])

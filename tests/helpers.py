@@ -9,7 +9,6 @@ runs are checked against an exhaustive interleaving search.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import json
 import random
@@ -21,12 +20,14 @@ from roleflow import (
     ColorSet,
     CommLink,
     Expr,
+    IncoherentOrganization,
     InputArc,
     Marking,
     Multiset,
     Net,
     Organization,
     OutputArc,
+    PartialAssignment,
     Place,
     ProcedureDef,
     ReceivedMessage,
@@ -55,7 +56,8 @@ from roleflow import (
     validate_organization,
     write_context,
 )
-from roleflow.cpn import INT_MAX, INT_MIN
+from roleflow.cpn import INT_MAX, INT_MIN, inherit_type_report
+from roleflow.decomposition import AgentModel, Channel, MultiAgentModel, _AgentChecks
 from roleflow.errors import SaturationWarning, TypeMismatch, UnboundVariable
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -813,6 +815,125 @@ def gen_random_op(rng: random.Random, mam):
 
 
 # ---------------------------------------------------------------------------
+# oracle: decomposition with a second walk over the arcs
+
+
+def naive_decompose(org, assignment):
+    """`decompose` as it was before it read the role adjacency validation
+    keeps on the net: each place's writing and reading agents come from a
+    walk over every arc, and every transition is checked for a second event
+    before any agent is built. Only the undeclared-role check is not here."""
+    report = validate_organization(org)
+    if not report.empty:
+        raise IncoherentOrganization("organization fails validation", report)
+    missing = sorted(set(org.roles) - set(assignment))
+    if missing:
+        raise PartialAssignment(f"roles without an agent: {missing}")
+
+    net = org.global_task
+    agent_ids = sorted(set(assignment.values()))
+    agent_of = {tid: assignment[t.role] for tid, t in net.transitions.items()}
+
+    writers: dict[str, set[str]] = {pid: set() for pid in net.places}
+    readers: dict[str, set[str]] = {pid: set() for pid in net.places}
+    for arc in net.arcs:
+        if isinstance(arc, OutputArc):
+            writers[arc.place].add(agent_of[arc.transition])
+        else:
+            readers[arc.place].add(agent_of[arc.transition])
+
+    places_of: dict[str, list[Place]] = {aid: [] for aid in agent_ids}
+    channels: dict[str, Channel] = {}
+    for pid in sorted(net.places):
+        adjacent = writers[pid] | readers[pid]
+        if len(adjacent) <= 1:
+            places_of[next(iter(adjacent)) if adjacent else agent_ids[0]].append(net.places[pid])
+            continue
+        if len(writers[pid]) != 1:
+            raise IncoherentOrganization(f"place {pid} is written by several agents; no single producer")
+        if len(readers[pid]) != 1:
+            raise IncoherentOrganization(f"place {pid} is read by several agents; no single consumer")
+        place = net.places[pid]
+        channels[pid] = Channel(
+            id=pid,
+            colorset=place.colorset,
+            producer=next(iter(writers[pid])),
+            consumer=next(iter(readers[pid])),
+            initial=tuple(place.initial.values()),
+        )
+
+    tids_of: dict[str, list[str]] = {aid: [] for aid in agent_ids}
+    for tid in sorted(net.transitions):
+        touched = [a.place for a in net.input_arcs(tid) if a.place in channels]
+        touched += [a.place for a in net.output_arcs(tid) if a.place in channels]
+        if len(touched) > 1:
+            raise IncoherentOrganization(
+                f"transition {tid} would need {len(touched)} message events; only one is supported"
+            )
+        tids_of[agent_of[tid]].append(tid)
+
+    roles_of: dict[str, set[str]] = {aid: set() for aid in agent_ids}
+    for role, aid in assignment.items():
+        roles_of[aid].add(role)
+
+    colorsets = [(n, net.colorsets[n]) for n in sorted(net.colorsets)]
+    variables = [(n, net.variables[n]) for n in sorted(net.variables)]
+    agents = {}
+    for aid in agent_ids:
+        transitions, arcs = [], []
+        sensors: set[str] = set()
+        effectors: set[str] = set()
+        proc_names: set[str] = set()
+        for tid in tids_of[aid]:
+            t = net.transitions[tid]
+            proc_names.add(t.procedure)
+            event = None
+            for arc in net.input_arcs(tid):
+                if arc.place in channels:
+                    event = ReceiveEvent(arc.place, arc.label)
+                    sensors.add(arc.place)
+                else:
+                    arcs.append(arc)
+            for arc in net.output_arcs(tid):
+                if arc.place in channels:
+                    event = SendEvent(arc.place, Expr.var(arc.label))
+                    effectors.add(arc.place)
+                else:
+                    arcs.append(arc)
+            transitions.append(t if event is None else Transition(t.id, t.role, t.procedure, t.guard, event))
+        procedures = [(p, net.procedures[p]) for p in sorted(proc_names)]
+        task = Net(
+            aid,
+            colorsets=list(net.colorsets.values()),
+            variables=list(net.variables.values()),
+            places=places_of[aid],
+            transitions=transitions,
+            procedures=[proc for _, proc in procedures],
+            arcs=arcs,
+        )
+        inherit_type_report(task, net)
+        agents[aid] = AgentModel(
+            id=aid,
+            roles=frozenset(roles_of[aid]),
+            sensors=frozenset(sensors),
+            effectors=frozenset(effectors),
+            task=task,
+        )
+        _AgentChecks(
+            aid,
+            channels=tuple((n, channels[n]) for n in sorted(sensors | effectors)),
+            head=(),
+            tail=(),
+            places=[p.id for p in places_of[aid]],
+            transitions=tids_of[aid],
+            procedures=procedures,
+            colorsets=colorsets,
+            variables=variables,
+        ).keep(agents[aid])
+    return MultiAgentModel(org.id, dict(assignment), agents, channels)
+
+
+# ---------------------------------------------------------------------------
 # oracle: model validation with nothing remembered
 
 
@@ -829,8 +950,6 @@ def cold_net(net):
 def cold_model(mam):
     """A copy of the model in which every Net, procedure, agent and the model itself are new objects."""
     from dataclasses import replace
-
-    from roleflow import MultiAgentModel
 
     agents = {aid: replace(a, task=cold_net(a.task)) for aid, a in mam.agents.items()}
     return MultiAgentModel(mam.organization_ref, mam.assignment, agents, dict(mam.channels))
@@ -1389,21 +1508,21 @@ def mutate_net(rng: random.Random, net: Net, edits: int) -> Net:
             if arcs:
                 arc = arcs.pop(rng.randrange(len(arcs)))
                 if edit == "relabel":
-                    arcs.append(dataclasses.replace(arc, label=rng.choice(labels)))
+                    arcs.append(arc._replace(label=rng.choice(labels)))
             continue
         t = transitions[rng.choice(sorted(transitions))]
         if edit == "swap":
             other = transitions[rng.choice(sorted(transitions))]
-            transitions[t.id] = dataclasses.replace(t, procedure=other.procedure)
-            transitions[other.id] = dataclasses.replace(transitions[other.id], procedure=t.procedure)
+            transitions[t.id] = t._replace(procedure=other.procedure)
+            transitions[other.id] = transitions[other.id]._replace(procedure=t.procedure)
         elif edit == "guard":
-            transitions[t.id] = dataclasses.replace(t, guard=gen_untyped_expr(rng, [TOK, FLAG]))
+            transitions[t.id] = t._replace(guard=gen_untyped_expr(rng, [TOK, FLAG]))
         elif edit == "receive":
             event = ReceiveEvent(rng.choice(("ch0", "ch1")), rng.choice(labels))
-            transitions[t.id] = dataclasses.replace(t, event=event)
+            transitions[t.id] = t._replace(event=event)
         else:
             message = Expr.var(rng.choice(labels)) if rng.random() < 0.7 else gen_untyped_expr(rng, [TOK, FLAG])
-            transitions[t.id] = dataclasses.replace(t, event=SendEvent("ch0", message))
+            transitions[t.id] = t._replace(event=SendEvent("ch0", message))
     parts["transitions"] = list(transitions.values())
     return Net(**parts)
 

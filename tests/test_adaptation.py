@@ -228,7 +228,7 @@ def _edit_in_place(rng, mam):
     if mam.channels and rng.random() < 0.5:
         cid = rng.choice(sorted(mam.channels))
         ends = sorted(mam.agents) + ["ghost"]
-        mam.channels[cid] = replace(mam.channels[cid], consumer=rng.choice(ends))
+        mam.channels[cid] = mam.channels[cid]._replace(consumer=rng.choice(ends))
     elif mam.agents:
         aid = rng.choice(sorted(mam.agents))
         agent = mam.agents[aid]
@@ -437,7 +437,7 @@ class TestValidationStaleness:
 
     def test_synthesize_rejects_a_model_edited_after_evolve(self, mam1):
         got = self._evolved(mam1)
-        got.channels["mid"] = replace(got.channels["mid"], consumer="ghost")
+        got.channels["mid"] = got.channels["mid"]._replace(consumer="ghost")
         with pytest.raises(CoherenceError) as exc:
             synthesize(got)
         assert exc.value.report == naive_validate_model(got)
@@ -445,7 +445,7 @@ class TestValidationStaleness:
 
     def test_replaced_channel_rechecks_the_agents_naming_it(self, mam1):
         got = self._evolved(mam1)
-        got.channels["mid"] = replace(got.channels["mid"], consumer="agent1")
+        got.channels["mid"] = got.channels["mid"]._replace(consumer="agent1")
         report = validate_model(got)
         assert report == naive_validate_model(got)
         assert any("consumed elsewhere" in v.message for v in report.entries)
@@ -487,7 +487,7 @@ class TestValidationStaleness:
         before = validate_model(got)
         assert [v.code for v in before.entries] == ["event"]
         text = ColorSet("Txt", "text")
-        got.channels["mid"] = replace(got.channels["mid"], colorset=text)
+        got.channels["mid"] = got.channels["mid"]._replace(colorset=text)
         report = validate_model(got)
         assert report == naive_validate_model(got)
         assert any("does not match parameter" in v.message for v in report.entries)

@@ -313,6 +313,22 @@ class TestRun:
         assert code == 2
         assert "rejected" in err
 
+    def test_a_repeated_assign_exits_3(self, capsys, tmp_path):
+        scn = tmp_path / "twice.scn"
+        scn.write_text((MODELS / "org1_run.scn").read_text() + "assign A -> agent3\n")
+        for cmd in ("run", "decompose", "recompose-check"):
+            code, out, err = run(capsys, cmd, MODELS / "org1.org", scn)
+            assert code == 3 and out == ""
+            assert "expected a fresh role id" in err
+
+    def test_an_undeclared_role_exits_1(self, capsys, tmp_path):
+        scn = tmp_path / "ghost.scn"
+        scn.write_text((MODELS / "org1_run.scn").read_text() + "assign ghost -> agent9\n")
+        for cmd in ("run", "decompose", "recompose-check"):
+            code, out, err = run(capsys, cmd, MODELS / "org1.org", scn)
+            assert code == 1 and out == ""
+            assert err == "validation error: roles the organization does not declare: ['ghost']\n"
+
     def test_negative_trigger_step_exits_3(self, capsys, tmp_path):
         scn = tmp_path / "neg.scn"
         scn.write_text((MODELS / "org1_adapt.scn").read_text().replace("at 2 adapt", "at -1 adapt"))

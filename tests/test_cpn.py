@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roleflow import (
+    Channel,
     ColorSet,
+    CommLink,
     Expr,
     Firing,
     InputArc,
@@ -26,6 +28,7 @@ from roleflow import (
     ProcedureFailure,
     ReceivedMessage,
     ReceiveEvent,
+    Role,
     RoleflowError,
     RunResult,
     Scenario,
@@ -416,6 +419,77 @@ class TestGuards:
         parts["transitions"] = [Transition("t", "R", "inc1", guard=Expr.var("n"))]
         report = type_check_net(Net(**parts))
         assert any("enum containing member 'true'" in v.message for v in report.entries)
+
+
+TOK_REPR = "ColorSet(name='Tok', kind='int', members=(), components=())"
+# each model record with the repr, fields and defaults it had as a frozen dataclass
+MODEL_RECORDS = [
+    (Place("p", TOK), f"Place(id='p', colorset={TOK_REPR}, initial={{}})"),
+    (Place("p", TOK, Multiset([tok(2), tok(1)])), f"Place(id='p', colorset={TOK_REPR}, initial={{1, 2}})"),
+    (Variable("v", TOK), f"Variable(name='v', colorset={TOK_REPR})"),
+    (Expr.lit(tok(3)), "Expr(kind='lit', name='', value=Value(Tok:3), args=())"),
+    (
+        Expr.call("inc", Expr.var("n")),
+        "Expr(kind='call', name='inc', value=None, args=(Expr(kind='var', name='n', value=None, args=()),))",
+    ),
+    (Transition("t", "R", "p"), "Transition(id='t', role='R', procedure='p', guard=None, event=None)"),
+    (
+        Transition("t", "R", "p", Expr.var("g"), ReceiveEvent("ch", "n")),
+        "Transition(id='t', role='R', procedure='p', guard=Expr(kind='var', name='g', value=None, args=()),"
+        " event=ReceiveEvent(channel='ch', var='n'))",
+    ),
+    (InputArc("p", "t", "n"), "InputArc(place='p', transition='t', label='n')"),
+    (OutputArc("p", "t", "n"), "OutputArc(transition='p', place='t', label='n')"),
+    (SendEvent("ch", Expr.var("o")), "SendEvent(channel='ch', message=Expr(kind='var', name='o', value=None, args=()))"),
+    (ReceiveEvent("ch", "n"), "ReceiveEvent(channel='ch', var='n')"),
+    (Channel("mid", TOK, "a1", "a2"), f"Channel(id='mid', colorset={TOK_REPR}, producer='a1', consumer='a2', initial=())"),
+    (
+        Channel("mid", TOK, "a1", "a2", (tok(1),)),
+        f"Channel(id='mid', colorset={TOK_REPR}, producer='a1', consumer='a2', initial=(Value(Tok:1),))",
+    ),
+    (Role("A"), "Role(id='A', description='')"),
+    (CommLink("A", "B"), "CommLink(source='A', target='B')"),
+]
+RECORD_FIELDS = {
+    Place: (("id", "colorset", "initial"), {"initial": Multiset()}),
+    Variable: (("name", "colorset"), {}),
+    Expr: (("kind", "name", "value", "args"), {"name": "", "value": None, "args": ()}),
+    Transition: (("id", "role", "procedure", "guard", "event"), {"guard": None, "event": None}),
+    InputArc: (("place", "transition", "label"), {}),
+    OutputArc: (("transition", "place", "label"), {}),
+    SendEvent: (("channel", "message"), {}),
+    ReceiveEvent: (("channel", "var"), {}),
+    Channel: (("id", "colorset", "producer", "consumer", "initial"), {"initial": ()}),
+    Role: (("id", "description"), {"description": ""}),
+    CommLink: (("source", "target"), {}),
+}
+
+
+@pytest.mark.parametrize("record, text", MODEL_RECORDS, ids=[f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(MODEL_RECORDS)])
+def test_model_records_keep_fields_repr_hash_and_immutability(record, text):
+    cls = type(record)
+    fields, defaults = RECORD_FIELDS[cls]
+    assert cls._fields == fields and cls._field_defaults == defaults
+    assert repr(record) == text
+    items = tuple(getattr(record, name) for name in fields)
+    assert tuple(record) == items
+    # the frozen dataclass hashed its field tuple: set and dict orders stay
+    assert hash(record) == hash(items)
+    twin = cls(*items)
+    assert twin == record and not twin != record and hash(twin) == hash(record)
+    # equal only to a record of its own type, never to a plain tuple or another record type
+    assert record != items and not record == items and items != record
+    for other in RECORD_FIELDS:
+        if other is not cls and len(RECORD_FIELDS[other][0]) == len(items):
+            assert record != other(*items) and other(*items) != record
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for back in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(back) is cls and back == record and hash(back) == hash(record) and repr(back) == text
+    changed = record._replace(**{fields[-1]: None})
+    assert type(changed) is cls and changed[:-1] == items[:-1] and changed[-1] is None
+    assert record == twin  # `_replace` leaves the record as it was
 
 
 def test_duplicate_ids_rejected_at_construction():

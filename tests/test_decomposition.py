@@ -21,10 +21,12 @@ from roleflow import (
     ProcedureDef,
     ReceiveEvent,
     Role,
+    RoleflowError,
     SendEvent,
     Transition,
     adaptive_loop,
     check_equivalence,
+    communication_structure,
     decompose,
     project_marking,
     recompose,
@@ -32,6 +34,7 @@ from roleflow import (
     synthesize,
     type_check_net,
     validate_model,
+    validate_organization,
 )
 from roleflow import cpn
 from roleflow.decomposition import AgentModel, MultiAgentModel, _AgentChecks, changed_keys
@@ -39,7 +42,7 @@ from roleflow.modelio import parse_model, parse_scenario, serialize_model
 from roleflow.runtime import Scenario
 
 from conftest import MODELS, TOK, tok
-from helpers import all_assignments, cold_net, gen_org, naive_validate_model
+from helpers import all_assignments, cold_net, gen_org, naive_decompose, naive_validate_model
 
 
 def marking_of(**tokens):
@@ -79,6 +82,28 @@ class TestDecompose:
     def test_partial_assignment_rejected(self, org1):
         with pytest.raises(PartialAssignment):
             decompose(org1, {"A": "agent1"})
+
+    def test_undeclared_roles_rejected(self, org1):
+        with pytest.raises(PartialAssignment, match=r"^roles the organization does not declare: \['ghost', 'zed'\]$"):
+            decompose(org1, {"A": "agent1", "B": "agent2", "zed": "agent1", "ghost": "agent9"})
+        # a missing role is named first
+        with pytest.raises(PartialAssignment, match=r"^roles without an agent: \['B'\]$"):
+            decompose(org1, {"A": "agent1", "ghost": "agent9"})
+
+    def test_multi_producer_place_rejected(self, org1):
+        net = org1.global_task
+        parts = net.parts()
+        parts["procedures"] = list(net.procedures.values()) + [
+            ProcedureDef("feed", (("n", TOK),), (("o", TOK),), (("o", Expr.var("n")),))
+        ]
+        parts["transitions"] = list(net.transitions.values()) + [Transition("tC", "C", "feed")]
+        parts["places"] = parts["places"] + [Place("side", TOK, Multiset([tok(4)]))]
+        parts["arcs"] = list(parts["arcs"]) + [InputArc("side", "tC", "n"), OutputArc("tC", "mid", "o")]
+        roles = list(org1.roles.values()) + [Role("C")]
+        org = Organization("two", "", roles, [CommLink("A", "B"), CommLink("C", "B")], Net(**parts))
+        with pytest.raises(IncoherentOrganization, match="^place mid is written by several agents; no single producer$"):
+            decompose(org, {"A": "a1", "B": "a2", "C": "a3"})
+        assert decompose(org, {"A": "a1", "B": "a2", "C": "a1"}).channels["mid"].producer == "a1"
 
     def test_invalid_org_rejected(self, org1):
         broken = Organization("x", "", list(org1.roles.values()), [], org1.global_task)
@@ -389,16 +414,29 @@ class TestOrganizationVerdict:
             assignments = list(all_assignments(org.roles))
             cases += [(org, a) for a in rng.sample(assignments, min(3, len(assignments)))]
         for org, assignment in cases:
-            mam = decompose(org, assignment)
-            for aid, agent in mam.agents.items():
-                task = agent.task
-                assert type_check_net(task) == cpn._type_check(cold_net(task))
-                carried = agent._checks
-                assert _AgentChecks.of(aid, agent, mam.channels) is carried
-                cold = _AgentChecks.run(aid, replace(agent, task=cold_net(task)), mam.channels)
-                for slot in _AgentChecks.__slots__:
-                    assert getattr(carried, slot) == getattr(cold, slot), slot
-            assert validate_model(mam) == naive_validate_model(mam)
+            assert_carried_checks_match_a_cold_check(decompose(org, assignment))
+
+    def test_decompose_matches_the_naive_decompose(self):
+        """Agent by agent, and error by error, on the demo organizations, on
+        generated ones, and on generated ones with one transition moved to
+        another role, where a place may get several writing or reading agents
+        and a transition two events."""
+        rng = random.Random(2626)
+        orgs = [org for org, _ in self.demo_orgs()] + [gen_org(rng, f"nd{i}") for i in range(15)]
+        orgs += list(rewired_orgs(rng, 150)) + [chain_org(4)]
+        errors = models = 0
+        for org in orgs:
+            assert validate_organization(org).empty
+            for assignment in all_assignments(org.roles):
+                got, want = decompose_outcome(decompose, org, assignment), decompose_outcome(naive_decompose, org, assignment)
+                if isinstance(want, tuple):
+                    assert got == want
+                    errors += 1
+                    continue
+                assert_same_decomposition(got, want)
+                assert_carried_checks_match_a_cold_check(got)
+                models += 1
+        assert errors >= 10 and models >= 100
 
     def test_a_replaced_ill_typed_task_is_checked_again(self):
         rng = random.Random(1515)
@@ -420,6 +458,87 @@ class TestOrganizationVerdict:
             expected = naive_validate_model(bad)
             assert not expected.empty
             assert validate_model(bad, base=mam) == expected
+
+
+def assert_carried_checks_match_a_cold_check(mam):
+    """Each agent's kept type report and `_AgentChecks` equal the ones a cold copy computes."""
+    for aid, agent in mam.agents.items():
+        task = agent.task
+        assert type_check_net(task) == cpn._type_check(cold_net(task))
+        carried = agent._checks
+        assert _AgentChecks.of(aid, agent, mam.channels) is carried
+        cold = _AgentChecks.run(aid, replace(agent, task=cold_net(task)), mam.channels)
+        for slot in _AgentChecks.__slots__:
+            assert getattr(carried, slot) == getattr(cold, slot), slot
+    assert validate_model(mam) == naive_validate_model(mam)
+
+
+def decompose_outcome(decompose_fn, org, assignment):
+    """The model, or the type and text of the error."""
+    try:
+        return decompose_fn(org, assignment)
+    except RoleflowError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_decomposition(got, want):
+    """Equal models, and each agent's task equal down to its table orders, arc groups and carried checks."""
+    assert (got.organization_ref, got.assignment) == (want.organization_ref, want.assignment)
+    assert list(got.channels.items()) == list(want.channels.items())
+    assert list(got.agents) == list(want.agents)
+    for aid, agent in got.agents.items():
+        naive = want.agents[aid]
+        assert agent == naive
+        task, other = agent.task, naive.task
+        for table in ("colorsets", "variables", "places", "transitions", "procedures"):
+            assert list(getattr(task, table).items()) == list(getattr(other, table).items()), table
+        assert task.arcs == other.arcs and task.transition_ids == other.transition_ids
+        for tid in task.transition_ids:
+            assert task.input_arcs(tid) == other.input_arcs(tid) and task.output_arcs(tid) == other.output_arcs(tid)
+        assert task.initial_marking() == other.initial_marking()
+        assert type_check_net(task) == type_check_net(other)
+        for slot in _AgentChecks.__slots__:
+            assert getattr(agent._checks, slot) == getattr(naive._checks, slot), slot
+
+
+def chain_org(n):
+    """Roles R1..Rn in a chain of one transition each, t1 to tn: under distinct
+    agents every transition but the ends needs two events."""
+    f = ProcedureDef("f", (("n", TOK),), (("o", TOK),), (("o", Expr.var("n")),))
+    stops = ["s"] + [f"m{i}" for i in range(1, n)] + ["d"]
+    arcs = []
+    for i in range(1, n + 1):
+        arcs += [InputArc(stops[i - 1], f"t{i}", "n"), OutputArc(f"t{i}", stops[i], "o")]
+    net = Net(
+        "chain",
+        colorsets=[TOK],
+        places=[Place("s", TOK, Multiset([tok(1)]))] + [Place(pid, TOK) for pid in stops[1:]],
+        transitions=[Transition(f"t{i}", f"R{i}", "f") for i in range(1, n + 1)],
+        procedures=[f],
+        arcs=arcs,
+    )
+    links = [CommLink(f"R{i}", f"R{i + 1}") for i in range(1, n)]
+    return Organization("chain", "", [Role(f"R{i}") for i in range(1, n + 1)], links, net)
+
+
+def rewired_orgs(rng, count):
+    """Generated organizations with one transition moved to another role, and
+    the links the moved net induces."""
+    made = 0
+    while made < count:
+        org = gen_org(rng, f"rw{made}")
+        if len(org.roles) < 2:
+            continue
+        net = org.global_task
+        moved_id = rng.choice(net.transition_ids)
+        role = rng.choice(sorted(set(org.roles) - {net.transitions[moved_id].role}))
+        parts = net.parts()
+        parts["transitions"] = [t._replace(role=role) if t.id == moved_id else t for t in parts["transitions"]]
+        moved = Net(**parts)
+        roles = list(org.roles.values())
+        links = communication_structure(Organization(org.id, org.objective, roles, [], moved))
+        made += 1
+        yield Organization(org.id, org.objective, roles, links, moved)
 
 
 # ---------------------------------------------------------------------------

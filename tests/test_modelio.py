@@ -424,6 +424,15 @@ class TestParseScenario:
         doc = parse_scenario("assign A -> agent1\nassign B -> agent2\n")
         assert doc.assignment == {"A": "agent1", "B": "agent2"}
 
+    @pytest.mark.parametrize("head", ["", "mas org1\n"], ids=["scn", "mas"])
+    def test_a_repeated_assign_is_rejected_at_its_role(self, head):
+        text = head + "assign A -> agent1\nassign B -> agent2\nassign A -> agent3\n"
+        parse = parse_model if head else parse_scenario
+        with pytest.raises(ModelSyntaxError, match="expected a fresh role id") as info:
+            parse(text)
+        # the role of the last line
+        assert (info.value.line, info.value.col) == (text.count("\n"), 8)
+
     def test_unknown_op_keyword(self):
         with pytest.raises(UnknownOp):
             parse_scenario("at 1 adapt { zapAgent a }\n")

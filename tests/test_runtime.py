@@ -1070,8 +1070,6 @@ def mixed_relay_case():
     whose initial messages wait in a mailbox (dropped mail), an added and a
     removed agent (shifted indices), and a task replacement that drops a
     marked place (a fresh restart) together with a second swap."""
-    from dataclasses import replace
-
     from roleflow import Channel, evolve
     from roleflow.adaptation import a_com, add_agent, r_com, remove_agent
 
@@ -1083,8 +1081,8 @@ def mixed_relay_case():
     moved = Net(
         **{
             **task.parts(),
-            "places": [replace(p, id="z2") if p.id == "y2" else p for p in task.places.values()],
-            "arcs": [replace(a, place="z2") if a.place == "y2" else a for a in task.arcs],
+            "places": [p._replace(id="z2") if p.id == "y2" else p for p in task.places.values()],
+            "arcs": [a._replace(place="z2") if a.place == "y2" else a for a in task.arcs],
             "procedures": [],
         }
     )
