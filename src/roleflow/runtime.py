@@ -4,7 +4,9 @@ One scheduler engine, `_run`, with two choosers of the next action. Both
 take a due adaptation trigger first. `go` (`adaptive_loop`) then delivers
 the oldest message, else fires the next agent round-robin; the seeded
 chooser (`run_concurrent`) draws one of the pending channels, whose oldest
-message it delivers, or one of the ready agents, which it fires.
+message it delivers, or one of the ready agents, which it fires. Every such
+choice, and every quiescence check, first resolves all dirty agents in one
+place, `RunnableSystem._resolve_all`.
 The engine alone checks the end condition, takes checkpoints, writes the
 trace and adapts, so both modes mean the same thing. When an adaptation is
 needed the loop snapshots the full context (markings, mailboxes, in-flight
@@ -195,10 +197,11 @@ class _ReadySet:
 
     It is built from one entry per agent: a first firing, a (transition,
     binding) tuple and the only true entry; None for an agent that cannot
-    fire; or `_DIRTY`. `firing` is the system's column of entries. `ready`
-    and `dirty`, the sorted indices of clean agents that can fire and of
-    dirty agents, are worked out from the entries unless the caller has
-    them, as a context saved from a ready set does.
+    fire; or `_DIRTY`. `firing` is the system's column of entries, `ready`
+    the sorted indices of clean agents that can fire, and `dirty` the
+    worklist of dirty agents in touch order, emptied only by the system's
+    `_resolve_all`. `ready` and `dirty` are worked out from the entries
+    unless the caller has them, as a context saved from a ready set does.
     """
 
     __slots__ = ("firing", "ready", "dirty")
@@ -218,7 +221,7 @@ class _ReadySet:
         if firing is not None:
             del self.ready[bisect_left(self.ready, index)]
         self.firing[index] = _DIRTY
-        insort(self.dirty, index)
+        self.dirty.append(index)
 
 
 _TASK = attrgetter("task")
@@ -237,8 +240,9 @@ class RunnableSystem:
 
     The ready set holds each agent's first firing, computed again only
     after the agent's marking or mailbox changes. Delivery and firing change
-    one agent each, so a scheduler step rechecks only that agent. The model
-    is fixed for the system's life; adaptation builds a new system.
+    one agent each, so a scheduler step rechecks only that agent, and only
+    in `_resolve_all`, which every scheduling decision calls first. The
+    model is fixed for the system's life; adaptation builds a new system.
     """
 
     def __init__(self, model: MultiAgentModel, bus, cursor=0, step_count=0):
@@ -282,10 +286,8 @@ class RunnableSystem:
     def task(self, agent_id: str):
         return self.model.agents[agent_id].task
 
-    def _resolve(self, index: int) -> Optional[tuple[str, dict]]:
-        """Compute a dirty agent's first firing and file the agent as clean."""
-        ready_set = self._ready_set
-        del ready_set.dirty[bisect_left(ready_set.dirty, index)]
+    def _resolve(self, index: int) -> None:
+        """File a dirty agent by its first firing: its entry, and `ready` if it can fire."""
         marking, mailbox = self._markings[index], self._mailboxes[index]
         found = None
         for tid, plan in transition_plans(self._tasks[index]).items():
@@ -293,64 +295,36 @@ class RunnableSystem:
             if binding is not None:
                 found = (tid, binding)
                 break
+        ready_set = self._ready_set
         ready_set.firing[index] = found
         if found is not None:
             insort(ready_set.ready, index)
-        return found
 
     def _resolve_all(self) -> None:
-        """Resolve every dirty agent, so `ready` holds every agent that can fire."""
+        """The one resolve point: file every dirty agent, so `ready` holds every
+        agent that can fire. An agent leaves the worklist only once filed, so
+        one whose resolution raised stays dirty and is tried again."""
         dirty = self._ready_set.dirty
         while dirty:
-            self._resolve(dirty[0])
-
-    def _firing_at(self, index: int) -> Optional[tuple[str, dict]]:
-        firing = self._ready_set.firing[index]
-        return self._resolve(index) if firing is _DIRTY else firing
+            self._resolve(dirty[-1])
+            dirty.pop()
 
     def first_firing(self, agent_id: str) -> Optional[tuple[str, dict]]:
         """The agent's first enabled (transition, binding) in canonical order, or None.
 
-        It depends only on the agent's task, marking and mailbox, so it is
-        computed again only after the agent's state changed. Edits through
-        `states[aid].marking` and `states[aid].mailbox` are seen; a mailbox
-        list held across scheduler calls and edited later is not (see
-        `AgentState`).
+        It depends only on the agent's task, marking and mailbox, so
+        `_resolve_all` computes it again only after the agent's state
+        changed. Edits through `states[aid].marking` and
+        `states[aid].mailbox` are seen; a mailbox list held across scheduler
+        calls and edited later is not (see `AgentState`).
         """
-        return self._firing_at(self._positions[agent_id])
-
-    def _next_ready(self, start: int) -> Optional[int]:
-        """The first agent index at or cyclically after `start` that can fire, or None.
-
-        Dirty agents are resolved in round-robin order, and only those
-        before the first clean ready agent.
-        """
-        ready, dirty = self._ready_set.ready, self._ready_set.dirty
-        if not ready and not dirty:
-            return None
-        n = len(self.agent_ids)
-        start %= n
-        pos = bisect_left(ready, start)
-        first = ready[pos] if pos < len(ready) else ready[0] if ready else None
-        limit = n if first is None else (first - start) % n
-        while dirty:
-            pos = bisect_left(dirty, start)
-            index = dirty[pos] if pos < len(dirty) else dirty[0]
-            if (index - start) % n > limit:
-                break
-            if self._resolve(index) is not None:
-                return index
-        return first
+        self._resolve_all()
+        return self._ready_set.firing[self._positions[agent_id]]
 
     def quiescent(self) -> bool:
         """No deliverable message and no enabled firing anywhere."""
-        if self.bus or self._ready_set.ready:
-            return False
-        dirty = self._ready_set.dirty
-        while dirty:
-            if self._resolve(dirty[0]) is not None:
-                return False
-        return True
+        self._resolve_all()
+        return not self.bus and not self._ready_set.ready
 
 
 # The records built on every step are named tuples, as `cpn.SentMessage` is:
@@ -438,8 +412,8 @@ def _fired_detail(transition: str, binding: tuple, events) -> str:
 
 
 def _agent_fire(system: RunnableSystem, index: int) -> Progressed:
-    """Fire the first enabled (transition, binding) in canonical order of agent `index`, which can fire."""
-    tid, binding = system._firing_at(index)
+    """Fire agent `index`'s first firing, as `_resolve_all` filed it for a ready agent."""
+    tid, binding = system._ready_set.firing[index]
     markings = system._markings
     # the binding is the plan's own, found for this very marking and mailbox
     plan = transition_plans(system._tasks[index])[tid]
@@ -448,10 +422,7 @@ def _agent_fire(system: RunnableSystem, index: int) -> Progressed:
     for ev in events:
         if isinstance(ev, ReceivedMessage):
             mailbox = _own_mailbox(system._mailboxes, index)
-            for i, (ch, _) in enumerate(mailbox):
-                if ch == ev.channel:
-                    del mailbox[i]
-                    break
+            del mailbox[indexOf(map(_CHANNEL, mailbox), ev.channel)]
         elif isinstance(ev, SentMessage):
             system.bus.append((ev.channel, ev.value))
     system.step_count += 1
@@ -500,9 +471,12 @@ def go(system: RunnableSystem, scenario: Scenario) -> StepOutcome:
         return AdaptationNeeded(trig.request)
     if system.bus:
         return _deliver(system, 0)
-    index = system._next_ready(system.cursor)
-    if index is None:
+    system._resolve_all()
+    ready = system._ready_set.ready
+    if not ready:
         return QuiescentPass()
+    pos = bisect_left(ready, system.cursor % len(system.agent_ids))
+    index = ready[pos] if pos < len(ready) else ready[0]
     outcome = _agent_fire(system, index)
     system.cursor = (index + 1) % len(system.agent_ids)
     return outcome
@@ -513,8 +487,9 @@ def _seeded_step(rng: random.Random, system: RunnableSystem, scenario: Scenario)
 
     The choices are the pending channels in id order, each of which delivers
     its oldest bus message, then the agents that can fire, in id order, once
-    every dirty agent is resolved. `rng.choice` over the range of their count
-    draws as it would over a list of them, and no such list is built.
+    `_resolve_all` has resolved every dirty agent, as in `go`. `rng.choice`
+    over the range of their count draws as it would over a list of them,
+    and no such list is built.
     """
     trig = _due_trigger(system, scenario)
     if trig is not None:
@@ -563,7 +538,7 @@ class _Live(NamedTuple):
     markings: tuple  # Marking objects, immutable, or MRK1 bytes
     mails: tuple  # each mailbox as a tuple of (channel id, Value)
     entries: tuple  # ready-set entries: a first firing, None, or _DIRTY
-    # the ready set's sorted index lists for `entries`, or None to work them out
+    # the ready set's `ready` and `dirty` lists for `entries`, or None to work them out
     ready: Optional[tuple] = None
     dirty: Optional[tuple] = None
 

@@ -50,7 +50,7 @@ from roleflow import (
     write_context,
 )
 from roleflow.adaptation import AdaptationRequest, PlanImpact, modify_agent, rp_p, rp_t
-from roleflow.modelio import read_context, render_trace
+from roleflow.modelio import read_context, render_report, render_trace
 import roleflow.runtime as runtime_mod
 
 from conftest import MODELS, TOK, tok
@@ -271,6 +271,29 @@ class TestFirstFiringCache:
             assert render_trace(got.trace) == render_trace(expected.trace)
             assert got.final_markings == expected.final_markings
 
+    def test_an_agent_whose_resolution_raised_is_resolved_again(self, mam1):
+        """A mis-colored message at the front of agent2's mailbox makes its
+        resolution raise; agent2 stays dirty, so every `go` raises again
+        until the mailbox is repaired, and the repaired run is that of a
+        system built afresh in the same state."""
+        system = synthesize(mam1)
+        go(system, Scenario())
+        go(system, Scenario())  # tA's message waits in agent2's mailbox
+        state = system.states["agent2"]
+        saved = list(state._mailbox)
+        state.mailbox.insert(0, ("mid", Value(ColorSet("Tok", "text"), "x")))
+        for _ in range(2):
+            with pytest.raises(TypeMismatch):
+                go(system, Scenario())
+        state.mailbox = saved
+        expected = adaptive_loop(rebuilt(system), Scenario())
+        assert system.first_firing("agent2") == ("tB", {"n": tok(1)})
+        got = adaptive_loop(system, Scenario())
+        assert (got.end_reason, got.steps) == ("quiescence", 3)
+        assert got.final_mailboxes == {"agent1": (), "agent2": ()}
+        assert render_trace(got.trace) == render_trace(expected.trace)
+        assert render_report(got) == render_report(expected)
+
 
 def relay_org(k: int, tokens: int) -> Organization:
     """k roles in a chain; role i takes a token from x{i} to y{i} and hands it to x{i+1}."""
@@ -360,6 +383,10 @@ def assert_clean_agents_match_oracle(system):
 def check_against_oracle(monkeypatch):
     """Compare go(), quiescent() and _seeded_step() with the oracle on every call.
 
+    Every firing is chosen from a fully resolved ready set: before it, no
+    agent is dirty and `ready` holds every agent the oracle finds a firing
+    for; after quiescent(), no agent is dirty either.
+
     A seeded step is replayed: the RNG state saved before it, drawn with
     `choice` over the oracle's action list, must give the step's delivery of
     that channel's oldest message or its firing of that agent, and leave the
@@ -368,7 +395,16 @@ def check_against_oracle(monkeypatch):
     """
     real_go, real_step = runtime_mod.go, runtime_mod._seeded_step
     real_quiescent = runtime_mod.RunnableSystem.quiescent
+    real_fire = runtime_mod._agent_fire
     drawn = []
+
+    def fire_checked(system, index):
+        expected = naive_first_firings(system)
+        ready_set = system._ready_set
+        assert ready_set.dirty == []
+        assert ready_set.ready == [i for i, aid in enumerate(system.agent_ids) if expected[aid] is not None]
+        assert index in ready_set.ready
+        return real_fire(system, index)
 
     def go_checked(system, scenario):
         can_fire = [a[1] for a in naive_ready_actions(system) if a[0] == "fire"]
@@ -385,6 +421,7 @@ def check_against_oracle(monkeypatch):
 
     def quiescent_checked(system):
         got = real_quiescent(system)
+        assert system._ready_set.dirty == []
         assert got == (naive_ready_actions(system) == [])
         assert_clean_agents_match_oracle(system)
         return got
@@ -422,6 +459,7 @@ def check_against_oracle(monkeypatch):
     monkeypatch.setattr(runtime_mod, "go", go_checked)
     monkeypatch.setattr(runtime_mod.RunnableSystem, "quiescent", quiescent_checked)
     monkeypatch.setattr(runtime_mod, "_seeded_step", step_checked)
+    monkeypatch.setattr(runtime_mod, "_agent_fire", fire_checked)
     return drawn
 
 
@@ -466,6 +504,51 @@ class TestReadySet:
             assert render_trace(got.trace) == render_trace(expected.trace)
             assert got.final_markings == expected.final_markings
             assert got.end_reason == expected.end_reason
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_resolving_at_other_times_changes_nothing(self, monkeypatch, seed):
+        """Extra quiescent(), first_firing() of a random agent and
+        _resolve_all() calls between steps leave every trace and report as
+        the plain run wrote it: a first firing is the same whenever it is
+        computed. seed None runs adaptive_loop; a seed runs run_concurrent."""
+
+        def run(mam, scenario):
+            system = synthesize(mam)
+            if seed is None:
+                report = adaptive_loop(system, scenario)
+            else:
+                report = run_concurrent(system, scenario, seed)
+            return render_trace(report.trace), render_report(report)
+
+        def extra_calls(fn, rng, at=0):
+            """`fn`, first making up to three resolving calls on the system that is its argument `at`."""
+
+            def call(*args):
+                system = args[at]
+                for _ in range(rng.randrange(4)):
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        system.quiescent()
+                    elif kind == 1:
+                        system.first_firing(rng.choice(system.agent_ids))
+                    else:
+                        system._resolve_all()
+                return fn(*args)
+
+            return call
+
+        cases = ready_set_cases()
+        rng = random.Random(2024)
+        while len(cases) < 30:
+            org = gen_org(rng, f"rt{len(cases)}")
+            cases.append((decompose(org, rng.choice(list(all_assignments(org.roles)))), Scenario()))
+        extra_rng = random.Random(seed)
+        for mam, scenario in cases:
+            expected = run(mam, scenario)
+            with monkeypatch.context() as m:
+                m.setattr(runtime_mod, "go", extra_calls(runtime_mod.go, extra_rng))
+                m.setattr(runtime_mod, "_seeded_step", extra_calls(runtime_mod._seeded_step, extra_rng, at=1))
+                assert run(mam, scenario) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_a_fan_out_bus_delivers_the_drawn_channels_oldest_message(self, monkeypatch, seed):
